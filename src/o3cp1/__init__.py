@@ -11,6 +11,7 @@ from .actions import (
     optimal_gauge,
     partition_constants,
 )
+from .errors import O3CP1Error
 from .fields import (
     CP1Field,
     GaugeField,
@@ -19,8 +20,7 @@ from .fields import (
     from_polar,
     hopf_map,
     jacobian_polar,
-    random_unit_spinor,
-    random_unit_vector,
+    random_unit,
     to_polar,
 )
 from .lattice import Lattice, build_lattice, forward_diff

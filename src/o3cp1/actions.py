@@ -7,8 +7,18 @@ gauge integral exactly Gaussian:
     integral dA exp(-(A^2 - 2 A b)/g) = sqrt(pi g) exp(b^2 / g),
     b = Im z(x)^dag z(x+mu).
 
-Dropping the gauge field at its optimum A* = b gives the reduced per-link
-term (|dz|^2 - b^2)/g = (2 - 2 Re w - (Im w)^2)/g with w = z(x)^dag z(x+mu).
+For unit spinors every spinor link term is a function of the overlap
+w = z(x)^dag z(x+mu) (spinor_overlap, or link_overlaps for a whole field):
+
+    pullback_term(w)    = 1 - |w|^2             = (1/4)|dn|^2, n = hopf(z)
+    reduced_term(w)     = 2 - 2 Re w - (Im w)^2 = |dz|^2 - b^2
+    gauge_term(A, w)    = (A - Im w)^2
+
+and the covariant term is gauge_term + reduced_term: integrating A out leaves
+the reduced term. These kernels are the one definition of each term; the
+global actions here and the local Metropolis updates in mc both sum them
+(times 1/g). action_o3 and action_cp1_gauged are written out independently,
+as references for the tests and the sampler's self-check.
 
 Constant prefactors such as the per-link sqrt(pi g) are tracked as log
 constants (see partition_constants) and never multiplied into Boltzmann
@@ -21,15 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
+from .errors import O3CP1Error
 from .fields import CP1Field, GaugeField, SpinField
 from .lattice import Lattice
 
 
-class ActionError(ValueError):
+class ActionError(O3CP1Error, ValueError):
     """Invalid input to an action evaluator."""
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(O3CP1Error, RuntimeError):
     """A numeric integral failed to reach its requested accuracy."""
 
 
@@ -64,13 +75,33 @@ def action_o3(lat: Lattice, spin: SpinField, g) -> float:
     return total / (4.0 * g)
 
 
+def spinor_overlap(za, zb):
+    """w = za^dag zb over the last axis of complex spinor arrays."""
+    return (np.conj(za) * zb).sum(axis=-1)
+
+
 def link_overlaps(lat: Lattice, zf: CP1Field):
     """w[x, mu] = z(x)^dag z(x+mu) for every link, shape (volume, ndim) complex."""
     z = zf.z
     w = np.empty((lat.volume, lat.ndim), dtype=complex)
     for mu in range(lat.ndim):
-        w[:, mu] = np.einsum("ij,ij->i", np.conj(z), z[lat.fwd(mu)])
+        w[:, mu] = spinor_overlap(z, z[lat.fwd(mu)])
     return w
+
+
+def pullback_term(w):
+    """Per-link o3 term of hopf(z), (1/4)|dn|^2 = 1 - |w|^2 for unit spinors."""
+    return 1.0 - (w.real**2 + w.imag**2)
+
+
+def reduced_term(w):
+    """Per-link gauge-marginalized term |dz|^2 - (Im w)^2 = 2 - 2 Re w - (Im w)^2."""
+    return 2.0 - 2.0 * w.real - w.imag**2
+
+
+def gauge_term(a, w):
+    """Per-link Gaussian gauge term (A - A*)^2 with A* = Im w."""
+    return (a - w.imag) ** 2
 
 
 def action_cp1_gauged(lat: Lattice, zf: CP1Field, gauge: GaugeField, g) -> float:
@@ -90,18 +121,14 @@ def action_cp1_reduced(lat: Lattice, zf: CP1Field, g) -> float:
     """Gauge-marginalized action: (1/g) sum_links [ |dz|^2 - (Im z^dag dz)^2 ]."""
     g = _check_g(g)
     zf.check(tol=1e-9)
-    w = link_overlaps(lat, zf)
-    per_link = 2.0 - 2.0 * w.real - w.imag**2
-    return float(np.sum(per_link)) / g
+    return float(np.sum(reduced_term(link_overlaps(lat, zf)))) / g
 
 
 def action_o3_pullback(lat: Lattice, zf: CP1Field, g) -> float:
     """O(3) action of hopf(z); per link (1 - |w|^2) = (1/4)|dn|^2 with unit spinors."""
     g = _check_g(g)
     zf.check(tol=1e-9)
-    w = link_overlaps(lat, zf)
-    per_link = 1.0 - np.abs(w) ** 2
-    return float(np.sum(per_link)) / g
+    return float(np.sum(pullback_term(link_overlaps(lat, zf)))) / g
 
 
 def optimal_gauge(lat: Lattice, zf: CP1Field) -> GaugeField:
@@ -142,9 +169,7 @@ def marginalize_gauge_numeric(
     if half_width < 8.0:
         raise ActionError("half_width must be >= 8 (tail below target accuracy)")
     z = zf.z
-    b = float(
-        np.imag(np.vdot(z[site], z[lat.neighbor(site, mu, +1)]))
-    )  # vdot conjugates its first argument
+    b = float(spinor_overlap(z[site], z[lat.neighbor(site, mu, +1)]).imag)
     span = half_width * math.sqrt(g)
     lo, hi = min(-span, b - span), max(span, b + span)
     value, err = integrate.quad(

@@ -35,9 +35,10 @@ from .actions import (
     partition_constants,
     polar_identity_max_violation,
 )
+from .errors import O3CP1Error
 from .fields import CP1Field, jacobian_polar, save_field_csv
 from .lattice import build_lattice
-from .mc import MODELS, McError, jackknife, run_chains, two_site_exact
+from .mc import MODELS, jackknife, run_chains, two_site_exact
 
 SUITES = (
     "polar-identity",
@@ -78,11 +79,22 @@ def _parse_dims(text):
     return dims
 
 
+def _parse_number(name, value, kind, minimum=None):
+    """kind(value), at least `minimum` if given; None (option not given) passes through."""
+    if value is None:
+        return None
+    try:
+        number = kind(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"invalid value for {name}: {value!r}") from None
+    if minimum is not None and number < minimum:
+        raise UsageError(f"invalid value for {name}: {number} (must be >= {minimum})")
+    return number
+
+
 def _parse_eps(text):
-    if isinstance(text, (list, tuple)):
-        vals = [float(v) for v in text]
-    else:
-        vals = [float(part) for part in str(text).split(",") if part]
+    parts = text if isinstance(text, (list, tuple)) else str(text).split(",")
+    vals = [_parse_number("eps", v, float) for v in parts if v != ""]
     if not vals or any(v <= 0 for v in vals):
         raise UsageError(f"invalid eps ladder {text!r}; widths must be positive")
     return vals
@@ -98,12 +110,12 @@ def _parse_tol(pairs):
             raise UsageError(
                 f"unknown tolerance {name!r}; known: {', '.join(sorted(DEFAULT_TOLERANCES))}"
             )
-        out[name] = float(value)
+        out[name] = _parse_number(f"tolerance {name}", value, float)
     return out
 
 
 _CONFIG_KEYS = {
-    "verify": {"suite", "eps", "seed", "out", "tol", "threads"},
+    "verify": {"suite", "eps", "seed", "out", "tol"},
     "sample": {"model", "dims", "g", "sweeps", "thermalization", "seed", "delta0",
                "out-prefix", "self-check"},
     "compare": {"dims", "g", "sweeps", "thermalization", "seed", "regime",
@@ -138,13 +150,13 @@ def _merged(args, command):
 def _require_seed(value):
     if value is None:
         raise UsageError("missing required option: seed (reproducibility contract)")
-    return int(value)
+    return _parse_number("seed", value, int)
 
 
 def _require_positive_g(value):
     if value is None:
         raise UsageError("missing required option: g")
-    g = float(value)
+    g = _parse_number("g", value, float)
     if g <= 0:
         raise UsageError(f"invalid value for g: {g} (must be positive)")
     return g
@@ -344,7 +356,7 @@ def run_verify(pick) -> tuple:
     suite = pick("suite", "all")
     if suite != "all" and suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}; known: all, {', '.join(SUITES)}")
-    seed = int(pick("seed", 0))
+    seed = _parse_number("seed", pick("seed", 0), int)
     eps_ladder = _parse_eps(pick("eps", "0.1,0.05,0.025"))
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(_parse_tol(pick("tol")))
@@ -417,11 +429,10 @@ def run_sample(pick) -> tuple:
     model = _resolve_model(pick("model", "o3"))
     dims = _parse_dims(pick("dims", "8x8"))
     g = _require_positive_g(pick("g", 1.0))
-    sweeps = int(pick("sweeps", 10000))
+    sweeps = _parse_number("sweeps", pick("sweeps", 10000), int, 1)
+    therm = _parse_number("thermalization", pick("thermalization"), int, 0)
     seed = _require_seed(pick("seed"))
-    therm = pick("thermalization")
-    therm = int(therm) if therm is not None else None
-    delta0 = float(pick("delta0", 0.5))
+    delta0 = _parse_number("delta0", pick("delta0", 0.5), float, 0.0)
     prefix = pick("out-prefix", "sample")
     self_check = bool(pick("self-check", False))
 
@@ -495,12 +506,12 @@ def _comparison_rows(results, gated_pairs, n_sigma):
 def run_compare(pick) -> tuple:
     dims = _parse_dims(pick("dims", "8x8"))
     g = _require_positive_g(pick("g", 1.0))
-    sweeps = int(pick("sweeps", 50000))
+    sweeps = _parse_number("sweeps", pick("sweeps", 50000), int, 1)
+    therm = _parse_number("thermalization", pick("thermalization"), int, 0)
     seed = _require_seed(pick("seed"))
-    therm = pick("thermalization")
-    therm = int(therm) if therm is not None else None
     regime = pick("regime", "pullback")
-    threads = int(pick("threads", os.environ.get("O3CP1_THREADS", "1")))
+    default_threads = os.environ.get("O3CP1_THREADS", "1")
+    threads = _parse_number("threads", pick("threads", default_threads), int)
     prefix = pick("out-prefix", "compare")
     n_sigma = dict(DEFAULT_TOLERANCES, **_parse_tol(pick("tol")))["sigma"]
 
@@ -660,7 +671,7 @@ def main(argv=None) -> int:
             return code
     except UsageError as exc:
         parser.exit(2, f"error: {exc}\n")
-    except McError as exc:
+    except O3CP1Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 2

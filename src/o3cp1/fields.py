@@ -1,9 +1,10 @@
 """Field containers and the spinor-to-vector (Hopf) map.
 
-The spinor field is stored as four reals per site (Re z1, Im z1, Re z2, Im z2)
-so the flat sampling measure is literally the product of those coordinates;
-complex views are derived on demand. The unit 3-vector field n and the
-per-link real gauge field A are plain float arrays.
+A spinor field owns one C-contiguous float64 buffer of four reals per site
+(Re z1, Im z1, Re z2, Im z2), so the flat sampling measure is literally the
+product of those coordinates. Its complex form z is a zero-copy view of the
+same memory: a write through either is seen through the other. The unit
+3-vector field n and the per-link real gauge field A are plain float arrays.
 
 Conventions: standard Pauli matrices, so n = z^dag sigma z has components
   n_x = 2 r s cos(alpha - beta)
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import O3CP1Error
 from .lattice import Lattice
 
 NORM_TOL = 1e-12
@@ -33,7 +35,7 @@ PAULI = np.array(
 )
 
 
-class FieldError(ValueError):
+class FieldError(O3CP1Error, ValueError):
     """Field constraint violation (normalization, shape, finiteness)."""
 
 
@@ -51,7 +53,7 @@ class SpinField:
 
     @classmethod
     def random(cls, lat: Lattice, rng):
-        return cls(random_unit_vector(rng, lat.volume))
+        return cls(random_unit(rng, 3, lat.volume))
 
     def check(self, tol=NORM_TOL):
         err = np.abs(np.einsum("ij,ij->i", self.n, self.n) - 1.0).max()
@@ -71,34 +73,30 @@ class CP1Field:
 
     data: np.ndarray
 
+    def __post_init__(self):
+        self.data = np.ascontiguousarray(self.data, dtype=np.float64)
+        if self.data.shape[-1:] != (4,):
+            raise FieldError(f"spinor data needs 4 reals per site, got shape {self.data.shape}")
+
     @classmethod
     def constant(cls, lat: Lattice, z=(1.0, 0.0)):
         z = np.asarray(z, dtype=complex)
         z = z / np.sqrt(np.sum(np.abs(z) ** 2))
-        row = np.array([z[0].real, z[0].imag, z[1].real, z[1].imag])
-        return cls(np.tile(row, (lat.volume, 1)))
+        return cls(np.tile(z.view(np.float64), (lat.volume, 1)))
 
     @classmethod
     def random(cls, lat: Lattice, rng):
-        return cls(random_unit_spinor(rng, lat.volume))
+        return cls(random_unit(rng, 4, lat.volume))
 
     @classmethod
     def from_complex(cls, z):
-        z = np.atleast_2d(np.asarray(z, dtype=complex))
-        data = np.empty(z.shape[:-1] + (4,), dtype=float)
-        data[..., 0] = z[..., 0].real
-        data[..., 1] = z[..., 0].imag
-        data[..., 2] = z[..., 1].real
-        data[..., 3] = z[..., 1].imag
-        return cls(data)
+        z = np.ascontiguousarray(np.atleast_2d(z), dtype=complex)
+        return cls(z.view(np.float64))
 
     @property
     def z(self):
-        """Complex view, shape (volume, 2)."""
-        out = np.empty(self.data.shape[:-1] + (2,), dtype=complex)
-        out[..., 0] = self.data[..., 0] + 1j * self.data[..., 1]
-        out[..., 1] = self.data[..., 2] + 1j * self.data[..., 3]
-        return out
+        """Complex view of `data`, shape (volume, 2); shares its memory."""
+        return self.data.view(np.complex128)
 
     def check(self, tol=NORM_TOL):
         err = np.abs(np.einsum("ij,ij->i", self.data, self.data) - 1.0).max()
@@ -151,14 +149,15 @@ def hopf_map(z):
     z = np.asarray(z, dtype=complex)
     single = z.ndim == 1
     z = np.atleast_2d(z)
-    norm2 = np.sum(np.abs(z) ** 2, axis=-1)
-    if np.abs(norm2 - 1.0).max() > 1e-9:
+    re2, im2 = z.real**2, z.imag**2
+    sq = re2 + im2  # |z1|^2, |z2|^2
+    if np.abs(sq.sum(axis=-1) - 1.0).max() > 1e-9:
         raise FieldError("hopf_map requires unit spinors (|z| = 1 within 1e-9)")
     w = np.conj(z[..., 0]) * z[..., 1]
     n = np.empty(z.shape[:-1] + (3,), dtype=float)
     n[..., 0] = 2.0 * w.real
     n[..., 1] = 2.0 * w.imag
-    n[..., 2] = np.abs(z[..., 0]) ** 2 - np.abs(z[..., 1]) ** 2
+    n[..., 2] = sq[..., 0] - re2[..., 1] - im2[..., 1]
     return n[0] if single else n
 
 
@@ -189,28 +188,13 @@ def jacobian_polar(r, s):
     return np.asarray(r, dtype=float) * np.asarray(s, dtype=float)
 
 
-def random_unit_spinor(rng, size=None):
-    """Uniform sample(s) on the unit 3-sphere of spinors, as (Re,Im,Re,Im) rows."""
+def random_unit(rng, dim, size=None):
+    """Uniform sample(s) on the unit sphere in R^dim (3 for n, 4 for spinor rows)."""
     n = 1 if size is None else int(size)
-    out = np.empty((n, 4))
+    out = np.empty((n, dim))
     need = np.ones(n, dtype=bool)
     while need.any():
-        draw = rng.standard_normal((int(need.sum()), 4))
-        norm = np.linalg.norm(draw, axis=1)
-        ok = norm > 0
-        idx = np.flatnonzero(need)[ok]
-        out[idx] = draw[ok] / norm[ok, None]
-        need[idx] = False
-    return out[0] if size is None else out
-
-
-def random_unit_vector(rng, size=None):
-    """Uniform sample(s) on the unit 2-sphere."""
-    n = 1 if size is None else int(size)
-    out = np.empty((n, 3))
-    need = np.ones(n, dtype=bool)
-    while need.any():
-        draw = rng.standard_normal((int(need.sum()), 3))
+        draw = rng.standard_normal((int(need.sum()), dim))
         norm = np.linalg.norm(draw, axis=1)
         ok = norm > 0
         idx = np.flatnonzero(need)[ok]

@@ -10,8 +10,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import O3CP1Error
 
-class LatticeError(ValueError):
+
+class LatticeError(O3CP1Error, ValueError):
     """Invalid lattice geometry or out-of-range site/direction."""
 
 
@@ -91,12 +93,6 @@ class Lattice:
         if not (0 <= mu < self.ndim):
             raise LatticeError(f"direction {mu} out of range for ndim {self.ndim}")
         return self.neighbors[:, mu, 1]
-
-    def links(self):
-        """Iterate all (site, mu) link identifiers."""
-        for site in range(self.volume):
-            for mu in range(self.ndim):
-                yield site, mu
 
 
 def build_lattice(dims) -> Lattice:

@@ -25,6 +25,10 @@ independent. Otherwise sites are updated one at a time in index order.
 Self-check mode forces the serial path and compares every accepted local
 action change against a full-action recomputation.
 
+A spinor chain keeps one buffer, CP1Field.data, read and written through its
+complex view CP1Field.z; observables use hopf(z), computed once per
+measurement. Local action changes sum the per-link kernels of actions.py.
+
 Reproducibility: a chain's generator is PCG64 seeded from
 SeedSequence(master_seed).spawn(n_chains)[chain_index]; identical
 configuration and master seed reproduce identical series bit for bit.
@@ -40,8 +44,13 @@ from .actions import (
     action_cp1_reduced,
     action_o3,
     action_o3_pullback,
+    gauge_term,
     link_overlaps,
+    pullback_term,
+    reduced_term,
+    spinor_overlap,
 )
+from .errors import O3CP1Error
 from .fields import CP1Field, GaugeField, SpinField, hopf_map
 from .lattice import Lattice
 
@@ -56,7 +65,7 @@ MODELS = (
 SELF_CHECK_TOL = 1e-9
 
 
-class McError(RuntimeError):
+class McError(O3CP1Error, RuntimeError):
     """Sampling-contract violation (bad model tag, self-check failure, ...)."""
 
 
@@ -67,19 +76,18 @@ class ObservableSeries:
     name: str
     values: np.ndarray
     bin_size: int = 1
-    therm_cutoff: int = 0
 
 
 def jackknife(series: ObservableSeries):
-    """Binned jackknife (mean, standard error); needs >= 20 bins after cutoff."""
-    vals = np.asarray(series.values, dtype=float)[series.therm_cutoff :]
+    """Binned jackknife (mean, standard error); needs >= 20 bins."""
+    vals = np.asarray(series.values, dtype=float)
     b = int(series.bin_size)
     if b < 1:
         raise McError(f"bin size must be >= 1, got {b}")
     n_bins = len(vals) // b
     if n_bins < 20:
         raise McError(
-            f"jackknife needs >= 20 bins after cutoff, got {n_bins} "
+            f"jackknife needs >= 20 bins, got {n_bins} "
             f"({len(vals)} values at bin size {b})"
         )
     bins = vals[: n_bins * b].reshape(n_bins, b).mean(axis=1)
@@ -92,7 +100,7 @@ def jackknife(series: ObservableSeries):
 
 @dataclass
 class ChainState:
-    """One Markov chain: lattice, model tag, field buffers, proposal width, rng."""
+    """One Markov chain: lattice, model tag, field, proposal width, rng."""
 
     lat: Lattice
     model: str
@@ -101,8 +109,6 @@ class ChainState:
     rng: np.random.Generator
     spin: SpinField = None
     zfield: CP1Field = None
-    zc: np.ndarray = None  # complex view cache of zfield, kept in sync
-    nfield: np.ndarray = None  # hopf(z) cache for spinor chains
     gauge: GaugeField = None
     sweeps_done: int = 0
     self_check: bool = False
@@ -135,8 +141,6 @@ def init_chain(lat, model, g, rng, delta=0.5, self_check=False, hot=True) -> Cha
         state.spin = SpinField.random(lat, rng) if hot else SpinField.constant(lat)
     else:
         state.zfield = CP1Field.random(lat, rng) if hot else CP1Field.constant(lat)
-        state.zc = state.zfield.z
-        state.nfield = hopf_map(state.zc)
         if state.is_gauged:
             state.gauge = GaugeField.zeros(lat)
             gibbs_gauge_update(state)
@@ -155,8 +159,8 @@ def total_action(state: ChainState) -> float:
     if state.model == "cp1-gauged-reduced":
         # per link, (A - A*)^2/g + reduced term equals the covariant action
         return action_cp1_gauged(lat, state.zfield, state.gauge, g)
-    astar = link_overlaps(lat, state.zfield).imag
-    gauss = float(np.sum((state.gauge.a - astar) ** 2)) / g
+    w = link_overlaps(lat, state.zfield)
+    gauss = float(np.sum(gauge_term(state.gauge.a, w))) / g
     return gauss + action_o3_pullback(lat, state.zfield, g)
 
 
@@ -173,24 +177,19 @@ def _local_terms_spin(state, sites, n_at_sites):
 
 def _local_terms_z(state, sites, z_at_sites):
     """Sum of per-link matter (+ gauge) terms over all links touching each site."""
-    lat, g = state.lat, state.g
-    z = state.zc
-    zbar = np.conj(z_at_sites)
+    lat, z = state.lat, state.zfield.z
+    matter_term = pullback_term if state.matter_base == "pullback" else reduced_term
     total = np.zeros(len(sites))
-    pullback = state.matter_base == "pullback"
     for mu in range(lat.ndim):
         fwd = lat.neighbors[sites, mu, 0]
         bwd = lat.neighbors[sites, mu, 1]
-        w_f = (zbar * z[fwd]).sum(axis=1)
-        w_b = (np.conj(z[bwd]) * z_at_sites).sum(axis=1)
+        w_f = spinor_overlap(z_at_sites, z[fwd])
+        w_b = spinor_overlap(z[bwd], z_at_sites)
         for w, link_site in ((w_f, sites), (w_b, bwd)):
-            if pullback:
-                total += 1.0 - (w.real**2 + w.imag**2)
-            else:
-                total += 2.0 - 2.0 * w.real - w.imag**2
+            total += matter_term(w)
             if state.is_gauged:
-                total += (state.gauge.a[link_site, mu] - w.imag) ** 2
-    return total / g
+                total += gauge_term(state.gauge.a[link_site, mu], w)
+    return total / state.g
 
 
 def _propose_spin(state, n_old):
@@ -206,7 +205,10 @@ def _propose_spin(state, n_old):
         norm = np.linalg.norm(axis, axis=1)
     axis /= norm[:, None]
     theta = state.rng.uniform(0.0, state.delta, k)
-    n_new = np.cos(theta)[:, None] * n_old + np.sin(theta)[:, None] * np.cross(axis, n_old)
+    # axis x n_old as np.cross computes it, minus its per-call axis handling
+    (a0, a1, a2), (n0, n1, n2) = axis.T, n_old.T
+    perp = np.stack([a1 * n2 - a2 * n1, a2 * n0 - a0 * n2, a0 * n1 - a1 * n0], axis=1)
+    n_new = np.cos(theta)[:, None] * n_old + np.sin(theta)[:, None] * perp
     n_new /= np.linalg.norm(n_new, axis=1, keepdims=True)
     return n_new
 
@@ -223,35 +225,16 @@ def _propose_z(state, z_old):
 def _update_batch(state, sites):
     """Metropolis-update a batch of mutually non-interacting sites; returns accept count."""
     k = len(sites)
-    both = np.concatenate([sites, sites])
     if state.model == "o3":
-        old = state.spin.n[sites]
-        new = _propose_spin(state, old)
-        terms = _local_terms_spin(state, both, np.concatenate([new, old]))
+        buf, propose, local_terms = state.spin.n, _propose_spin, _local_terms_spin
     else:
-        old = state.zc[sites]
-        new = _propose_z(state, old)
-        terms = _local_terms_z(state, both, np.concatenate([new, old]))
+        buf, propose, local_terms = state.zfield.z, _propose_z, _local_terms_z
+    old = buf[sites]
+    new = propose(state, old)
+    terms = local_terms(state, np.concatenate([sites, sites]), np.concatenate([new, old]))
     ds = terms[:k] - terms[k:]
     accept = state.rng.uniform(size=k) < np.exp(np.minimum(-ds, 0.0))
-    acc_sites = sites[accept]
-    if len(acc_sites):
-        if state.model == "o3":
-            state.spin.n[acc_sites] = new[accept]
-        else:
-            rows = new[accept]
-            state.zc[acc_sites] = rows
-            state.zfield.data[acc_sites, 0] = rows[:, 0].real
-            state.zfield.data[acc_sites, 1] = rows[:, 0].imag
-            state.zfield.data[acc_sites, 2] = rows[:, 1].real
-            state.zfield.data[acc_sites, 3] = rows[:, 1].imag
-            w = np.conj(rows[:, 0]) * rows[:, 1]
-            state.nfield[acc_sites, 0] = 2.0 * w.real
-            state.nfield[acc_sites, 1] = 2.0 * w.imag
-            state.nfield[acc_sites, 2] = (
-                rows[:, 0].real ** 2 + rows[:, 0].imag ** 2
-                - rows[:, 1].real ** 2 - rows[:, 1].imag ** 2
-            )
+    buf[sites[accept]] = new[accept]
     return int(accept.sum()), ds, accept
 
 
@@ -308,11 +291,7 @@ def gibbs_gauge_update(state: ChainState):
     """Resample every link exactly from its Gaussian conditional N(A*, g/2)."""
     if not state.is_gauged:
         raise McError(f"gauge update requires a gauged model, got {state.model}")
-    lat, z = state.lat, state.zc
-    zbar = np.conj(z)
-    astar = np.empty((lat.volume, lat.ndim))
-    for mu in range(lat.ndim):
-        astar[:, mu] = (zbar * z[lat.fwd(mu)]).sum(axis=1).imag
+    astar = link_overlaps(state.lat, state.zfield).imag
     noise = state.rng.standard_normal(astar.shape)
     state.gauge.a[:] = astar + math.sqrt(state.g / 2.0) * noise
 
@@ -341,7 +320,7 @@ def tune_proposal(state: ChainState, acceptance, target=0.5, clip=(0.5, 2.0)):
 
 def spin_view(state: ChainState) -> np.ndarray:
     """The unit-vector field the chain induces: n itself or hopf(z)."""
-    return state.spin.n if state.model == "o3" else state.nfield
+    return state.spin.n if state.model == "o3" else hopf_map(state.zfield)
 
 
 def _shift_indices(lat: Lattice, rvec):
@@ -422,12 +401,12 @@ class ChainResult:
             "observables": {},
         }
         for name, series in sorted(self.series.items()):
-            bins = int((len(series.values) - series.therm_cutoff) // series.bin_size)
+            bins = int(len(series.values) // series.bin_size)
             entry = {"bins": bins, "bin_size": series.bin_size}
             try:
                 entry["mean"], entry["error"] = jackknife(series)
             except McError:
-                entry["mean"] = float(np.mean(series.values[series.therm_cutoff :]))
+                entry["mean"] = float(np.mean(series.values))
                 entry["error"] = None  # too few bins for a jackknife error bar
             out["observables"][name] = entry
         return out

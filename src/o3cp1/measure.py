@@ -50,7 +50,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate, special, stats
 
-from .fields import hopf_map, random_unit_spinor
+from .errors import O3CP1Error
+from .fields import hopf_map, random_unit
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 HALF_PI = math.pi / 2.0
@@ -62,7 +63,7 @@ STAGES = ("raw-4d", "after-R-theta", "after-S", "after-phi")
 STAGE_LADDER = (0.05, 0.035, 0.025)
 
 
-class MeasureDomainError(ValueError):
+class MeasureDomainError(O3CP1Error, ValueError):
     """Test point or quadrature configuration outside the supported domain."""
 
 
@@ -637,11 +638,7 @@ def pushforward_uniformity(rng, n_samples=100_000) -> PushforwardKS:
     n_z must be uniform on [-1, 1] and the azimuth of (n_x, n_y) uniform on
     [0, 2 pi); this is the sampling-measure face of the measure identity.
     """
-    spinors = random_unit_spinor(rng, n_samples)
-    z = np.empty((n_samples, 2), dtype=complex)
-    z[:, 0] = spinors[:, 0] + 1j * spinors[:, 1]
-    z[:, 1] = spinors[:, 2] + 1j * spinors[:, 3]
-    n = hopf_map(z)
+    n = hopf_map(random_unit(rng, 4, n_samples).view(np.complex128))
     ks_nz = stats.kstest(n[:, 2], stats.uniform(loc=-1.0, scale=2.0).cdf).statistic
     azimuth = np.mod(np.arctan2(n[:, 1], n[:, 0]), 2.0 * math.pi)
     ks_az = stats.kstest(azimuth, stats.uniform(loc=0.0, scale=2.0 * math.pi).cdf).statistic

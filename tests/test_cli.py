@@ -82,6 +82,30 @@ def test_unknown_config_key_named(tmp_path, cli_env):
     cfg.write_text(json.dumps({"model": "o3", "volume": 3}))
     proc = run_cli(["sample", "--config", str(cfg), "--seed", "1"], tmp_path, cli_env)
     assert_cli_error(proc, 2, "volume")
+    # verify has no threads option; the key is rejected like any other unknown one
+    cfg.write_text(json.dumps({"suite": "prefactor", "threads": 2}))
+    proc = run_cli(["verify", "--config", str(cfg)], tmp_path, cli_env)
+    assert_cli_error(proc, 2, "threads")
+
+
+@pytest.mark.parametrize(
+    "args, code, fragment",
+    [
+        (["verify", "--suite", "measure-constant", "--eps", "0.1,0.1"], 1,
+         "strictly decreasing"),
+        (["sample", "--dims", "2", "--seed", "1", "--sweeps", "0"], 2, "sweeps"),
+        (["sample", "--dims", "2", "--seed", "1", "--sweeps", "-1"], 2, "sweeps"),
+        (["sample", "--dims", "2", "--seed", "1", "--thermalization", "-5"], 2,
+         "thermalization"),
+        (["compare", "--dims", "2", "--seed", "1", "--tol", "sigma=abc"], 2,
+         "tolerance sigma"),
+        (["verify", "--suite", "prefactor", "--eps", "a,b"], 2, "eps"),
+        (["sample", "--dims", "2", "--seed", "1", "--delta0", "-1"], 2, "delta0"),
+    ],
+)
+def test_domain_errors_are_one_line(tmp_path, cli_env, args, code, fragment):
+    proc = run_cli(args, tmp_path, cli_env)
+    assert_cli_error(proc, code, fragment)
 
 
 def test_flags_override_config_file(tmp_path, cli_env):

@@ -11,8 +11,7 @@ from o3cp1.fields import (
     hopf_map,
     jacobian_polar,
     load_field_csv,
-    random_unit_spinor,
-    random_unit_vector,
+    random_unit,
     save_field_csv,
     to_polar,
 )
@@ -39,7 +38,7 @@ def test_hopf_example_against_pauli_oracle():
 
 def test_hopf_matches_pauli_oracle_randomly():
     rng = np.random.default_rng(0)
-    zs = random_unit_spinor(rng, 200)
+    zs = random_unit(rng, 4, 200)
     z = zs[:, 0] + 1j * zs[:, 1], zs[:, 2] + 1j * zs[:, 3]
     z = np.stack(z, axis=-1)
     n = hopf_map(z)
@@ -49,7 +48,7 @@ def test_hopf_matches_pauli_oracle_randomly():
 
 def test_hopf_unimodular_and_fiber_invariance():
     rng = np.random.default_rng(1)
-    zs = random_unit_spinor(rng, 1000)
+    zs = random_unit(rng, 4, 1000)
     z = zs[:, 0::2] + 1j * zs[:, 1::2]
     n = hopf_map(z)
     assert np.abs(np.linalg.norm(n, axis=1) - 1).max() < 1e-12
@@ -79,7 +78,7 @@ def test_hopf_su2_equivariance():
     rng = np.random.default_rng(2)
     for _ in range(50):
         u = random_su2(rng)
-        zrow = random_unit_spinor(rng)
+        zrow = random_unit(rng, 4)
         z = zrow[0::2] + 1j * zrow[1::2]
         lhs = hopf_map(u @ z)
         rhs = adjoint_rotation(u) @ hopf_map(z)
@@ -89,7 +88,7 @@ def test_hopf_su2_equivariance():
 def test_hopf_component_formula_via_polar():
     rng = np.random.default_rng(3)
     for _ in range(200):
-        zrow = random_unit_spinor(rng)
+        zrow = random_unit(rng, 4)
         z = zrow[0::2] + 1j * zrow[1::2]
         p = to_polar(z)
         if p.degenerate or min(p.r, p.s) < 1e-3:
@@ -126,7 +125,7 @@ def test_polar_round_trip():
     rng = np.random.default_rng(4)
     count, worst = 0, 0.0
     while count < 10_000:
-        zrow = random_unit_spinor(rng)
+        zrow = random_unit(rng, 4)
         z = zrow[0::2] + 1j * zrow[1::2]
         p = to_polar(z)
         if min(p.r, p.s) <= 1e-3:
@@ -167,15 +166,15 @@ def test_jacobian_polar_vs_fd_oracle():
 
 def test_random_unit_samples_normalized():
     rng = np.random.default_rng(5)
-    zs = random_unit_spinor(rng, 100_000)
+    zs = random_unit(rng, 4, 100_000)
     assert np.abs((zs**2).sum(axis=1) - 1).max() < 1e-12
-    vs = random_unit_vector(rng, 10_000)
+    vs = random_unit(rng, 3, 10_000)
     assert np.abs((vs**2).sum(axis=1) - 1).max() < 1e-12
 
 
 def test_pushforward_mean_nz():
     rng = np.random.default_rng(6)
-    zs = random_unit_spinor(rng, 100_000)
+    zs = random_unit(rng, 4, 100_000)
     z = zs[:, 0::2] + 1j * zs[:, 1::2]
     nz = hopf_map(z)[:, 2]
     assert abs(nz.mean()) < 3 / np.sqrt(100_000 / 3)
