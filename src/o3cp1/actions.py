@@ -29,7 +29,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+
+# scipy is imported inside the functions that use it: it is most of the
+# package's import time, and sampling uses none of it.
 
 from .errors import O3CP1Error
 from .fields import CP1Field, GaugeField, SpinField
@@ -76,8 +78,8 @@ def action_o3(lat: Lattice, spin: SpinField, g) -> float:
 
 
 def spinor_overlap(za, zb):
-    """w = za^dag zb over the last axis of complex spinor arrays."""
-    return (np.conj(za) * zb).sum(axis=-1)
+    """w = za^dag zb over the last axis (two components) of complex spinor arrays."""
+    return np.conj(za[..., 0]) * zb[..., 0] + np.conj(za[..., 1]) * zb[..., 1]
 
 
 def link_overlaps(lat: Lattice, zf: CP1Field):
@@ -165,6 +167,8 @@ def marginalize_gauge_numeric(
     the same window centered on the Gaussian mean b; the neglected tail is
     bounded by sqrt(pi g) erfc(K) exp(b^2/g) and reported.
     """
+    from scipy import integrate, special
+
     g = _check_g(g)
     if half_width < 8.0:
         raise ActionError("half_width must be >= 8 (tail below target accuracy)")

@@ -21,6 +21,7 @@ CSV schemas:
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -80,9 +81,14 @@ def _parse_dims(text):
 
 
 def _parse_number(name, value, kind, minimum=None):
-    """kind(value), at least `minimum` if given; None (option not given) passes through."""
+    """kind(value), at least `minimum` if given; None (option not given) passes through.
+
+    A float from a config file is an int option's value only if it is integral.
+    """
     if value is None:
         return None
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise UsageError(f"invalid value for {name}: {value!r} (must be an integer)")
     try:
         number = kind(value)
     except (TypeError, ValueError):
@@ -414,15 +420,11 @@ def _write_series_csv(path, rows, header):
 
 
 def _series_rows(result, chain_label=None):
-    rows = []
+    """Yield the series CSV rows of one chain, led by chain_label if given."""
+    lead = () if chain_label is None else (chain_label,)
     for name in sorted(result.series):
-        series = result.series[name]
-        for sweep, value in enumerate(series.values):
-            row = [sweep, name, repr(float(value))]
-            if chain_label is not None:
-                row.insert(0, chain_label)
-            rows.append(row)
-    return rows
+        for sweep, value in enumerate(result.series[name].values.tolist()):
+            yield (*lead, sweep, name, repr(value))
 
 
 def run_sample(pick) -> tuple:
@@ -580,9 +582,9 @@ def run_compare(pick) -> tuple:
         "two_site_oracle": oracle_rows,
         "passed": passed,
     }
-    csv_rows = []
-    for r in results:
-        csv_rows.extend(_series_rows(r, chain_label=r.model))
+    csv_rows = itertools.chain.from_iterable(
+        _series_rows(r, chain_label=r.model) for r in results
+    )
     _write_series_csv(
         f"{prefix}_series.csv", csv_rows, ["chain", "sweep", "observable", "value"]
     )

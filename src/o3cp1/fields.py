@@ -218,20 +218,20 @@ _HEADERS = {
 
 
 def save_field_csv(path, field):
-    """Dump a field to CSV with full float precision."""
+    """Dump a field to CSV with full float precision, writing one row at a time."""
     if isinstance(field, SpinField):
         kind = "spin"
-        rows = [(i, *(repr(float(v)) for v in row)) for i, row in enumerate(field.n)]
+        rows = ((i, *map(repr, row.tolist())) for i, row in enumerate(field.n))
     elif isinstance(field, CP1Field):
         kind = "cp1"
-        rows = [(i, *(repr(float(v)) for v in row)) for i, row in enumerate(field.data)]
+        rows = ((i, *map(repr, row.tolist())) for i, row in enumerate(field.data))
     elif isinstance(field, GaugeField):
         kind = "gauge"
-        rows = [
-            (i, mu, repr(float(field.a[i, mu])))
-            for i in range(field.a.shape[0])
-            for mu in range(field.a.shape[1])
-        ]
+        rows = (
+            (i, mu, repr(a))
+            for i, row in enumerate(field.a)
+            for mu, a in enumerate(row.tolist())
+        )
     else:
         raise FieldError(f"cannot save field of type {type(field).__name__}")
     with open(path, "w", newline="") as fh:

@@ -22,12 +22,21 @@ Matter updates are single-site Metropolis. On bipartite lattices (all dims
 even) a sweep updates the two checkerboard parities in turn, vectorized;
 neighbors of one parity all belong to the other, so simultaneous updates are
 independent. Otherwise sites are updated one at a time in index order.
-Self-check mode forces the serial path and compares every accepted local
-action change against a full-action recomputation.
+
+Each batch (a parity, or one site) has an index table of its sites'
+neighbours and, for gauged chains, of the links joining them; the parity
+tables are built once per chain. One kernel, _delta_s, gathers the
+neighbours once and takes the action change of the proposed and the current
+value from that gather: -(n' - n).h / 2g for o3, with h the neighbour sum,
+and for spinors the per-link kernels of actions.py applied to the overlaps
+with the neighbours. Self-check mode runs the same path and, after every
+batch, compares the sum of the accepted action changes with the change of
+the full action (total_action, which uses the independent references
+action_o3 and action_cp1_gauged where they apply).
 
 A spinor chain keeps one buffer, CP1Field.data, read and written through its
 complex view CP1Field.z; observables use hopf(z), computed once per
-measurement. Local action changes sum the per-link kernels of actions.py.
+measurement.
 
 Reproducibility: a chain's generator is PCG64 seeded from
 SeedSequence(master_seed).spawn(n_chains)[chain_index]; identical
@@ -36,6 +45,7 @@ configuration and master seed reproduce identical series bit for bit.
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -164,32 +174,53 @@ def total_action(state: ChainState) -> float:
     return gauss + action_o3_pullback(lat, state.zfield, g)
 
 
-# --- local action terms ------------------------------------------------------
+# --- local updates -----------------------------------------------------------
 
 
-def _local_terms_spin(state, sites, n_at_sites):
-    """Sum of per-link o3 terms over all links touching each site."""
-    nbr = state.lat.neighbors[sites]  # (k, ndim, 2)
-    n_nbr = state.spin.n[nbr]  # (k, ndim, 2, 3)
-    diff = n_nbr - n_at_sites[:, None, None, :]
-    return (diff * diff).sum(axis=(1, 2, 3)) / (4.0 * state.g)
+class _SiteTable(NamedTuple):
+    """Index table of one batch of mutually non-interacting sites.
+
+    nbr[j, i] is the neighbour of sites[i] forward along direction j for
+    j < ndim, backward along j - ndim after that; for gauged chains links[j, i]
+    is the flat gauge-field index of the link joining them, and sign[j] the
+    sign of Im w on it (-1 on backward links, whose overlap is conjugated).
+    """
+
+    sites: np.ndarray
+    nbr: np.ndarray
+    links: np.ndarray = None
+    sign: np.ndarray = None
 
 
-def _local_terms_z(state, sites, z_at_sites):
-    """Sum of per-link matter (+ gauge) terms over all links touching each site."""
-    lat, z = state.lat, state.zfield.z
+def _site_table(state, sites):
+    lat = state.lat
+    fwd, bwd = lat.neighbors[sites, :, 0].T, lat.neighbors[sites, :, 1].T
+    nbr = np.concatenate([fwd, bwd])
+    if not state.is_gauged:
+        return _SiteTable(sites, nbr)
+    mu = np.arange(lat.ndim)[:, None]
+    links = np.concatenate([sites * lat.ndim + mu, bwd * lat.ndim + mu])
+    return _SiteTable(sites, nbr, links, np.repeat([1.0, -1.0], lat.ndim)[:, None])
+
+
+def _delta_s(state, table, old, new):
+    """Action change of moving each site of `table` from `old` to `new`.
+
+    One gather of the neighbours serves both values: -(n' - n).h / 2g for
+    o3, with h the neighbour sum; for spinors the per-link kernels of
+    actions.py applied to the overlaps w = z(x)^dag z(y).
+    """
+    if state.model == "o3":
+        h = state.spin.n[table.nbr].sum(axis=0)
+        return -((new - old) * h).sum(axis=1) / (2.0 * state.g)
+    pair = np.concatenate((new, old)).reshape(2, 1, len(new), 2)
+    w = spinor_overlap(pair, state.zfield.z[table.nbr])  # (2, 2 ndim, k): new, old
     matter_term = pullback_term if state.matter_base == "pullback" else reduced_term
-    total = np.zeros(len(sites))
-    for mu in range(lat.ndim):
-        fwd = lat.neighbors[sites, mu, 0]
-        bwd = lat.neighbors[sites, mu, 1]
-        w_f = spinor_overlap(z_at_sites, z[fwd])
-        w_b = spinor_overlap(z[bwd], z_at_sites)
-        for w, link_site in ((w_f, sites), (w_b, bwd)):
-            total += matter_term(w)
-            if state.is_gauged:
-                total += gauge_term(state.gauge.a[link_site, mu], w)
-    return total / state.g
+    terms = matter_term(w)
+    if state.is_gauged:
+        terms += gauge_term(state.gauge.a.take(table.links) * table.sign, w)
+    s_new, s_old = terms.sum(axis=1)
+    return (s_new - s_old) / state.g
 
 
 def _propose_spin(state, n_old):
@@ -197,19 +228,23 @@ def _propose_spin(state, n_old):
     k = len(n_old)
     axis = state.rng.standard_normal((k, 3))
     axis -= np.einsum("kc,kc->k", axis, n_old)[:, None] * n_old
-    norm = np.linalg.norm(axis, axis=1)
-    while np.any(norm < 1e-12):  # rare: drawn vector parallel to n
+    # sqrt of the row sums of squares: np.linalg.norm's arithmetic, minus its overhead
+    norm = np.sqrt((axis * axis).sum(axis=1))
+    while (norm < 1e-12).any():  # rare: drawn vector parallel to n
         bad = norm < 1e-12
         axis[bad] = state.rng.standard_normal((int(bad.sum()), 3))
         axis[bad] -= np.einsum("kc,kc->k", axis[bad], n_old[bad])[:, None] * n_old[bad]
-        norm = np.linalg.norm(axis, axis=1)
+        norm = np.sqrt((axis * axis).sum(axis=1))
     axis /= norm[:, None]
     theta = state.rng.uniform(0.0, state.delta, k)
     # axis x n_old as np.cross computes it, minus its per-call axis handling
     (a0, a1, a2), (n0, n1, n2) = axis.T, n_old.T
-    perp = np.stack([a1 * n2 - a2 * n1, a2 * n0 - a0 * n2, a0 * n1 - a1 * n0], axis=1)
+    perp = np.empty((k, 3))
+    perp[:, 0] = a1 * n2 - a2 * n1
+    perp[:, 1] = a2 * n0 - a0 * n2
+    perp[:, 2] = a0 * n1 - a1 * n0
     n_new = np.cos(theta)[:, None] * n_old + np.sin(theta)[:, None] * perp
-    n_new /= np.linalg.norm(n_new, axis=1, keepdims=True)
+    n_new /= np.sqrt((n_new * n_new).sum(axis=1, keepdims=True))
     return n_new
 
 
@@ -218,43 +253,41 @@ def _propose_z(state, z_old):
     k = len(z_old)
     eta = state.rng.standard_normal((k, 4))
     z_new = z_old + state.delta * (eta[:, 0::2] + 1j * eta[:, 1::2])
-    z_new /= np.sqrt(np.sum(np.abs(z_new) ** 2, axis=1, keepdims=True))
+    z_new /= np.sqrt((np.abs(z_new) ** 2).sum(axis=1, keepdims=True))
     return z_new
 
 
-def _update_batch(state, sites):
-    """Metropolis-update a batch of mutually non-interacting sites; returns accept count."""
-    k = len(sites)
+def _update_batch(state, table):
+    """Metropolis-update the sites of one table; returns the accept count.
+
+    In self-check mode the sum of the accepted action changes must match the
+    full-action difference across the batch.
+    """
+    before = total_action(state) if state.self_check else None
     if state.model == "o3":
-        buf, propose, local_terms = state.spin.n, _propose_spin, _local_terms_spin
+        buf, propose = state.spin.n, _propose_spin
     else:
-        buf, propose, local_terms = state.zfield.z, _propose_z, _local_terms_z
-    old = buf[sites]
+        buf, propose = state.zfield.z, _propose_z
+    old = buf[table.sites]
     new = propose(state, old)
-    terms = local_terms(state, np.concatenate([sites, sites]), np.concatenate([new, old]))
-    ds = terms[:k] - terms[k:]
-    accept = state.rng.uniform(size=k) < np.exp(np.minimum(-ds, 0.0))
-    buf[sites[accept]] = new[accept]
-    return int(accept.sum()), ds, accept
+    ds = _delta_s(state, table, old, new)
+    accept = state.rng.uniform(size=len(ds)) < np.exp(np.minimum(-ds, 0.0))
+    buf[table.sites[accept]] = new[accept]
+    if state.self_check:
+        gap = abs((total_action(state) - before) - float(ds[accept].sum()))
+        if gap > SELF_CHECK_TOL:
+            raise McError(
+                f"local action change disagrees with full recomputation by "
+                f"{gap:.3e} in the batch of {len(table.sites)} site(s) from site "
+                f"{table.sites[0]} (model {state.model})"
+            )
+    return int(np.count_nonzero(accept))
 
 
 def _sweep_serial(state):
-    """Site-by-site sweep; in self-check mode verifies every accepted move."""
-    accepted = 0
-    for site in range(state.lat.volume):
-        sites = np.array([site])
-        before = total_action(state) if state.self_check else None
-        n_acc, ds, acc_mask = _update_batch(state, sites)
-        accepted += n_acc
-        if state.self_check and n_acc:
-            after = total_action(state)
-            gap = abs((after - before) - float(ds[0]))
-            if gap > SELF_CHECK_TOL:
-                raise McError(
-                    f"local action change disagrees with full recomputation by "
-                    f"{gap:.3e} at site {site} (model {state.model})"
-                )
-    return accepted
+    """Site-by-site sweep in index order, each site through its own one-site table."""
+    return sum(_update_batch(state, _site_table(state, np.array([site])))
+               for site in range(state.lat.volume))
 
 
 def _bipartite(lat: Lattice):
@@ -275,14 +308,14 @@ def metropolis_sweep(state: ChainState) -> float:
     if state.delta == 0.0:
         state.sweeps_done += 1
         return 1.0
-    if state.self_check or not _bipartite(state.lat):
+    if not _bipartite(state.lat):
         accepted = _sweep_serial(state)
     else:
         if state._parities is None:
-            state._parities = _parity_masks(state.lat)
+            state._parities = tuple(_site_table(state, s) for s in _parity_masks(state.lat))
         accepted = 0
-        for sites in state._parities:
-            accepted += _update_batch(state, sites)[0]
+        for table in state._parities:
+            accepted += _update_batch(state, table)
     state.sweeps_done += 1
     return accepted / state.lat.volume
 
@@ -354,10 +387,11 @@ class _Measurer:
         self.lat = lat
         self.g = g
         self.r_values = [r for r in range(1, r_max + 1)]
+        # r = 1 reuses the forward-neighbour gather of the energy term
         self.shifts = {
             r: [_shift_indices(lat, r * np.eye(lat.ndim, dtype=int)[mu])
                 for mu in range(lat.ndim)]
-            for r in self.r_values
+            for r in self.r_values if r > 1
         }
 
     def names(self):
@@ -365,13 +399,15 @@ class _Measurer:
 
     def measure(self, n):
         lat = self.lat
-        energy = 0.0
+        energy, corr1 = 0.0, 0.0
         for mu in range(lat.ndim):
-            d = n[lat.fwd(mu)] - n
+            n_fwd = n[lat.fwd(mu)]
+            d = n_fwd - n
             energy += float((d * d).sum())
+            corr1 += float((n * n_fwd).sum())
         row = [energy / (4.0 * self.g * lat.volume)]
         for r in self.r_values:
-            c = sum(float((n * n[idx]).sum()) for idx in self.shifts[r])
+            c = corr1 if r == 1 else sum(float((n * n[idx]).sum()) for idx in self.shifts[r])
             row.append(c / (lat.ndim * lat.volume))
         return row
 

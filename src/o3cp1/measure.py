@@ -48,7 +48,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate, special, stats
+
+# scipy is imported inside the functions that use it: it is most of the
+# package's import time, and sampling uses none of it.
 
 from .errors import O3CP1Error
 from .fields import hopf_map, random_unit
@@ -195,6 +197,8 @@ def angular_pair_integral_bessel(rho, rho_xy, eps):
     with rho_xy = hypot(n_x, n_y); used as an independent cross-check of the
     uniform-grid angular quadrature.
     """
+    from scipy import special
+
     rho = np.asarray(rho, dtype=float)
     return (
         (2.0 * math.pi / eps**2)
@@ -586,6 +590,8 @@ def one_site_ratio_test(lam, rel_tol=1e-10) -> OneSiteRatio:
     RHS: (pi/2) * (1/2) * area integral over the unit vector sphere.
     Both equal pi^2 sinh(lam)/lam; the closed form is returned as reference.
     """
+    from scipy import integrate
+
     lam = float(lam)
     lhs_1d, err_l = integrate.quad(
         lambda chi: math.cos(chi) * math.sin(chi) * math.exp(-lam * math.cos(2 * chi)),
@@ -617,6 +623,8 @@ def one_site_ratio_test(lam, rel_tol=1e-10) -> OneSiteRatio:
 
 def ks_critical_value(alpha, n_samples) -> float:
     """Asymptotic Kolmogorov-Smirnov critical value at significance alpha."""
+    from scipy import special
+
     return float(special.kolmogi(alpha)) / math.sqrt(n_samples)
 
 
@@ -638,6 +646,8 @@ def pushforward_uniformity(rng, n_samples=100_000) -> PushforwardKS:
     n_z must be uniform on [-1, 1] and the azimuth of (n_x, n_y) uniform on
     [0, 2 pi); this is the sampling-measure face of the measure identity.
     """
+    from scipy import stats
+
     n = hopf_map(random_unit(rng, 4, n_samples).view(np.complex128))
     ks_nz = stats.kstest(n[:, 2], stats.uniform(loc=-1.0, scale=2.0).cdf).statistic
     azimuth = np.mod(np.arctan2(n[:, 1], n[:, 0]), 2.0 * math.pi)

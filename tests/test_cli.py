@@ -32,6 +32,15 @@ def assert_cli_error(proc, code, *fragments):
         assert fragment in lines[0]
 
 
+def test_cli_import_leaves_scipy_unloaded(cli_env):
+    # sample and compare need no scipy, and importing it dominates start-up
+    code = "import sys, o3cp1.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=cli_env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_parse_dims_and_eps():
     assert cli._parse_dims("8x8") == [8, 8]
     assert cli._parse_dims("4") == [4]
@@ -101,10 +110,19 @@ def test_unknown_config_key_named(tmp_path, cli_env):
          "tolerance sigma"),
         (["verify", "--suite", "prefactor", "--eps", "a,b"], 2, "eps"),
         (["sample", "--dims", "2", "--seed", "1", "--delta0", "-1"], 2, "delta0"),
+        (["sample", "--dims", "2", "--seed", "1", {"sweeps": 30.7}], 2, "sweeps: 30.7"),
     ],
 )
 def test_domain_errors_are_one_line(tmp_path, cli_env, args, code, fragment):
-    proc = run_cli(args, tmp_path, cli_env)
+    argv = []
+    for arg in args:
+        if isinstance(arg, dict):  # the contents of a config file
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(arg))
+            argv += ["--config", str(cfg)]
+        else:
+            argv.append(arg)
+    proc = run_cli(argv, tmp_path, cli_env)
     assert_cli_error(proc, code, fragment)
 
 

@@ -90,21 +90,40 @@ def test_zero_width_proposal_is_identity():
 
 @pytest.mark.parametrize("model", MODELS)
 def test_self_check_passes(model):
-    lat = build_lattice([3, 4])  # odd extent exercises the serial path anyway
-    state = init_chain(lat, model, 0.8, rng_of(2), delta=0.7, self_check=True)
-    for _ in range(3):
-        chain_sweep(state)
+    # 3x4 runs the serial path (odd extent), 4x4 the checkerboard parities
+    for dims in ([3, 4], [4, 4]):
+        lat = build_lattice(dims)
+        state = init_chain(lat, model, 0.8, rng_of(2), delta=0.7, self_check=True)
+        for _ in range(3):
+            chain_sweep(state)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_delta_s_matches_full_action_difference(model):
+    for dims in ([2], [4, 4], [2, 2, 2]):
+        lat = build_lattice(dims)
+        state = init_chain(lat, model, 0.7, rng_of(15), delta=1.5)
+        buf, propose = ((state.spin.n, mc._propose_spin) if model == "o3"
+                        else (state.zfield.z, mc._propose_z))
+        for site in range(lat.volume):
+            table = mc._site_table(state, np.array([site]))
+            old = buf[table.sites]
+            new = propose(state, old)
+            ds = mc._delta_s(state, table, old, new)
+            before = mc.total_action(state)
+            buf[site] = new[0]
+            assert abs(ds[0] - (mc.total_action(state) - before)) < 1e-12
 
 
 def test_self_check_aborts_on_bad_local_terms(monkeypatch):
     lat = build_lattice([4, 4])
     state = init_chain(lat, "o3", 1.0, rng_of(3), delta=0.7, self_check=True)
-    original = mc._local_terms_spin
+    original = mc._delta_s
 
-    def corrupted(st, sites, values):
-        return original(st, sites, values) * 1.001
+    def corrupted(st, table, old, new):
+        return original(st, table, old, new) * 1.001
 
-    monkeypatch.setattr(mc, "_local_terms_spin", corrupted)
+    monkeypatch.setattr(mc, "_delta_s", corrupted)
     with pytest.raises(McError):
         for _ in range(5):
             metropolis_sweep(state)
@@ -114,11 +133,11 @@ def test_serial_and_vectorized_paths_agree_statistically():
     lat = build_lattice([4, 4])
     g = 1.0
     means = []
-    for self_check in (False, True):
-        state = init_chain(lat, "o3", g, rng_of(11), delta=1.0, self_check=self_check)
+    for sweep in (metropolis_sweep, mc._sweep_serial):
+        state = init_chain(lat, "o3", g, rng_of(11), delta=1.0)
         vals = []
         for i in range(3000):
-            metropolis_sweep(state)
+            sweep(state)
             if i >= 500:
                 n = state.spin.n
                 vals.append(float((n * n[lat.fwd(0)]).sum()) / lat.volume)
