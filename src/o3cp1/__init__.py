@@ -23,7 +23,7 @@ from .fields import (
     random_unit,
     to_polar,
 )
-from .lattice import Lattice, build_lattice, forward_diff
+from .lattice import Lattice, build_lattice
 from .measure import (
     MollifierConfig,
     measure_lhs,
@@ -35,7 +35,6 @@ from .measure import (
 from .mc import (
     ChainState,
     ObservableSeries,
-    correlator,
     gibbs_gauge_update,
     init_chain,
     jackknife,

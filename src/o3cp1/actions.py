@@ -46,20 +46,7 @@ class QuadratureError(O3CP1Error, RuntimeError):
     """A numeric integral failed to reach its requested accuracy."""
 
 
-@dataclass(frozen=True)
-class Coupling:
-    """Positive dimensionless coupling strength."""
-
-    g: float
-
-    def __post_init__(self):
-        if not (self.g > 0):
-            raise ActionError(f"coupling must be positive, got {self.g}")
-
-
 def _check_g(g):
-    if isinstance(g, Coupling):
-        return g.g
     if not (float(g) > 0):
         raise ActionError(f"coupling must be positive, got {g}")
     return float(g)

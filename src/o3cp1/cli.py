@@ -4,7 +4,11 @@ verify   runs the numerical identity suite (kinetic-term identity, polar
          Jacobian, per-link gauge marginalization, one-site sphere-integral
          ratio, measure-constant extrapolation, reduction-stage consistency,
          pushforward uniformity, prefactor bookkeeping) and writes a JSON
-         report; exit code 0 iff every executed check passed.
+         report; exit code 0 iff every executed check passed. The checks
+         live in one registry, CHECKS, which maps each name to its function
+         and default tolerance. verify runs each on a generator seeded from
+         (seed, the check's stream index); acceptance tests c01-c07 run the
+         same functions through run_check with their own pinned generators.
 sample   runs one Monte Carlo chain and writes the observable series as CSV
          plus a JSON summary.
 compare  runs chains of different models at the same coupling and gates the
@@ -26,6 +30,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -40,28 +45,6 @@ from .errors import O3CP1Error
 from .fields import CP1Field, jacobian_polar, save_field_csv
 from .lattice import build_lattice
 from .mc import MODELS, jackknife, run_chains, two_site_exact
-
-SUITES = (
-    "polar-identity",
-    "jacobian",
-    "marginalization",
-    "one-site-ratio",
-    "measure-constant",
-    "reduction-stages",
-    "pushforward",
-    "prefactor",
-)
-
-DEFAULT_TOLERANCES = {
-    "polar-identity": 1e-10,
-    "jacobian": 1e-6,
-    "marginalization": 1e-8,
-    "one-site-ratio": 1e-6,
-    "measure-constant": 0.01,  # relative to pi/2
-    "pushforward": 0.01,  # KS significance level
-    "prefactor": 1e-12,
-    "sigma": 3.0,  # compare gate, in combined standard errors
-}
 
 CLI_MODELS = MODELS + ("cp1-gauged",)  # plain tag aliases the covariant action
 
@@ -83,10 +66,13 @@ def _parse_dims(text):
 def _parse_number(name, value, kind, minimum=None):
     """kind(value), at least `minimum` if given; None (option not given) passes through.
 
-    A float from a config file is an int option's value only if it is integral.
+    A float from a config file is an int option's value only if it is integral;
+    a JSON boolean is no number.
     """
     if value is None:
         return None
+    if isinstance(value, bool):
+        raise UsageError(f"invalid value for {name}: {value!r} (must be a number)")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise UsageError(f"invalid value for {name}: {value!r} (must be an integer)")
     try:
@@ -107,8 +93,17 @@ def _parse_eps(text):
 
 
 def _parse_tol(pairs):
+    """NAME=VALUE overrides: repeated flags, or one string or a list of them from a file."""
+    if pairs is None:
+        return {}
+    if isinstance(pairs, str):
+        pairs = [pairs]
+    if not isinstance(pairs, list) or not all(isinstance(p, str) for p in pairs):
+        raise UsageError(
+            f"invalid value for tol: {pairs!r}; expected NAME=VALUE or a list of them"
+        )
     out = {}
-    for item in pairs or []:
+    for item in pairs:
         if "=" not in item:
             raise UsageError(f"invalid tolerance override {item!r}; expected NAME=VALUE")
         name, value = item.split("=", 1)
@@ -168,9 +163,8 @@ def _require_positive_g(value):
     return g
 
 
-def _check_row(name, inputs, value, reference, tolerance, passed, diagnostics=None):
+def _check_row(inputs, value, reference, tolerance, passed, diagnostics=None):
     return {
-        "name": name,
         "inputs": inputs,
         "value": value,
         "reference": reference,
@@ -181,10 +175,12 @@ def _check_row(name, inputs, value, reference, tolerance, passed, diagnostics=No
 
 
 # --- verify checks -----------------------------------------------------------
+#
+# Every check takes (rng, tol, eps_ladder) and returns its report row without
+# the name, which CHECKS below gives it.
 
 
-def _check_polar_identity(seed, tol):
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+def _check_polar_identity(rng, tol, eps_ladder):
     worst = 0.0
     n_probes, pts_per_probe = 1000, 8
     for _ in range(n_probes):
@@ -192,7 +188,6 @@ def _check_polar_identity(seed, tol):
         x = rng.uniform(0.0, 1.0, (pts_per_probe, 2))
         worst = max(worst, polar_identity_max_violation(probe, x, g=1.0))
     return _check_row(
-        "polar-identity",
         {"probes": n_probes, "points_per_probe": pts_per_probe, "g": 1.0},
         worst,
         0.0,
@@ -218,8 +213,7 @@ def _fd_determinant(r, alpha, s, beta, h=1e-5):
     return float(np.linalg.det(jac))
 
 
-def _check_jacobian(seed, tol):
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
+def _check_jacobian(rng, tol, eps_ladder):
     worst = 0.0
     n_points = 100
     for _ in range(n_points):
@@ -228,13 +222,10 @@ def _check_jacobian(seed, tol):
         alpha, beta = rng.uniform(0.2, 2 * math.pi - 0.2, 2)
         gap = abs(_fd_determinant(r, alpha, s, beta) - jacobian_polar(r, s))
         worst = max(worst, gap)
-    return _check_row(
-        "jacobian", {"points": n_points}, worst, 0.0, tol, worst <= tol
-    )
+    return _check_row({"points": n_points}, worst, 0.0, tol, worst <= tol)
 
 
-def _check_marginalization(seed, tol):
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
+def _check_marginalization(rng, tol, eps_ladder):
     lat = build_lattice([4, 4])
     worst = 0.0
     couplings = (0.5, 1.0, 2.0)
@@ -247,7 +238,6 @@ def _check_marginalization(seed, tol):
             res = marginalize_gauge_numeric(lat, zf, site, mu, g)
             worst = max(worst, abs(res.value - res.closed_form) / res.closed_form)
     return _check_row(
-        "marginalization",
         {"links_per_g": n_links, "couplings": list(couplings)},
         worst,
         0.0,
@@ -256,7 +246,7 @@ def _check_marginalization(seed, tol):
     )
 
 
-def _check_one_site_ratio(tol):
+def _check_one_site_ratio(rng, tol, eps_ladder):
     lams = (0.0, 1.0, 2.5)
     worst = 0.0
     values = {}
@@ -265,13 +255,11 @@ def _check_one_site_ratio(tol):
         values[str(lam)] = {"lhs": res.lhs, "rhs": res.rhs, "reference": res.reference}
         worst = max(worst, res.rel_diff)
     return _check_row(
-        "one-site-ratio", {"lambdas": list(lams)}, worst, 0.0, tol, worst <= tol,
-        diagnostics=values,
+        {"lambdas": list(lams)}, worst, 0.0, tol, worst <= tol, diagnostics=values,
     )
 
 
-def _check_measure_constant(seed, eps_ladder, tol):
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
+def _check_measure_constant(rng, tol, eps_ladder):
     points = measure.random_sphere_points(rng, 10)
     mol = measure.MollifierConfig(eps=min(eps_ladder), eps_ladder=tuple(eps_ladder))
     est = measure.verify_constant_c(points, mol)
@@ -285,7 +273,6 @@ def _check_measure_constant(seed, eps_ladder, tol):
         "ladder": list(est.ladder),
     }
     return _check_row(
-        "measure-constant",
         {"points": len(points), "eps_ladder": list(eps_ladder)},
         est.constant,
         measure.HALF_PI,
@@ -295,8 +282,8 @@ def _check_measure_constant(seed, eps_ladder, tol):
     )
 
 
-def _check_reduction_stages(seed):
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
+def _check_reduction_stages(rng, tol, eps_ladder):
+    """Each point carries its own combined tolerance, so `tol` is unused."""
     points = measure.random_sphere_points(rng, 5, min_q=0.55, max_abs_nz=0.8)
     worst_gap, worst_tol, all_pass = 0.0, 0.0, True
     per_point = []
@@ -315,7 +302,6 @@ def _check_reduction_stages(seed):
         if sc.max_pair_gap > worst_gap:
             worst_gap, worst_tol = sc.max_pair_gap, sc.combined_tolerance
     return _check_row(
-        "reduction-stages",
         {"points": len(points), "eps_ladder": list(measure.STAGE_LADDER)},
         worst_gap,
         0.0,
@@ -325,30 +311,26 @@ def _check_reduction_stages(seed):
     )
 
 
-def _check_pushforward(seed, alpha):
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 6]))
+def _check_pushforward(rng, alpha, eps_ladder):
     res = measure.pushforward_uniformity(rng)
-    value = max(res.ks_nz, res.ks_azimuth)
+    critical = measure.ks_critical_value(alpha, res.n_samples)
     return _check_row(
-        "pushforward",
         {"samples": res.n_samples, "alpha": alpha},
-        value,
+        max(res.ks_nz, res.ks_azimuth),
         0.0,
-        measure.ks_critical_value(alpha, res.n_samples),
-        res.ks_nz < measure.ks_critical_value(alpha, res.n_samples)
-        and res.ks_azimuth < measure.ks_critical_value(alpha, res.n_samples),
+        critical,
+        res.ks_nz < critical and res.ks_azimuth < critical,
         {"ks_nz": res.ks_nz, "ks_azimuth": res.ks_azimuth},
     )
 
 
-def _check_prefactor(tol):
+def _check_prefactor(rng, tol, eps_ladder):
     g = 1.3
     lat = build_lattice([4, 4])
     consts = partition_constants(lat, g)
     expected = math.pi**3 * g**2 / 2.0
     gap = abs(consts["per_site_formal_factor"] - expected) / expected
     return _check_row(
-        "prefactor",
         {"g": g, "ndim": lat.ndim},
         consts["per_site_formal_factor"],
         expected,
@@ -358,34 +340,51 @@ def _check_prefactor(tol):
     )
 
 
+class Check(NamedTuple):
+    run: Callable  # (rng, tol, eps_ladder) -> report row without "name"
+    tolerance: Optional[float]  # default; None: the check sets its own, not overridable
+    stream: int  # verify draws from SeedSequence([seed, stream]); 0: draws nothing
+
+
+# The verify suite, in report order.
+CHECKS = {
+    "polar-identity": Check(_check_polar_identity, 1e-10, 1),
+    "jacobian": Check(_check_jacobian, 1e-6, 2),
+    "marginalization": Check(_check_marginalization, 1e-8, 3),
+    "one-site-ratio": Check(_check_one_site_ratio, 1e-6, 0),
+    "measure-constant": Check(_check_measure_constant, 0.01, 4),  # relative to pi/2
+    "reduction-stages": Check(_check_reduction_stages, None, 5),
+    "pushforward": Check(_check_pushforward, 0.01, 6),  # KS significance level
+    "prefactor": Check(_check_prefactor, 1e-12, 0),
+}
+SUITES = tuple(CHECKS)
+DEFAULT_TOLERANCES = {
+    **{name: c.tolerance for name, c in CHECKS.items() if c.tolerance is not None},
+    "sigma": 3.0,  # compare gate, in combined standard errors
+}
+EPS_LADDER = (0.1, 0.05, 0.025)
+
+
+def run_check(name, rng, tol=None, eps_ladder=EPS_LADDER) -> dict:
+    """Report row of check `name` on inputs drawn from `rng`; tol None: its default."""
+    check = CHECKS[name]
+    row = check.run(rng, check.tolerance if tol is None else tol, eps_ladder)
+    return {"name": name, **row}
+
+
 def run_verify(pick) -> tuple:
     suite = pick("suite", "all")
-    if suite != "all" and suite not in SUITES:
+    if suite != "all" and suite not in CHECKS:
         raise UsageError(f"unknown suite {suite!r}; known: all, {', '.join(SUITES)}")
     seed = _parse_number("seed", pick("seed", 0), int)
-    eps_ladder = _parse_eps(pick("eps", "0.1,0.05,0.025"))
+    eps_ladder = _parse_eps(pick("eps", EPS_LADDER))
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(_parse_tol(pick("tol")))
 
     checks = []
-    wanted = SUITES if suite == "all" else (suite,)
-    for name in wanted:
-        if name == "polar-identity":
-            checks.append(_check_polar_identity(seed, tol[name]))
-        elif name == "jacobian":
-            checks.append(_check_jacobian(seed, tol[name]))
-        elif name == "marginalization":
-            checks.append(_check_marginalization(seed, tol[name]))
-        elif name == "one-site-ratio":
-            checks.append(_check_one_site_ratio(tol[name]))
-        elif name == "measure-constant":
-            checks.append(_check_measure_constant(seed, eps_ladder, tol[name]))
-        elif name == "reduction-stages":
-            checks.append(_check_reduction_stages(seed))
-        elif name == "pushforward":
-            checks.append(_check_pushforward(seed, tol[name]))
-        elif name == "prefactor":
-            checks.append(_check_prefactor(tol[name]))
+    for name in SUITES if suite == "all" else (suite,):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, CHECKS[name].stream]))
+        checks.append(run_check(name, rng, tol.get(name), eps_ladder))
     passed = all(c["pass"] for c in checks)
     report = {
         "command": "verify",
@@ -393,7 +392,7 @@ def run_verify(pick) -> tuple:
             "suite": suite,
             "seed": seed,
             "eps_ladder": eps_ladder,
-            "tolerances": {k: tol[k] for k in DEFAULT_TOLERANCES},
+            "tolerances": tol,
         },
         "checks": checks,
         "passed": passed,
@@ -436,7 +435,9 @@ def run_sample(pick) -> tuple:
     seed = _require_seed(pick("seed"))
     delta0 = _parse_number("delta0", pick("delta0", 0.5), float, 0.0)
     prefix = pick("out-prefix", "sample")
-    self_check = bool(pick("self-check", False))
+    self_check = pick("self-check", False)
+    if not isinstance(self_check, bool):
+        raise UsageError(f"invalid value for self-check: {self_check!r} (must be true or false)")
 
     lat = build_lattice(dims)
     result = run_chains(
@@ -676,7 +677,6 @@ def main(argv=None) -> int:
     except O3CP1Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

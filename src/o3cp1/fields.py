@@ -60,9 +60,6 @@ class SpinField:
         if err > tol:
             raise FieldError(f"spin field not unit-norm: max |n^2-1| = {err:.3e}")
 
-    def renormalize(self):
-        self.n /= np.linalg.norm(self.n, axis=1, keepdims=True)
-
     def copy(self):
         return SpinField(self.n.copy())
 
@@ -102,9 +99,6 @@ class CP1Field:
         err = np.abs(np.einsum("ij,ij->i", self.data, self.data) - 1.0).max()
         if err > tol:
             raise FieldError(f"spinor field not unit-norm: max ||z|^2-1| = {err:.3e}")
-
-    def renormalize(self):
-        self.data /= np.linalg.norm(self.data, axis=1, keepdims=True)
 
     def copy(self):
         return CP1Field(self.data.copy())

@@ -89,28 +89,7 @@ class Lattice:
             raise LatticeError(f"direction {mu} out of range for ndim {self.ndim}")
         return self.neighbors[:, mu, 0]
 
-    def bwd(self, mu):
-        if not (0 <= mu < self.ndim):
-            raise LatticeError(f"direction {mu} out of range for ndim {self.ndim}")
-        return self.neighbors[:, mu, 1]
-
 
 def build_lattice(dims) -> Lattice:
     """Construct a validated periodic lattice; every dim must be >= 2."""
     return Lattice(tuple(dims))
-
-
-def forward_diff(lat: Lattice, values, site, mu):
-    """field(site + mu) - field(site) with periodic wrap (unit spacing)."""
-    values = np.asarray(values)
-    if values.shape[0] != lat.volume:
-        raise LatticeError(
-            f"field has {values.shape[0]} sites, lattice has {lat.volume}"
-        )
-    return values[lat.neighbor(site, mu, +1)] - values[site]
-
-
-def forward_diff_all(lat: Lattice, values, mu):
-    """Vectorized forward difference along mu for a whole per-site array."""
-    values = np.asarray(values)
-    return values[lat.fwd(mu)] - values

@@ -362,24 +362,6 @@ def _shift_indices(lat: Lattice, rvec):
     return lat.coord_index(shifted)
 
 
-def correlator(lat: Lattice, snapshots, rvec) -> ObservableSeries:
-    """Translation-averaged <n(x) . n(x+r)> per snapshot for separation vector r.
-
-    Components of r beyond half the lattice extent are rejected (the periodic
-    image would alias the separation).
-    """
-    rvec = np.asarray(rvec, dtype=np.int64)
-    for mu, (r, d) in enumerate(zip(rvec, lat.dims)):
-        if abs(int(r)) > d // 2:
-            raise McError(f"separation {r} along direction {mu} exceeds {d}//2")
-    idx = _shift_indices(lat, rvec)
-    vals = np.array(
-        [float(np.einsum("ij,ij->", n, n[idx])) / lat.volume for n in snapshots]
-    )
-    name = "corr_" + "x".join(str(int(r)) for r in rvec)
-    return ObservableSeries(name, vals)
-
-
 class _Measurer:
     """Per-sweep scalar observables: energy density and axis-averaged correlators."""
 

@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run as `pytest tests/test_acceptance.py -v` (add -s to see the summary lines
-inline). Every tolerance is fixed here, not configurable.
+inline). Every tolerance is fixed here, not configurable. Criteria 1-7 run the
+checks of the `verify` registry (`o3cp1.cli.CHECKS`) through `run_check`, each
+on its own pinned generator.
 """
 
 import math
@@ -18,11 +20,9 @@ from o3cp1.actions import (
     AnalyticFieldProbe,
     action_cp1_reduced,
     action_o3_pullback,
-    marginalize_gauge_numeric,
-    polar_identity_max_violation,
     probe_spinor_field,
 )
-from o3cp1.fields import CP1Field, jacobian_polar
+from o3cp1.cli import run_check
 from o3cp1.lattice import build_lattice
 from o3cp1.mc import jackknife, run_chains, two_site_exact
 
@@ -35,129 +35,83 @@ def report(number, name, passed, detail):
 
 def test_c01_polar_action_identity():
     t0 = time.time()
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(1000):
-        probe = AnalyticFieldProbe.random(rng, ndim=2)
-        x = rng.uniform(0.0, 1.0, (8, 2))
-        worst = max(worst, polar_identity_max_violation(probe, x, g=1.0))
+    row = run_check("polar-identity", np.random.default_rng(101), 1e-10)
     elapsed = time.time() - t0
     report(
         1, "polar-identity",
-        worst <= 1e-10 and elapsed < 10.0,
-        f"max violation {worst:.2e} (tol 1e-10), {elapsed:.1f}s (<10s)",
+        row["pass"] and elapsed < 10.0,
+        f"max violation {row['value']:.2e} (tol 1e-10), {elapsed:.1f}s (<10s)",
     )
-
-
-def _fd_determinant(r, alpha, s, beta, h=1e-5):
-    def cart(p):
-        return np.array(
-            [p[0] * np.cos(p[1]), p[0] * np.sin(p[1]),
-             p[2] * np.cos(p[3]), p[2] * np.sin(p[3])]
-        )
-
-    p0 = np.array([r, alpha, s, beta])
-    jac = np.empty((4, 4))
-    for j in range(4):
-        e = np.zeros(4)
-        e[j] = h
-        jac[:, j] = (cart(p0 + e) - cart(p0 - e)) / (2 * h)
-    return np.linalg.det(jac)
 
 
 def test_c02_jacobian():
     t0 = time.time()
-    rng = np.random.default_rng(102)
-    worst = 0.0
-    for _ in range(100):
-        u = rng.uniform(0.15, math.pi / 2 - 0.15)
-        r, s = math.cos(u), math.sin(u)
-        alpha, beta = rng.uniform(0.2, 2 * math.pi - 0.2, 2)
-        worst = max(worst, abs(_fd_determinant(r, alpha, s, beta) - jacobian_polar(r, s)))
+    row = run_check("jacobian", np.random.default_rng(102), 1e-6)
     elapsed = time.time() - t0
     report(
         2, "jacobian",
-        worst <= 1e-6 and elapsed < 1.0,
-        f"max |fd - rs| {worst:.2e} (tol 1e-6), {elapsed:.2f}s (<1s)",
+        row["pass"] and elapsed < 1.0,
+        f"max |fd - rs| {row['value']:.2e} (tol 1e-6), {elapsed:.2f}s (<1s)",
     )
 
 
 def test_c03_gauge_marginalization():
     t0 = time.time()
-    rng = np.random.default_rng(103)
-    lat = build_lattice([4, 4])
-    worst = 0.0
-    for g in (0.5, 1.0, 2.0):
-        for _ in range(100):
-            zf = CP1Field.random(lat, rng)
-            site = int(rng.integers(lat.volume))
-            mu = int(rng.integers(lat.ndim))
-            res = marginalize_gauge_numeric(lat, zf, site, mu, g)
-            worst = max(worst, abs(res.value - res.closed_form) / res.closed_form)
+    row = run_check("marginalization", np.random.default_rng(103), 1e-8)
     elapsed = time.time() - t0
     report(
         3, "marginalization",
-        worst <= 1e-8 and elapsed < 10.0,
-        f"max rel gap {worst:.2e} (tol 1e-8), 100 links x g in {{0.5,1,2}}, {elapsed:.1f}s (<10s)",
+        row["pass"] and elapsed < 10.0,
+        f"max rel gap {row['value']:.2e} (tol 1e-8), 100 links x g in {{0.5,1,2}}, "
+        f"{elapsed:.1f}s (<10s)",
     )
 
 
 def test_c04_measure_constant():
     t0 = time.time()
-    rng = np.random.default_rng(104)
-    points = measure.random_sphere_points(rng, 10)
-    mol = measure.MollifierConfig(eps=0.025, eps_ladder=(0.1, 0.05, 0.025))
-    est = measure.verify_constant_c(points, mol)
+    row = run_check("measure-constant", np.random.default_rng(104), 0.01,
+                    eps_ladder=(0.1, 0.05, 0.025))
     elapsed = time.time() - t0
-    rel = abs(est.constant - math.pi / 2) / (math.pi / 2)
+    rel = abs(row["value"] - math.pi / 2) / (math.pi / 2)
     report(
         4, "measure-constant",
-        est.passes(rel_tol=0.01) and elapsed < 120.0,
-        f"constant {est.constant:.7f} vs 1.5707963 (rel {rel:.2e}, tol 1%), "
-        f"spread {est.spread:.1e}, {elapsed:.1f}s (<120s)",
+        row["pass"] and elapsed < 120.0,
+        f"constant {row['value']:.7f} vs 1.5707963 (rel {rel:.2e}, tol 1%), "
+        f"spread {row['diagnostics']['spread']:.1e}, {elapsed:.1f}s (<120s)",
     )
 
 
 def test_c05_one_site_ratio():
     t0 = time.time()
-    worst = 0.0
-    values = {}
-    for lam in (0.0, 1.0, 2.5):
-        res = measure.one_site_ratio_test(lam)
-        worst = max(worst, res.rel_diff)
-        values[lam] = (res.lhs, res.rhs)
-    lhs0, rhs0 = values[0.0]
+    row = run_check("one-site-ratio", np.random.default_rng(105), 1e-6)
+    zero = row["diagnostics"]["0.0"]
+    lhs0, rhs0 = zero["lhs"], zero["rhs"]
     zero_ok = abs(lhs0 - 9.8696044) < 1e-6 and abs(rhs0 - 9.8696044) < 1e-6
     elapsed = time.time() - t0
     report(
         5, "one-site-ratio",
-        worst <= 1e-6 and zero_ok and elapsed < 30.0,
-        f"max rel diff {worst:.2e} (tol 1e-6), lambda=0 gives {lhs0:.7f}, {elapsed:.1f}s (<30s)",
+        row["pass"] and zero_ok and elapsed < 30.0,
+        f"max rel diff {row['value']:.2e} (tol 1e-6), lambda=0 gives {lhs0:.7f}, "
+        f"{elapsed:.1f}s (<30s)",
     )
 
 
 def test_c06_pushforward_uniformity():
     t0 = time.time()
-    res = measure.pushforward_uniformity(np.random.default_rng(0), n_samples=100_000)
+    row = run_check("pushforward", np.random.default_rng(0), 0.01)
     elapsed = time.time() - t0
     report(
         6, "pushforward",
-        res.passed and elapsed < 5.0,
-        f"KS nz {res.ks_nz:.4f}, azimuth {res.ks_azimuth:.4f} < critical {res.critical:.4f}, "
+        row["pass"] and elapsed < 5.0,
+        f"KS nz {row['diagnostics']['ks_nz']:.4f}, azimuth "
+        f"{row['diagnostics']['ks_azimuth']:.4f} < critical {row['tolerance']:.4f}, "
         f"{elapsed:.1f}s (<5s)",
     )
 
 
 def test_c07_reduction_stage_consistency():
     rng = np.random.default_rng(107)
-    points = measure.random_sphere_points(rng, 5, min_q=0.55, max_abs_nz=0.8)
-    stage_ok = True
-    worst_gap, worst_tol = 0.0, 0.0
-    for p in points:
-        sc = measure.reduction_consistency(p)
-        stage_ok = stage_ok and sc.passed
-        if sc.max_pair_gap > worst_gap:
-            worst_gap, worst_tol = sc.max_pair_gap, sc.combined_tolerance
+    row = run_check("reduction-stages", rng)  # draws the five stage points first
     root_ok = True
     worst_root = 0.0
     for p in measure.random_sphere_points(rng, 20, min_q=0.3):
@@ -170,8 +124,8 @@ def test_c07_reduction_stage_consistency():
         root_ok = root_ok and gap < 1e-10
     report(
         7, "reduction-stages",
-        stage_ok and root_ok,
-        f"max stage gap {worst_gap:.2e} within combined tol {worst_tol:.2e}; "
+        row["pass"] and root_ok,
+        f"max stage gap {row['value']:.2e} within combined tol {row['tolerance']:.2e}; "
         f"root formula vs brentq {worst_root:.2e} (tol 1e-10)",
     )
 

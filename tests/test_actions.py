@@ -6,7 +6,6 @@ import pytest
 from o3cp1.actions import (
     ActionError,
     AnalyticFieldProbe,
-    Coupling,
     action_cp1_gauged,
     action_cp1_reduced,
     action_o3,
@@ -32,9 +31,6 @@ def phase_field(lat, theta):
 
 
 def test_coupling_validation():
-    Coupling(0.5)
-    with pytest.raises(ActionError):
-        Coupling(0.0)
     with pytest.raises(ActionError):
         action_o3(build_lattice([2]), SpinField.constant(build_lattice([2])), -1.0)
 

@@ -111,6 +111,12 @@ def test_unknown_config_key_named(tmp_path, cli_env):
         (["verify", "--suite", "prefactor", "--eps", "a,b"], 2, "eps"),
         (["sample", "--dims", "2", "--seed", "1", "--delta0", "-1"], 2, "delta0"),
         (["sample", "--dims", "2", "--seed", "1", {"sweeps": 30.7}], 2, "sweeps: 30.7"),
+        (["sample", "--dims", "2", "--seed", "1", {"sweeps": True}], 2, "sweeps: True"),
+        (["sample", "--dims", "2", "--seed", "1", {"g": True}], 2, "g: True"),
+        (["verify", "--suite", "prefactor", {"tol": 5}], 2, "tol: 5"),
+        (["verify", "--suite", "prefactor", {"tol": ["prefactor=1e-3", 5]}], 2, "tol"),
+        (["sample", "--dims", "2", "--seed", "1", {"self-check": "false"}], 2,
+         "self-check: 'false'"),
     ],
 )
 def test_domain_errors_are_one_line(tmp_path, cli_env, args, code, fragment):
@@ -145,14 +151,21 @@ def test_flags_override_config_file(tmp_path, cli_env):
     assert summary["config"]["sweeps"] == 500  # file value survives
 
 
-def test_verify_suite_filter(tmp_path, cli_env):
-    proc = run_cli(
-        ["verify", "--suite", "jacobian", "--out", "r.json"], tmp_path, cli_env
-    )
+@pytest.mark.parametrize("name", list(cli.CHECKS))
+def test_verify_suite_filter(tmp_path, cli_env, name):
+    proc = run_cli(["verify", "--suite", name, "--out", "r.json"], tmp_path, cli_env)
     assert proc.returncode == 0, proc.stderr
     report = json.loads((tmp_path / "r.json").read_text())
-    assert [c["name"] for c in report["checks"]] == ["jacobian"]
+    [row] = report["checks"]
+    assert row["name"] == name
     assert report["passed"] is True
+    default = cli.CHECKS[name].tolerance
+    if default is None:  # the check sets its own tolerance, which --tol cannot name
+        assert name not in report["config"]["tolerances"]
+    else:
+        assert report["config"]["tolerances"][name] == default
+        # pushforward's tolerance is a significance level; its row holds the critical value
+        assert default == row["inputs"].get("alpha", row["tolerance"])
 
 
 def test_verify_unknown_suite(tmp_path, cli_env):
@@ -297,3 +310,14 @@ def test_verify_config_file_eps(tmp_path, cli_env):
     assert proc.returncode == 0, proc.stderr
     report = json.loads((tmp_path / "r.json").read_text())
     assert report["config"]["eps_ladder"] == [0.2, 0.1]
+
+
+@pytest.mark.parametrize("tol", ["prefactor=1e-3", ["prefactor=1e-3", "jacobian=1e-5"]])
+def test_verify_config_file_tol(tmp_path, cli_env, tol):
+    # one NAME=VALUE string or a list of them, as the repeatable --tol flag gives
+    cfg = tmp_path / "v.json"
+    cfg.write_text(json.dumps({"suite": "prefactor", "tol": tol}))
+    proc = run_cli(["verify", "--config", str(cfg), "--out", "r.json"], tmp_path, cli_env)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["checks"][0]["tolerance"] == 1e-3

