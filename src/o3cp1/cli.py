@@ -122,6 +122,7 @@ _CONFIG_KEYS = {
     "compare": {"dims", "g", "sweeps", "thermalization", "seed", "regime",
                 "out-prefix", "threads", "tol"},
 }
+_STRING_KEYS = {"suite", "out", "out-prefix", "model", "regime", "dims"}
 
 
 def _load_config(path, command):
@@ -132,6 +133,8 @@ def _load_config(path, command):
     for key in data:
         if key not in _CONFIG_KEYS[command]:
             raise UsageError(f"unknown config key {key!r} for command {command}")
+        if key in _STRING_KEYS and not isinstance(data[key], str):
+            raise UsageError(f"invalid value for {key}: {data[key]!r} (must be a string)")
     return data
 
 

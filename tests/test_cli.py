@@ -41,6 +41,16 @@ def test_cli_import_leaves_scipy_unloaded(cli_env):
     assert proc.stdout.strip() == "False"
 
 
+def test_verify_leaves_scipy_stats_unloaded(tmp_path, cli_env):
+    # the KS statistics are computed in numpy; scipy.stats costs 0.5 s to import
+    code = ("import sys, o3cp1.cli; code = o3cp1.cli.main(['verify', '--suite', 'all']); "
+            "print(code, 'scipy.stats' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=cli_env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def test_parse_dims_and_eps():
     assert cli._parse_dims("8x8") == [8, 8]
     assert cli._parse_dims("4") == [4]
@@ -117,6 +127,14 @@ def test_unknown_config_key_named(tmp_path, cli_env):
         (["verify", "--suite", "prefactor", {"tol": ["prefactor=1e-3", 5]}], 2, "tol"),
         (["sample", "--dims", "2", "--seed", "1", {"self-check": "false"}], 2,
          "self-check: 'false'"),
+        (["verify", {"suite": ["jacobian"]}], 2, "suite: ['jacobian']"),
+        (["verify", "--suite", "prefactor", {"out": True}], 2, "out: True"),
+        (["verify", "--suite", "prefactor", {"out": 5}], 2, "out: 5"),
+        (["sample", "--dims", "2", "--seed", "1", {"out-prefix": True}], 2,
+         "out-prefix: True"),
+        (["sample", "--seed", "1", {"model": 3}], 2, "model: 3"),
+        (["compare", "--dims", "2", "--seed", "1", {"regime": None}], 2, "regime: None"),
+        (["sample", "--seed", "1", {"dims": 8}], 2, "dims: 8"),
     ],
 )
 def test_domain_errors_are_one_line(tmp_path, cli_env, args, code, fragment):

@@ -145,6 +145,59 @@ def test_angular_integral_bessel_matches_trapezoid():
         assert direct == pytest.approx(closed, rel=1e-10)
 
 
+def angular_sum_direct(nx, ny, rho, eps, phi, chunk):
+    """The angular sum as two Gaussians per grid point, without factoring or skipping.
+
+    Takes the kernel's arguments so that it can stand in for it; chunk is unused.
+    """
+    rho = np.asarray(rho, dtype=float)[:, None]
+    return (
+        mollified_delta(nx - rho * np.cos(phi), eps) * mollified_delta(ny + rho * np.sin(phi), eps)
+    ).sum(axis=1)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.05, 0.025])
+@pytest.mark.parametrize("start, period", [(0.0, 2 * np.pi), (-2 * np.pi, 4 * np.pi)])
+def test_angular_sum_matches_direct_sum_and_bessel(eps, start, period):
+    rng = np.random.default_rng(20)
+    for _ in range(3):
+        nx, ny = rng.uniform(-0.7, 0.7, 2)
+        q = math.hypot(nx, ny)
+        rho = q + eps * np.linspace(-6.0, 6.0, 25)
+        rho = rho[rho > 0]
+        n_phi = DEFAULT_QUAD.n_phi(eps, period)
+        phi = np.linspace(start, start + period, n_phi, endpoint=False)
+        ang = measure._angular_sum(nx, ny, rho, eps, phi, DEFAULT_QUAD.phi_chunk)
+        direct = angular_sum_direct(nx, ny, rho, eps, phi, chunk=None)
+        np.testing.assert_allclose(ang, direct, rtol=1e-12, atol=0)
+        closed = angular_pair_integral_bessel(rho, q, eps) * period / (2 * np.pi)
+        np.testing.assert_allclose(2 * np.pi * ang * period / n_phi, closed, rtol=1e-10, atol=0)
+
+
+def test_quadratures_match_the_unfactored_angular_sum(monkeypatch):
+    rng = np.random.default_rng(21)
+    points = random_sphere_points(rng, 2, min_q=0.55, max_abs_nz=0.8)
+    stage_points = [(p, e, s) for p in points for e in STAGE_LADDER for s in measure.STAGES]
+
+    def evaluate():
+        lhs = [measure_lhs(p, 0.1) for p in points]
+        return lhs + [reduction_stage_value(p, e, s).value for p, e, s in stage_points]
+
+    factored = evaluate()
+    monkeypatch.setattr(measure, "_angular_sum", angular_sum_direct)
+    np.testing.assert_allclose(factored, evaluate(), rtol=1e-12, atol=0)
+
+
+def test_cached_gauss_legendre_rule_is_read_only():
+    x, w = measure._leggauss(160)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(160)
+    assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+    assert measure._leggauss(160)[0] is x
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 def test_cartesian_cross_check():
     rng = np.random.default_rng(12)
     p = random_sphere_points(rng, 1)[0]
@@ -327,6 +380,17 @@ def test_pushforward_uniformity_ks():
     assert res.passed
     assert res.ks_nz < res.critical
     assert res.ks_azimuth < res.critical
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_ks_statistic_equals_scipy_kstest(n):
+    from scipy import stats
+
+    rng = np.random.default_rng(22)
+    for loc, scale in ((-1.0, 2.0), (0.0, 2 * np.pi)):
+        x = rng.uniform(loc - 0.1 * scale, loc + 1.1 * scale, n)  # some fall outside the support
+        ref = stats.kstest(x, stats.uniform(loc=loc, scale=scale).cdf).statistic
+        assert measure._ks_uniform(x, loc, scale) == ref
 
 
 def test_identity_reference_positive_and_peaked():
