@@ -166,6 +166,24 @@ def _require_positive_g(value):
     return g
 
 
+def _strict(obj):
+    """obj with every non-finite float replaced by None (JSON null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
+def _write_json(path, obj):
+    """Write obj as strict (RFC 8259) JSON: NaN and infinities become null."""
+    with open(path, "w") as fh:
+        json.dump(_strict(obj), fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
 def _check_row(inputs, value, reference, tolerance, passed, diagnostics=None):
     return {
         "inputs": inputs,
@@ -264,7 +282,7 @@ def _check_one_site_ratio(rng, tol, eps_ladder):
 
 def _check_measure_constant(rng, tol, eps_ladder):
     points = measure.random_sphere_points(rng, 10)
-    mol = measure.MollifierConfig(eps=min(eps_ladder), eps_ladder=tuple(eps_ladder))
+    mol = measure.MollifierConfig(eps_ladder=tuple(eps_ladder))
     est = measure.verify_constant_c(points, mol)
     diagnostics = {
         "spread": est.spread,
@@ -463,9 +481,7 @@ def run_sample(pick) -> tuple:
     if state.is_gauged:
         save_field_csv(f"{prefix}_gauge.csv", state.gauge)
     _write_series_csv(f"{prefix}_series.csv", _series_rows(result), ["sweep", "observable", "value"])
-    with open(f"{prefix}_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(f"{prefix}_summary.json", summary)
     return summary, 0
 
 
@@ -592,9 +608,7 @@ def run_compare(pick) -> tuple:
     _write_series_csv(
         f"{prefix}_series.csv", csv_rows, ["chain", "sweep", "observable", "value"]
     )
-    with open(f"{prefix}_report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(f"{prefix}_report.json", report)
     return report, 0 if passed else 1
 
 
@@ -651,9 +665,7 @@ def main(argv=None) -> int:
             pick = _merged(args, "verify")
             report, code = run_verify(pick)
             out = pick("out", "report.json")
-            with open(out, "w") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_json(out, report)
             for check in report["checks"]:
                 status = "pass" if check["pass"] else "FAIL"
                 print(f"[{status}] {check['name']}: value={check['value']:.6g} "

@@ -18,21 +18,21 @@ exp(-(A - A*)^2/g) * exp(-S_matter(z)) with A* = Im z(x)^dag z(x+mu), so the
 gauge field is resampled exactly from its Gaussian conditional
 (mean A*, variance g/2).
 
-Matter updates are single-site Metropolis. On bipartite lattices (all dims
-even) a sweep updates the two checkerboard parities in turn, vectorized;
-neighbors of one parity all belong to the other, so simultaneous updates are
-independent. Otherwise sites are updated one at a time in index order.
+Matter updates are single-site Metropolis. A sweep updates the colour
+classes of the lattice in turn, each class vectorized: no two sites of a
+class are neighbours, so their simultaneous updates are independent. On
+lattices with every extent even the classes are the two checkerboard
+parities; with an odd extent there are three (see _colour_classes).
 
-Each batch (a parity, or one site) has an index table of its sites'
-neighbours and, for gauged chains, of the links joining them; the parity
-tables are built once per chain. One kernel, _delta_s, gathers the
-neighbours once and takes the action change of the proposed and the current
-value from that gather: -(n' - n).h / 2g for o3, with h the neighbour sum,
-and for spinors the per-link kernels of actions.py applied to the overlaps
-with the neighbours. Self-check mode runs the same path and, after every
-batch, compares the sum of the accepted action changes with the change of
-the full action (total_action, which uses the independent references
-action_o3 and action_cp1_gauged where they apply).
+Each class has an index table of its sites' neighbours and, for gauged
+chains, of the links joining them, built once per chain. One kernel,
+_delta_s, gathers the neighbours once and takes the action change of the
+proposed and the current value from that gather: -(n' - n).h / 2g for o3,
+with h the neighbour sum, and for spinors the per-link kernels of actions.py
+applied to the overlaps with the neighbours. Self-check mode runs the same
+path and, after every class, compares the sum of the accepted action
+changes with the change of the full action (total_action, which uses the
+independent references action_o3 and action_cp1_gauged where they apply).
 
 A spinor chain keeps one buffer, CP1Field.data, read and written through its
 complex view CP1Field.z; observables use hopf(z), computed once per
@@ -73,6 +73,8 @@ MODELS = (
 )
 
 SELF_CHECK_TOL = 1e-9
+TARGET_ACCEPTANCE = 0.5  # proposal tuning aims here during thermalization
+TUNE_WINDOW = 50  # thermalization sweeps per proposal-width adjustment
 
 
 class McError(O3CP1Error, RuntimeError):
@@ -120,13 +122,8 @@ class ChainState:
     spin: SpinField = None
     zfield: CP1Field = None
     gauge: GaugeField = None
-    sweeps_done: int = 0
     self_check: bool = False
-    _parities: tuple = field(default=None, repr=False)
-
-    @property
-    def is_spinor(self):
-        return self.model != "o3"
+    _classes: tuple = field(default=None, repr=False)  # one _SiteTable per colour class
 
     @property
     def is_gauged(self):
@@ -140,7 +137,7 @@ class ChainState:
         return "reduced"
 
 
-def init_chain(lat, model, g, rng, delta=0.5, self_check=False, hot=True) -> ChainState:
+def init_chain(lat, model, g, rng, delta=0.5, self_check=False) -> ChainState:
     if model not in MODELS:
         raise McError(f"unknown model {model!r}; expected one of {MODELS}")
     if not (g > 0):
@@ -148,9 +145,9 @@ def init_chain(lat, model, g, rng, delta=0.5, self_check=False, hot=True) -> Cha
     state = ChainState(lat=lat, model=model, g=float(g), delta=float(delta), rng=rng,
                        self_check=self_check)
     if model == "o3":
-        state.spin = SpinField.random(lat, rng) if hot else SpinField.constant(lat)
+        state.spin = SpinField.random(lat, rng)
     else:
-        state.zfield = CP1Field.random(lat, rng) if hot else CP1Field.constant(lat)
+        state.zfield = CP1Field.random(lat, rng)
         if state.is_gauged:
             state.gauge = GaugeField.zeros(lat)
             gibbs_gauge_update(state)
@@ -284,20 +281,22 @@ def _update_batch(state, table):
     return int(np.count_nonzero(accept))
 
 
-def _sweep_serial(state):
-    """Site-by-site sweep in index order, each site through its own one-site table."""
-    return sum(_update_batch(state, _site_table(state, np.array([site])))
-               for site in range(state.lat.volume))
+def _colour_classes(lat: Lattice):
+    """Sites of each colour class, in update order; no link joins two of one class.
 
-
-def _bipartite(lat: Lattice):
-    return all(d % 2 == 0 for d in lat.dims)
-
-
-def _parity_masks(lat: Lattice):
+    Per direction a site's label is x mod 2, except 2 at the last site of an
+    odd extent. Its class is the label sum mod 2 when every extent is even
+    (the checkerboard parities) and mod 3 otherwise: a step along one
+    direction changes one label by 1 or 2 (the wrap of an odd extent), never
+    by a multiple of 3, and by exactly 1 when every extent is even.
+    """
     coords = lat.site_coords(np.arange(lat.volume))
-    parity = coords.sum(axis=1) % 2
-    return np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+    dims = np.asarray(lat.dims)
+    labels = coords % 2
+    labels[(coords == dims - 1) & (dims % 2 == 1)] = 2
+    n_classes = 2 if (dims % 2 == 0).all() else 3
+    colour = labels.sum(axis=1) % n_classes
+    return [np.flatnonzero(colour == c) for c in range(n_classes)]
 
 
 def metropolis_sweep(state: ChainState) -> float:
@@ -306,17 +305,10 @@ def metropolis_sweep(state: ChainState) -> float:
     With delta = 0 proposals are identities and the rate is exactly 1.
     """
     if state.delta == 0.0:
-        state.sweeps_done += 1
         return 1.0
-    if not _bipartite(state.lat):
-        accepted = _sweep_serial(state)
-    else:
-        if state._parities is None:
-            state._parities = tuple(_site_table(state, s) for s in _parity_masks(state.lat))
-        accepted = 0
-        for table in state._parities:
-            accepted += _update_batch(state, table)
-    state.sweeps_done += 1
+    if state._classes is None:
+        state._classes = tuple(_site_table(state, s) for s in _colour_classes(state.lat))
+    accepted = sum(_update_batch(state, table) for table in state._classes)
     return accepted / state.lat.volume
 
 
@@ -337,12 +329,13 @@ def chain_sweep(state: ChainState) -> float:
     return rate
 
 
-def tune_proposal(state: ChainState, acceptance, target=0.5, clip=(0.5, 2.0)):
-    """Multiplicative proposal-width adjustment toward the target acceptance.
+def tune_proposal(state: ChainState, acceptance):
+    """Multiplicative proposal-width adjustment toward TARGET_ACCEPTANCE.
 
-    Only valid during thermalization; the driver freezes delta afterwards.
+    The width changes by at most a factor 2 per call. Only valid during
+    thermalization; the driver freezes delta afterwards.
     """
-    factor = min(max(acceptance / target, clip[0]), clip[1])
+    factor = min(max(acceptance / TARGET_ACCEPTANCE, 0.5), 2.0)
     cap = math.pi if state.model == "o3" else 4.0
     state.delta = min(max(state.delta * factor, 1e-4), cap)
     return state.delta
@@ -401,7 +394,6 @@ class ChainResult:
     g: float
     sweeps: int
     thermalization: int
-    seed_spawn_key: tuple
     delta: float
     acceptance: float
     series: dict  # name -> ObservableSeries
@@ -443,29 +435,24 @@ def run_chain(
     seed_seq: np.random.SeedSequence,
     thermalization=None,
     delta0=0.5,
-    r_max=None,
-    tune_window=50,
     self_check=False,
 ) -> ChainResult:
     """Thermalize (tuning the proposal), then sweep and measure every sweep.
 
     The proposal width is frozen at the end of thermalization, before any
     measurement. Observables: o3-pullback energy density and direction-averaged
-    correlators at integer separations r = 1..r_max (default min(dims)//2,
-    capped at 4).
+    correlators at integer separations r = 1..min(dims)//2, capped at 4.
     """
     rng = np.random.Generator(np.random.PCG64(seed_seq))
     state = init_chain(lat, model, g, rng, delta=delta0, self_check=self_check)
     therm = default_thermalization(sweeps) if thermalization is None else thermalization
-    if r_max is None:
-        r_max = min(4, min(lat.dims) // 2)
-    measurer = _Measurer(lat, g, r_max)
+    measurer = _Measurer(lat, g, min(4, min(lat.dims) // 2))
 
     window_acc = []
     for i in range(therm):
         window_acc.append(chain_sweep(state))
-        if (i + 1) % tune_window == 0:
-            tune_proposal(state, float(np.mean(window_acc[-tune_window:])))
+        if (i + 1) % TUNE_WINDOW == 0:
+            tune_proposal(state, float(np.mean(window_acc[-TUNE_WINDOW:])))
 
     names = measurer.names()
     data = np.empty((sweeps, len(names)))
@@ -484,7 +471,6 @@ def run_chain(
         g=g,
         sweeps=sweeps,
         thermalization=therm,
-        seed_spawn_key=tuple(seed_seq.spawn_key),
         delta=state.delta,
         acceptance=acc / sweeps,
         series=series,
@@ -521,7 +507,7 @@ def run_chains(lat, models, g, sweeps, master_seed, processes=1, **kwargs):
 # same action code paths the sampler uses.
 
 
-def two_site_exact(model: str, g: float, n_nodes=None) -> float:
+def two_site_exact(model: str, g: float) -> float:
     """<n(0) . n(1)> on dims [2] by direct quadrature of the model's weight.
 
     o3 / pullback flavors: reduce by global rotation to the relative polar
@@ -537,7 +523,7 @@ def two_site_exact(model: str, g: float, n_nodes=None) -> float:
 
     lat2 = build_lattice([2])
     if model in ("o3", "cp1-pullback", "cp1-gauged-pullback"):
-        n_nodes = 400 if n_nodes is None else n_nodes
+        n_nodes = 400
         x, wq = leggauss(n_nodes)
         theta = 0.5 * (x + 1.0) * math.pi
         wt = 0.5 * math.pi * wq * np.sin(theta)
@@ -548,7 +534,7 @@ def two_site_exact(model: str, g: float, n_nodes=None) -> float:
         weight = wt * np.exp(-(s_vals - s_vals.min()))
         return float(np.sum(weight * np.cos(theta)) / np.sum(weight))
     if model in ("cp1-reduced", "cp1-gauged-reduced"):
-        n_nodes = 96 if n_nodes is None else n_nodes
+        n_nodes = 96
         x, wq = leggauss(n_nodes)
         rho = 0.5 * (x + 1.0)  # |w| in [0, 1]
         psi = 0.5 * (x + 1.0) * 2.0 * math.pi

@@ -86,14 +86,11 @@ def mollified_delta(t, eps):
 
 @dataclass(frozen=True)
 class MollifierConfig:
-    """Gaussian smoothing widths: a working eps plus a ladder for extrapolation."""
+    """Gaussian smoothing widths: the ladder of eps values for extrapolation."""
 
-    eps: float = 0.05
     eps_ladder: tuple = (0.1, 0.05, 0.025)
 
     def __post_init__(self):
-        if not (self.eps > 0):
-            raise MeasureDomainError(f"eps must be positive, got {self.eps}")
         ladder = tuple(float(e) for e in self.eps_ladder)
         if any(e <= 0 for e in ladder):
             raise MeasureDomainError("eps ladder entries must be positive")
@@ -495,7 +492,7 @@ class StageConsistency:
 
 def reduction_consistency(
     n,
-    mollifier: MollifierConfig = MollifierConfig(eps=0.035, eps_ladder=STAGE_LADDER),
+    mollifier: MollifierConfig = MollifierConfig(eps_ladder=STAGE_LADDER),
     quad: QuadControl = DEFAULT_QUAD,
 ) -> StageConsistency:
     """Check that all four reduction stages estimate the same constant.

@@ -339,3 +339,31 @@ def test_verify_config_file_tol(tmp_path, cli_env, tol):
     assert proc.returncode == 0, proc.stderr
     report = json.loads((tmp_path / "r.json").read_text())
     assert report["checks"][0]["tolerance"] == 1e-3
+
+
+def load_strict_json(path):
+    """Parse as RFC 8259 JSON: NaN, Infinity and -Infinity are refused."""
+    def refuse(name):
+        raise ValueError(f"non-finite constant {name} in {path.name}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_reports_are_strict_json(tmp_path, cli_env):
+    # measured_order is NaN at the noise floor of the ladder differences,
+    # and a chain frozen at tiny g has zero error bars, so n_sigma = inf
+    proc = run_cli(["verify", "--suite", "measure-constant", "--out", "r.json"],
+                   tmp_path, cli_env)
+    assert proc.returncode == 0, proc.stderr
+    row = load_strict_json(tmp_path / "r.json")["checks"][0]
+    assert "measured_order" in row["diagnostics"]
+    proc = run_cli(
+        ["compare", "--dims", "2", "--g", "1e-12", "--sweeps", "1000",
+         "--thermalization", "1000", "--seed", "1", "--out-prefix", "c"],
+        tmp_path,
+        cli_env,
+    )
+    assert proc.returncode in (0, 1), proc.stderr
+    report = load_strict_json(tmp_path / "c_report.json")
+    rows = report["comparisons"] + report["two_site_oracle"]
+    assert any(r["n_sigma"] is None for r in rows)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from o3cp1 import mc
-from o3cp1.fields import SpinField
+from o3cp1.fields import CP1Field, SpinField
 from o3cp1.lattice import Lattice, build_lattice
 from o3cp1.mc import (
     MODELS,
@@ -70,6 +70,37 @@ def test_jackknife_ar1_oracle():
 # --- sweep mechanics -----------------------------------------------------------
 
 
+def sweep_site_by_site(state):
+    """Reference sweep: sites in index order, each through its own one-site table."""
+    return sum(mc._update_batch(state, mc._site_table(state, np.array([site])))
+               for site in range(state.lat.volume))
+
+
+@pytest.mark.parametrize("dims", [
+    [2], [3], [4], [5], [15], [3, 4], [4, 3], [5, 5], [2, 7], [14, 15],
+    [4, 4], [6, 2], [2, 2, 2], [2, 3, 3], [3, 3, 3], [4, 6, 5],
+])
+def test_colour_classes_are_proper(dims):
+    lat = build_lattice(dims)
+    classes = mc._colour_classes(lat)
+    colour = np.full(lat.volume, -1)
+    for c, sites in enumerate(classes):
+        assert len(sites) > 0
+        assert (colour[sites] == -1).all()  # no site in two classes
+        colour[sites] = c
+    assert (colour >= 0).all()  # every site in some class
+    for mu in range(lat.ndim):
+        assert (colour != colour[lat.fwd(mu)]).all()  # no link inside a class
+    coords = lat.site_coords(np.arange(lat.volume))
+    if all(d % 2 == 0 for d in dims):
+        parity = coords.sum(axis=1) % 2
+        assert len(classes) == 2
+        for p, sites in enumerate(classes):
+            assert np.array_equal(sites, np.flatnonzero(parity == p))
+    else:
+        assert len(classes) == 3
+
+
 def test_flat_target_accepts_everything():
     lat = build_lattice([4, 4])
     state = init_chain(lat, "o3", 1e6, rng_of(0), delta=0.5)
@@ -90,8 +121,8 @@ def test_zero_width_proposal_is_identity():
 
 @pytest.mark.parametrize("model", MODELS)
 def test_self_check_passes(model):
-    # 3x4 runs the serial path (odd extent), 4x4 the checkerboard parities
-    for dims in ([3, 4], [4, 4]):
+    # odd extents run three colour classes, 4x4 the two checkerboard parities
+    for dims in ([3], [3, 4], [5, 5], [2, 3, 3], [4, 4]):
         lat = build_lattice(dims)
         state = init_chain(lat, model, 0.8, rng_of(2), delta=0.7, self_check=True)
         for _ in range(3):
@@ -130,20 +161,23 @@ def test_self_check_aborts_on_bad_local_terms(monkeypatch):
 
 
 def test_serial_and_vectorized_paths_agree_statistically():
-    lat = build_lattice([4, 4])
+    # the colour-class sweep against the site-by-site reference: two
+    # parities on 4x4, three classes on 3x5
     g = 1.0
-    means = []
-    for sweep in (metropolis_sweep, mc._sweep_serial):
-        state = init_chain(lat, "o3", g, rng_of(11), delta=1.0)
-        vals = []
-        for i in range(3000):
-            sweep(state)
-            if i >= 500:
-                n = state.spin.n
-                vals.append(float((n * n[lat.fwd(0)]).sum()) / lat.volume)
-        means.append((np.mean(vals), np.std(vals) / math.sqrt(len(vals) / 20)))
-    gap = abs(means[0][0] - means[1][0])
-    assert gap < 4 * math.hypot(means[0][1], means[1][1])
+    for dims in ([4, 4], [3, 5]):
+        lat = build_lattice(dims)
+        means = []
+        for sweep in (metropolis_sweep, sweep_site_by_site):
+            state = init_chain(lat, "o3", g, rng_of(11), delta=1.0)
+            vals = []
+            for i in range(3000):
+                sweep(state)
+                if i >= 500:
+                    n = state.spin.n
+                    vals.append(float((n * n[lat.fwd(0)]).sum()) / lat.volume)
+            means.append((np.mean(vals), np.std(vals) / math.sqrt(len(vals) / 20)))
+        gap = abs(means[0][0] - means[1][0])
+        assert gap < 4 * math.hypot(means[0][1], means[1][1]), dims
 
 
 # --- gauge sector ---------------------------------------------------------------
@@ -152,7 +186,8 @@ def test_serial_and_vectorized_paths_agree_statistically():
 def test_gibbs_moments_constant_z():
     lat = build_lattice([10, 10])
     g = 1.3
-    state = init_chain(lat, "cp1-gauged-reduced", g, rng_of(4), hot=False)
+    state = init_chain(lat, "cp1-gauged-reduced", g, rng_of(4))
+    state.zfield = CP1Field.constant(lat)
     samples = []
     for _ in range(500):
         gibbs_gauge_update(state)

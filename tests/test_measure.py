@@ -82,9 +82,7 @@ def measure_lhs_cartesian(n, eps, steps_per_eps=3.0, window_sigmas=10.0) -> floa
 
 
 def test_mollifier_config_validation():
-    MollifierConfig(eps=0.1, eps_ladder=(0.1, 0.05))
-    with pytest.raises(MeasureDomainError):
-        MollifierConfig(eps=-0.1)
+    MollifierConfig(eps_ladder=(0.1, 0.05))
     with pytest.raises(MeasureDomainError):
         MollifierConfig(eps_ladder=(0.05, 0.1))
     with pytest.raises(MeasureDomainError):
@@ -245,7 +243,7 @@ def test_verify_constant_rotated_points():
 def test_verify_constant_single_width_is_biased():
     rng = np.random.default_rng(15)
     points = random_sphere_points(rng, 10)
-    est = verify_constant_c(points, MollifierConfig(eps=0.5, eps_ladder=(0.5,)))
+    est = verify_constant_c(points, MollifierConfig(eps_ladder=(0.5,)))
     assert est.biased
     assert not est.passes()
     assert "biased" in est.notes
