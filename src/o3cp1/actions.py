@@ -46,6 +46,12 @@ class QuadratureError(O3CP1Error, RuntimeError):
     """A numeric integral failed to reach its requested accuracy."""
 
 
+# marginalize_gauge_numeric integrates over GAUGE_HALF_WIDTH * sqrt(g) either
+# side of 0 and of the Gaussian mean, and must reach GAUGE_REL_TOL.
+GAUGE_HALF_WIDTH = 10.0
+GAUGE_REL_TOL = 1e-8
+
+
 def _check_g(g):
     if not (float(g) > 0):
         raise ActionError(f"coupling must be positive, got {g}")
@@ -132,11 +138,7 @@ class MarginalResult:
 
     value: float
     closed_form: float
-    quad_error: float
     tail_bound: float
-
-    def __float__(self):
-        return self.value
 
 
 def gauge_marginal_closed_form(b, g) -> float:
@@ -145,23 +147,19 @@ def gauge_marginal_closed_form(b, g) -> float:
     return math.sqrt(math.pi * g) * math.exp(b * b / g)
 
 
-def marginalize_gauge_numeric(
-    lat: Lattice, zf: CP1Field, site, mu, g, half_width=10.0, rel_tol=1e-8
-) -> MarginalResult:
+def marginalize_gauge_numeric(lat: Lattice, zf: CP1Field, site, mu, g) -> MarginalResult:
     """Numerically integrate the gauge link weight exp(-(A^2 - 2Ab)/g) over A.
 
     The infinite range is truncated to cover both [-K sqrt(g), K sqrt(g)] and
-    the same window centered on the Gaussian mean b; the neglected tail is
-    bounded by sqrt(pi g) erfc(K) exp(b^2/g) and reported.
+    the same window centered on the Gaussian mean b, with K = GAUGE_HALF_WIDTH;
+    the neglected tail is bounded by sqrt(pi g) erfc(K) exp(b^2/g) and reported.
     """
     from scipy import integrate, special
 
     g = _check_g(g)
-    if half_width < 8.0:
-        raise ActionError("half_width must be >= 8 (tail below target accuracy)")
     z = zf.z
     b = float(spinor_overlap(z[site], z[lat.neighbor(site, mu, +1)]).imag)
-    span = half_width * math.sqrt(g)
+    span = GAUGE_HALF_WIDTH * math.sqrt(g)
     lo, hi = min(-span, b - span), max(span, b + span)
     value, err = integrate.quad(
         lambda a: math.exp(-(a * a - 2.0 * a * b) / g),
@@ -175,12 +173,12 @@ def marginalize_gauge_numeric(
     # distance from the mean b to the nearest cutoff, in units of sqrt(g)
     k_eff = min(b - lo, hi - b) / math.sqrt(g)
     tail = math.sqrt(math.pi * g) * float(special.erfc(k_eff)) * math.exp(b * b / g)
-    if err > rel_tol * abs(value):
+    if err > GAUGE_REL_TOL * abs(value):
         raise QuadratureError(
             f"gauge marginalization did not converge: "
-            f"achieved error {err:.3e} vs target {rel_tol * abs(value):.3e}"
+            f"achieved error {err:.3e} vs target {GAUGE_REL_TOL * abs(value):.3e}"
         )
-    return MarginalResult(value, closed, err, tail)
+    return MarginalResult(value, closed, tail)
 
 
 def partition_constants(lat: Lattice, g) -> dict:

@@ -12,7 +12,8 @@ verify   runs the numerical identity suite (kinetic-term identity, polar
 sample   runs one Monte Carlo chain and writes the observable series as CSV
          plus a JSON summary.
 compare  runs chains of different models at the same coupling and gates the
-         shared observables at a combined-sigma threshold.
+         observables of each pair of chains that share a law (mc.LAW) at a
+         combined-sigma threshold.
 
 Flags override config-file values (--config FILE, JSON object keyed by the
 long flag names); every output artifact embeds the effective configuration
@@ -44,9 +45,19 @@ from .actions import (
 from .errors import O3CP1Error
 from .fields import CP1Field, jacobian_polar, save_field_csv
 from .lattice import build_lattice
-from .mc import MODELS, jackknife, run_chains, two_site_exact
+from .mc import LAW, MODELS, jackknife, run_chains, two_site_exact
 
 CLI_MODELS = MODELS + ("cp1-gauged",)  # plain tag aliases the covariant action
+
+# compare's chains per regime. pullback: the exact-equivalence regime, all
+# three chains share the o3 law. reduced: the continuum-matching regime, the
+# gauged chain's z-marginal is exactly the reduced chain; both differ from o3
+# by lattice artifacts (reported, not gated). both: all five flavours.
+REGIMES = {
+    "pullback": ("o3", "cp1-pullback", "cp1-gauged-pullback"),
+    "reduced": ("o3", "cp1-reduced", "cp1-gauged-reduced"),
+    "both": ("o3", "cp1-pullback", "cp1-gauged-pullback", "cp1-reduced", "cp1-gauged-reduced"),
+}
 
 
 class UsageError(ValueError):
@@ -111,7 +122,13 @@ def _parse_tol(pairs):
             raise UsageError(
                 f"unknown tolerance {name!r}; known: {', '.join(sorted(DEFAULT_TOLERANCES))}"
             )
-        out[name] = _parse_number(f"tolerance {name}", value, float)
+        number = _parse_number(f"tolerance {name}", value, float)
+        # pushforward's value is a KS significance level, every other one a bound
+        ok = 0.0 < number < 1.0 if name == "pushforward" else 0.0 <= number < math.inf
+        if not ok:
+            rule = "in (0, 1)" if name == "pushforward" else "finite and >= 0"
+            raise UsageError(f"invalid value for tolerance {name}: {number} (must be {rule})")
+        out[name] = number
     return out
 
 
@@ -298,7 +315,7 @@ def _check_measure_constant(rng, tol, eps_ladder):
         est.constant,
         measure.HALF_PI,
         tol,
-        est.passes(rel_tol=tol),
+        est.passes(tol),
         diagnostics,
     )
 
@@ -485,8 +502,8 @@ def run_sample(pick) -> tuple:
     return summary, 0
 
 
-def _comparison_rows(results, gated_pairs, n_sigma):
-    """Pairwise observable comparison; gated pairs must agree within n_sigma."""
+def _comparison_rows(results, n_sigma):
+    """Pairwise observable comparison; chains that share a law must agree within n_sigma."""
     rows = []
     names = sorted(results[0].series)
     stats = {
@@ -494,7 +511,7 @@ def _comparison_rows(results, gated_pairs, n_sigma):
     }
     for i, ra in enumerate(results):
         for rb in results[i + 1 :]:
-            gated = (ra.model, rb.model) in gated_pairs or (rb.model, ra.model) in gated_pairs
+            gated = LAW[ra.model] == LAW[rb.model]
             for name in names:
                 mean_a, err_a = stats[ra.model][name]
                 mean_b, err_b = stats[rb.model][name]
@@ -537,31 +554,15 @@ def run_compare(pick) -> tuple:
     prefix = pick("out-prefix", "compare")
     n_sigma = dict(DEFAULT_TOLERANCES, **_parse_tol(pick("tol")))["sigma"]
 
-    if regime == "pullback":
-        # exact-equivalence regime: all three chains share the n-field law
-        models = ["o3", "cp1-pullback", "cp1-gauged-pullback"]
-        gated = {(a, b) for a in models for b in models if a != b}
-    elif regime == "reduced":
-        # continuum-matching regime: the gauged chain's z-marginal is exactly
-        # the reduced chain (gated); both differ from o3 by lattice artifacts
-        # (reported, not gated)
-        models = ["o3", "cp1-reduced", "cp1-gauged-reduced"]
-        gated = {("cp1-reduced", "cp1-gauged-reduced")}
-    elif regime == "both":
-        models = ["o3", "cp1-pullback", "cp1-gauged-pullback",
-                  "cp1-reduced", "cp1-gauged-reduced"]
-        exact = ["o3", "cp1-pullback", "cp1-gauged-pullback"]
-        gated = {(a, b) for a in exact for b in exact if a != b}
-        gated.add(("cp1-reduced", "cp1-gauged-reduced"))
-    else:
-        raise UsageError(f"invalid value for regime: {regime!r}; known: pullback, reduced, both")
+    if regime not in REGIMES:
+        raise UsageError(f"invalid value for regime: {regime!r}; known: {', '.join(REGIMES)}")
 
     lat = build_lattice(dims)
     results = run_chains(
-        lat, models, g, sweeps, master_seed=seed,
+        lat, REGIMES[regime], g, sweeps, master_seed=seed,
         thermalization=therm, processes=threads,
     )
-    rows = _comparison_rows(results, gated, n_sigma)
+    rows = _comparison_rows(results, n_sigma)
 
     oracle_rows = []
     if lat.volume == 2:

@@ -64,13 +64,16 @@ from .errors import O3CP1Error
 from .fields import CP1Field, GaugeField, SpinField, hopf_map
 from .lattice import Lattice
 
-MODELS = (
-    "o3",
-    "cp1-pullback",
-    "cp1-reduced",
-    "cp1-gauged-reduced",
-    "cp1-gauged-pullback",
-)
+# The law of each flavour's n observables: flavours that share a law give
+# identically distributed n, so compare gates exactly those pairs.
+LAW = {
+    "o3": "o3",
+    "cp1-pullback": "o3",
+    "cp1-reduced": "reduced",
+    "cp1-gauged-reduced": "reduced",
+    "cp1-gauged-pullback": "o3",
+}
+MODELS = tuple(LAW)
 
 SELF_CHECK_TOL = 1e-9
 TARGET_ACCEPTANCE = 0.5  # proposal tuning aims here during thermalization
@@ -128,13 +131,6 @@ class ChainState:
     @property
     def is_gauged(self):
         return self.model.startswith("cp1-gauged")
-
-    @property
-    def matter_base(self):
-        """Which per-link matter term weights the spinor chain."""
-        if self.model in ("cp1-pullback", "cp1-gauged-pullback"):
-            return "pullback"
-        return "reduced"
 
 
 def init_chain(lat, model, g, rng, delta=0.5, self_check=False) -> ChainState:
@@ -212,7 +208,7 @@ def _delta_s(state, table, old, new):
         return -((new - old) * h).sum(axis=1) / (2.0 * state.g)
     pair = np.concatenate((new, old)).reshape(2, 1, len(new), 2)
     w = spinor_overlap(pair, state.zfield.z[table.nbr])  # (2, 2 ndim, k): new, old
-    matter_term = pullback_term if state.matter_base == "pullback" else reduced_term
+    matter_term = pullback_term if LAW[state.model] == "o3" else reduced_term
     terms = matter_term(w)
     if state.is_gauged:
         terms += gauge_term(state.gauge.a.take(table.links) * table.sign, w)
@@ -503,50 +499,40 @@ def run_chains(lat, models, g, sweeps, master_seed, processes=1, **kwargs):
 # --- small-system quadrature references ---------------------------------------
 #
 # On the two-site chain every model's <n(0) . n(1)> reduces to a one- or
-# two-dimensional integral of its own Boltzmann weight, evaluated through the
-# same action code paths the sampler uses.
+# two-dimensional integral of its own Boltzmann weight. Both links join the
+# same two sites, so the action is twice one per-link kernel of actions.py
+# over g, evaluated on the whole node grid at once.
 
 
 def two_site_exact(model: str, g: float) -> float:
     """<n(0) . n(1)> on dims [2] by direct quadrature of the model's weight.
 
-    o3 / pullback flavors: reduce by global rotation to the relative polar
-    angle, weight exp(-S(theta)) with uniform sphere measure sin(theta).
-    reduced / gauged-reduced: reduce by invariance to w = z(0)^dag z(1); the
-    flat spinor-sphere measure pushes to the uniform disk |w| <= 1 (the
-    marginal of one unit spinor component), and n(0).n(1) = 2|w|^2 - 1.
-    Gauged flavors share their matter marginal's value exactly.
+    o3 law: reduce by global rotation to the relative polar angle theta, with
+    uniform sphere measure sin(theta); the link overlap of the lifted spinors
+    has |w| = cos(theta/2), so S = 2 pullback_term(cos(theta/2)) / g.
+    reduced law: reduce by invariance to w = z(0)^dag z(1); the flat
+    spinor-sphere measure pushes to the uniform disk |w| <= 1 (the marginal
+    of one unit spinor component), S = 2 reduced_term(w) / g, and
+    n(0).n(1) = 2|w|^2 - 1. Gauged flavors share their matter marginal's
+    value exactly.
     """
     from numpy.polynomial.legendre import leggauss
 
-    from .lattice import build_lattice
-
-    lat2 = build_lattice([2])
-    if model in ("o3", "cp1-pullback", "cp1-gauged-pullback"):
-        n_nodes = 400
-        x, wq = leggauss(n_nodes)
+    if model not in LAW:
+        raise McError(f"no two-site reference for model {model!r}")
+    if LAW[model] == "o3":
+        x, wq = leggauss(400)
         theta = 0.5 * (x + 1.0) * math.pi
         wt = 0.5 * math.pi * wq * np.sin(theta)
-        s_vals = np.empty(n_nodes)
-        for i, t in enumerate(theta):
-            spin = SpinField(np.array([[0.0, 0.0, 1.0], [math.sin(t), 0.0, math.cos(t)]]))
-            s_vals[i] = action_o3(lat2, spin, g)
+        s_vals = 2.0 * pullback_term(np.cos(0.5 * theta)) / g
         weight = wt * np.exp(-(s_vals - s_vals.min()))
         return float(np.sum(weight * np.cos(theta)) / np.sum(weight))
-    if model in ("cp1-reduced", "cp1-gauged-reduced"):
-        n_nodes = 96
-        x, wq = leggauss(n_nodes)
-        rho = 0.5 * (x + 1.0)  # |w| in [0, 1]
-        psi = 0.5 * (x + 1.0) * 2.0 * math.pi
-        s_vals = np.empty((n_nodes, n_nodes))
-        for i, rh in enumerate(rho):
-            z2 = math.sqrt(max(1.0 - rh * rh, 0.0))
-            for j, ps in enumerate(psi):
-                z1 = rh * complex(math.cos(ps), math.sin(ps))
-                zf = CP1Field.from_complex(np.array([[1.0 + 0.0j, 0.0j], [z1, z2]]))
-                s_vals[i, j] = action_cp1_reduced(lat2, zf, g)
-        wgt = np.outer(0.5 * wq * rho, 0.5 * 2.0 * math.pi * wq)
-        weight = wgt * np.exp(-(s_vals - s_vals.min()))
-        obs = 2.0 * rho[:, None] ** 2 - 1.0
-        return float(np.sum(weight * obs) / np.sum(weight))
-    raise McError(f"no two-site reference for model {model!r}")
+    x, wq = leggauss(96)
+    rho = 0.5 * (x + 1.0)  # |w| in [0, 1]
+    psi = 0.5 * (x + 1.0) * 2.0 * math.pi
+    w = np.multiply.outer(rho, np.cos(psi) + 1j * np.sin(psi))
+    s_vals = 2.0 * reduced_term(w) / g
+    wgt = np.outer(0.5 * wq * rho, 0.5 * 2.0 * math.pi * wq)
+    weight = wgt * np.exp(-(s_vals - s_vals.min()))
+    obs = 2.0 * rho[:, None] ** 2 - 1.0
+    return float(np.sum(weight * obs) / np.sum(weight))

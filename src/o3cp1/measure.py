@@ -49,6 +49,10 @@ delta_eps(rho - q) exp(-rho u / eps^2) / (eps sqrt(2 pi)): one exp per grid
 point. The sin^2 form avoids the cancellation in q - (n_x cos phi - n_y sin phi).
 Nodes with min(rho) u / eps^2 >= 55 are skipped; each term there is below
 e^-55 of its row's largest.
+
+Every quadrature runs at one fixed resolution, set by the module constants
+N_RADIAL, PHI_STEPS_PER_EPS, WINDOW_SIGMAS, RADIAL_PAD_SIGMAS and PHI_CHUNK
+(the comment on them says why these values suffice).
 """
 
 import functools
@@ -72,6 +76,22 @@ STAGES = ("raw-4d", "after-R-theta", "after-S", "after-phi")
 # Stage evaluations reject points with |f'(phi0)| < 10 eps (coalescing roots),
 # and |f'| <= 1 on the sphere, so the stage ladder must sit below 0.1.
 STAGE_LADDER = (0.05, 0.035, 0.025)
+
+# Resolution of the mollified-delta quadratures, one setting for every check.
+# Radial integrals use Gauss-Legendre nodes on windows of WINDOW_SIGMAS * eps
+# around the delta supports, truncated at r, s <= 1 + RADIAL_PAD_SIGMAS * eps,
+# with at least N_RADIAL nodes and more if they would sit over eps/4 apart.
+# Angular integrals use uniform grids of spacing eps / PHI_STEPS_PER_EPS: the
+# integrands are periodic Gaussians, for which the trapezoid rule converges
+# spectrally, and a spacing of eps/4 or finer resolves them. _angular_sum
+# takes PHI_CHUNK angles at a time to bound its temporary array.
+N_RADIAL = 160
+PHI_STEPS_PER_EPS = 6.0
+WINDOW_SIGMAS = 14.0
+RADIAL_PAD_SIGMAS = 10.0
+PHI_CHUNK = 256
+
+PUSHFORWARD_SAMPLES = 100_000
 
 
 class MeasureDomainError(O3CP1Error, ValueError):
@@ -99,52 +119,23 @@ class MollifierConfig:
         object.__setattr__(self, "eps_ladder", ladder)
 
 
-@dataclass(frozen=True)
-class QuadControl:
-    """Resolution of the mollified-delta quadratures.
-
-    Radial integrals use Gauss-Legendre nodes on windows of
-    `window_sigmas * eps` around the delta supports, truncated at
-    r, s <= 1 + radial_pad_sigmas * eps; angular integrals use uniform grids
-    of spacing eps / phi_steps_per_eps (spectrally accurate for periodic
-    Gaussian integrands). Spacing coarser than eps/4 is rejected as
-    under-resolved.
-    """
-
-    n_radial: int = 160
-    phi_steps_per_eps: float = 6.0
-    window_sigmas: float = 14.0
-    radial_pad_sigmas: float = 10.0
-    phi_chunk: int = 256
-
-    def __post_init__(self):
-        if self.phi_steps_per_eps < 4.0:
-            raise MeasureDomainError(
-                f"angular grid spacing eps/{self.phi_steps_per_eps} is coarser than "
-                "eps/4; under-resolved quadrature rejected"
-            )
-        if self.n_radial < 16:
-            raise MeasureDomainError("n_radial too small to resolve the integrand")
-
-    def n_phi(self, eps, period=2.0 * math.pi):
-        return int(math.ceil(period / (eps / self.phi_steps_per_eps)))
-
-    def radial_nodes(self, lo, hi, eps):
-        # bump the node count if the window would be under-resolved
-        n = max(self.n_radial, int(math.ceil(4.0 * (hi - lo) / eps)))
-        x, w = _leggauss(n)
-        return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
-
-
-DEFAULT_QUAD = QuadControl()
-
-
 @functools.lru_cache(maxsize=None)
 def _leggauss(n):
     """leggauss(n), computed once per n and shared read-only."""
     x, w = leggauss(n)
     x.flags.writeable = w.flags.writeable = False
     return x, w
+
+
+def _n_phi(eps, period=2.0 * math.pi):
+    return int(math.ceil(period / (eps / PHI_STEPS_PER_EPS)))
+
+
+def _radial_nodes(lo, hi, eps):
+    # bump the node count if the window would be under-resolved
+    n = max(N_RADIAL, int(math.ceil(4.0 * (hi - lo) / eps)))
+    x, w = _leggauss(n)
+    return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
 
 
 def _as_point(n):
@@ -154,27 +145,27 @@ def _as_point(n):
     return n
 
 
-def _radial_windows(n_z, eps, quad):
+def _radial_windows(n_z, eps):
     """(r, s) integration windows implied by the two radial deltas."""
-    k = quad.window_sigmas * eps
-    cap = (1.0 + quad.radial_pad_sigmas * eps) ** 2
+    k = WINDOW_SIGMAS * eps
+    cap = (1.0 + RADIAL_PAD_SIGMAS * eps) ** 2
     r2 = ((1.0 + n_z) / 2.0 - k, min((1.0 + n_z) / 2.0 + k, cap))
     s2 = ((1.0 - n_z) / 2.0 - k, min((1.0 - n_z) / 2.0 + k, cap))
     return r2, s2
 
 
-def _angular_sum(nx, ny, rho, eps, phi, chunk):
+def _angular_sum(nx, ny, rho, eps, phi):
     """Per rho: sum over phi of delta_eps(nx - rho cos phi) delta_eps(ny + rho sin phi)."""
     q = math.hypot(nx, ny)
     u = 2.0 * q * np.sin(0.5 * (phi + math.atan2(ny, nx))) ** 2
     u = u[rho.min() * u < 55.0 * eps * eps] / (eps * eps)
     total = np.zeros_like(rho)
-    for k0 in range(0, len(u), chunk):
-        total += np.exp(-np.multiply.outer(rho, u[k0 : k0 + chunk])).sum(axis=1)
+    for k0 in range(0, len(u), PHI_CHUNK):
+        total += np.exp(-np.multiply.outer(rho, u[k0 : k0 + PHI_CHUNK])).sum(axis=1)
     return mollified_delta(rho - q, eps) / (eps * SQRT_2PI) * total
 
 
-def measure_lhs(n, eps, quad: QuadControl = DEFAULT_QUAD) -> float:
+def measure_lhs(n, eps) -> float:
     """Mollified one-site integral in polar coordinates (the raw-4d stage).
 
     The two angle integrals reduce exactly to 2*pi times a single integral
@@ -184,11 +175,11 @@ def measure_lhs(n, eps, quad: QuadControl = DEFAULT_QUAD) -> float:
     """
     n = _as_point(n)
     nx, ny, nz = n
-    (r2lo, r2hi), (s2lo, s2hi) = _radial_windows(nz, eps, quad)
+    (r2lo, r2hi), (s2lo, s2hi) = _radial_windows(nz, eps)
     if r2hi <= 0.0 or s2hi <= 0.0 or r2lo >= r2hi or s2lo >= s2hi:
         return 0.0
-    r, wr = quad.radial_nodes(math.sqrt(max(r2lo, 0.0)), math.sqrt(r2hi), eps)
-    s, ws = quad.radial_nodes(math.sqrt(max(s2lo, 0.0)), math.sqrt(s2hi), eps)
+    r, wr = _radial_nodes(math.sqrt(max(r2lo, 0.0)), math.sqrt(r2hi), eps)
+    s, ws = _radial_nodes(math.sqrt(max(s2lo, 0.0)), math.sqrt(s2hi), eps)
     R, S = np.meshgrid(r, s, indexing="ij")
     WT = np.outer(wr, ws) * R * S
     base = WT * mollified_delta(R * R + S * S - 1.0, eps)
@@ -199,10 +190,10 @@ def measure_lhs(n, eps, quad: QuadControl = DEFAULT_QUAD) -> float:
     mask = base > peak * 1e-24
     rho = (2.0 * R * S)[mask]
     base = base[mask]
-    n_phi = quad.n_phi(eps)
+    n_phi = _n_phi(eps)
     phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
     dphi = 2.0 * math.pi / n_phi
-    ang = _angular_sum(nx, ny, rho, eps, phi, quad.phi_chunk) * (2.0 * math.pi * dphi)
+    ang = _angular_sum(nx, ny, rho, eps, phi) * (2.0 * math.pi * dphi)
     return float((base * ang).sum())
 
 
@@ -219,40 +210,35 @@ def identity_rhs_smoothed(n, eps) -> float:
     return float(mollified_delta(rho - 1.0, math.sqrt(2.0) * eps) / (2.0 * rho))
 
 
-def constant_ratio(n, eps, quad: QuadControl = DEFAULT_QUAD) -> float:
+def constant_ratio(n, eps) -> float:
     """Pointwise estimate of the proportionality constant at width eps."""
-    return measure_lhs(n, eps, quad) / identity_rhs_smoothed(n, eps)
+    return measure_lhs(n, eps) / identity_rhs_smoothed(n, eps)
 
 
 def richardson_extrapolate(eps_values, values):
-    """Extrapolate an eps^2-convergent sequence to eps = 0.
+    """Extrapolate an eps^2-convergent sequence to eps = 0; needs three or more widths.
 
     Returns (limit, residual_estimate, measured_order). The limit comes from
     the two finest widths; the residual estimate is the difference between
-    that and the extrapolation from the next-coarser pair (zero-padded when
-    only two rungs exist). The measured order uses successive differences and
-    is nan when they sit at the numerical noise floor.
+    that and the extrapolation from the next-coarser pair. The measured order
+    uses the successive differences of the three finest widths and is nan
+    when they sit at the numerical noise floor.
     """
     eps_values = np.asarray(eps_values, dtype=float)
     values = np.asarray(values, dtype=float)
-    if len(values) < 2:
-        return float(values[-1]), float("inf"), float("nan")
 
     def pair_limit(i, j):
         e2i, e2j = eps_values[i] ** 2, eps_values[j] ** 2
         return (values[j] * e2i - values[i] * e2j) / (e2i - e2j)
 
     limit = pair_limit(-2, -1)
-    residual = abs(limit - pair_limit(-3, -2)) if len(values) >= 3 else abs(
-        values[-1] - values[-2]
-    )
+    residual = abs(limit - pair_limit(-3, -2))
     order = float("nan")
-    if len(values) >= 3:
-        d1 = abs(values[-2] - values[-3])
-        d2 = abs(values[-1] - values[-2])
-        scale = max(abs(values[-1]), 1.0)
-        if d1 > 1e-11 * scale and d2 > 1e-11 * scale:
-            order = math.log(d1 / d2) / math.log(eps_values[-3] / eps_values[-2])
+    d1 = abs(values[-2] - values[-3])
+    d2 = abs(values[-1] - values[-2])
+    scale = max(abs(values[-1]), 1.0)
+    if d1 > 1e-11 * scale and d2 > 1e-11 * scale:
+        order = math.log(d1 / d2) / math.log(eps_values[-3] / eps_values[-2])
     return float(limit), float(residual), order
 
 
@@ -262,25 +248,19 @@ class ConstantEstimate:
 
     constant: float
     spread: float
-    per_point: np.ndarray  # extrapolated constant per test point
     ladder: tuple
-    ratios: np.ndarray  # (n_points, n_widths) raw ratios
     measured_order: float
     residual: float
     biased: bool
     converged: bool
     notes: str = ""
 
-    def passes(self, rel_tol=0.01, reference=HALF_PI):
-        within = abs(self.constant - reference) <= rel_tol * reference
+    def passes(self, tol=0.01):
+        within = abs(self.constant - HALF_PI) <= tol * HALF_PI
         return bool(within and self.converged and not self.biased)
 
 
-def verify_constant_c(
-    points,
-    mollifier: MollifierConfig = MollifierConfig(),
-    quad: QuadControl = DEFAULT_QUAD,
-) -> ConstantEstimate:
+def verify_constant_c(points, mollifier: MollifierConfig = MollifierConfig()) -> ConstantEstimate:
     """Extract the measure constant from pointwise ratios over the eps ladder.
 
     Requires at least 10 on-sphere test points. With fewer than 3 ladder
@@ -297,7 +277,7 @@ def verify_constant_c(
     ratios = np.empty((points.shape[0], len(ladder)))
     for i, p in enumerate(points):
         for j, eps in enumerate(ladder):
-            ratios[i, j] = constant_ratio(p, eps, quad)
+            ratios[i, j] = constant_ratio(p, eps)
 
     notes = []
     biased = len(ladder) < 3
@@ -331,13 +311,11 @@ def verify_constant_c(
             notes.append(f"non-monotone ladder convergence at {bad} point(s)")
 
     constant = float(np.mean(per_point))
-    spread = float(np.max(np.abs(per_point - constant))) if len(per_point) else 0.0
+    spread = float(np.max(np.abs(per_point - constant)))
     return ConstantEstimate(
         constant=constant,
         spread=spread,
-        per_point=per_point,
         ladder=ladder,
-        ratios=ratios,
         measured_order=order,
         residual=residual,
         biased=biased,
@@ -366,29 +344,29 @@ def phi_roots(n):
     return math.acos(nx / rho_z), math.sqrt(max(q2, 0.0))
 
 
-def _stage_after_R_theta(n, eps, quad: QuadControl) -> float:
+def _stage_after_R_theta(n, eps) -> float:
     nx, ny, nz = n
-    k = quad.window_sigmas * eps / 2.0
+    k = WINDOW_SIGMAS * eps / 2.0
     s_lo = max((1.0 - nz) / 2.0 - k, 0.0)
     s_hi = min((1.0 - nz) / 2.0 + k, 1.0)
     if s_lo >= s_hi:
         return 0.0
-    S, wS = quad.radial_nodes(s_lo, s_hi, eps)
+    S, wS = _radial_nodes(s_lo, s_hi, eps)
     rho = 2.0 * np.sqrt((1.0 - S) * S)
-    n_phi = quad.n_phi(eps, period=4.0 * math.pi)
+    n_phi = _n_phi(eps, period=4.0 * math.pi)
     phi = np.linspace(-2.0 * math.pi, 2.0 * math.pi, n_phi, endpoint=False)
     dphi = 4.0 * math.pi / n_phi
-    ang = _angular_sum(nx, ny, rho, eps, phi, quad.phi_chunk) * dphi
+    ang = _angular_sum(nx, ny, rho, eps, phi) * dphi
     return float(math.pi / 4.0 * (wS * mollified_delta(nz - (1.0 - 2.0 * S), eps) * ang).sum())
 
 
-def _stage_after_S(n, eps, quad: QuadControl) -> float:
+def _stage_after_S(n, eps) -> float:
     nx, ny, nz = n
     rho_z = math.sqrt(1.0 - nz * nz)
-    n_phi = quad.n_phi(eps)
+    n_phi = _n_phi(eps)
     phi = np.linspace(-math.pi, math.pi, n_phi, endpoint=False)
     dphi = 2.0 * math.pi / n_phi
-    val = _angular_sum(nx, ny, np.array([rho_z]), eps, phi, quad.phi_chunk)[0] * dphi
+    val = _angular_sum(nx, ny, np.array([rho_z]), eps, phi)[0] * dphi
     return float(math.pi / 4.0 * val)
 
 
@@ -444,18 +422,16 @@ class StageValue:
     constant: float
 
 
-def reduction_stage_value(
-    n, eps, stage, quad: QuadControl = DEFAULT_QUAD
-) -> StageValue:
+def reduction_stage_value(n, eps, stage) -> StageValue:
     """One reduction stage at one width: raw value, reference, constant estimate."""
     n = _as_point(n)
     _require_generic(n, eps)
     if stage == "raw-4d":
-        value = measure_lhs(n, eps, quad)
+        value = measure_lhs(n, eps)
     elif stage == "after-R-theta":
-        value = _stage_after_R_theta(n, eps, quad)
+        value = _stage_after_R_theta(n, eps)
     elif stage == "after-S":
-        value = _stage_after_S(n, eps, quad)
+        value = _stage_after_S(n, eps)
     elif stage == "after-phi":
         value = _stage_after_phi(n, eps)
     else:
@@ -480,37 +456,26 @@ def _require_generic(n, eps):
 class StageConsistency:
     """Extrapolated per-stage constants and their pairwise agreement."""
 
-    point: np.ndarray
-    ladder: tuple
     constants: dict  # stage -> extrapolated constant
-    residuals: dict  # stage -> extrapolation residual estimate
-    values: dict  # stage -> ladder of raw constants
     max_pair_gap: float
     combined_tolerance: float
     passed: bool
 
 
-def reduction_consistency(
-    n,
-    mollifier: MollifierConfig = MollifierConfig(eps_ladder=STAGE_LADDER),
-    quad: QuadControl = DEFAULT_QUAD,
-) -> StageConsistency:
+def reduction_consistency(n) -> StageConsistency:
     """Check that all four reduction stages estimate the same constant.
 
-    Every stage's ladder of constants is extrapolated in eps^2; the combined
+    Every stage's constants on STAGE_LADDER are extrapolated in eps^2; the combined
     tolerance for a pairwise comparison is five times the summed extrapolation
     residual estimates plus a 1e-7 relative quadrature floor.
     """
     n = _as_point(n)
-    ladder = mollifier.eps_ladder
-    _require_generic(n, max(ladder))
-    values = {}
+    _require_generic(n, max(STAGE_LADDER))
     constants = {}
     residuals = {}
     for stage in STAGES:
-        cs = [reduction_stage_value(n, eps, stage, quad).constant for eps in ladder]
-        values[stage] = tuple(cs)
-        limit, residual, _ = richardson_extrapolate(ladder, cs)
+        cs = [reduction_stage_value(n, eps, stage).constant for eps in STAGE_LADDER]
+        limit, residual, _ = richardson_extrapolate(STAGE_LADDER, cs)
         constants[stage] = limit
         residuals[stage] = residual
 
@@ -525,10 +490,8 @@ def reduction_consistency(
             max_gap = max(max_gap, gap)
             tol = max(tol, pair_tol)
             if gap > pair_tol:
-                return StageConsistency(
-                    n, ladder, constants, residuals, values, gap, pair_tol, False
-                )
-    return StageConsistency(n, ladder, constants, residuals, values, max_gap, tol, True)
+                return StageConsistency(constants, gap, pair_tol, False)
+    return StageConsistency(constants, max_gap, tol, True)
 
 
 # --- one-site partition-function ratio --------------------------------------
@@ -542,7 +505,7 @@ class OneSiteRatio:
     rel_diff: float
 
 
-def one_site_ratio_test(lam, rel_tol=1e-10) -> OneSiteRatio:
+def one_site_ratio_test(lam) -> OneSiteRatio:
     """Compare the spinor-sphere and vector-sphere integrals of e^{-lam n_z}.
 
     LHS: (1/2) * area integral over the unit spinor sphere of e^{-lam n_z(z)},
@@ -550,6 +513,7 @@ def one_site_ratio_test(lam, rel_tol=1e-10) -> OneSiteRatio:
     and the angular directions integrate to (2 pi)^2 exactly.
     RHS: (pi/2) * (1/2) * area integral over the unit vector sphere.
     Both equal pi^2 sinh(lam)/lam; the closed form is returned as reference.
+    Each quadrature must reach a relative error of 1e-10.
     """
     from scipy import integrate
 
@@ -572,9 +536,9 @@ def one_site_ratio_test(lam, rel_tol=1e-10) -> OneSiteRatio:
     rhs = HALF_PI * 0.5 * (2.0 * math.pi) * rhs_1d
     reference = math.pi**2 * (math.sinh(lam) / lam if lam != 0.0 else 1.0)
     achieved = (abs(err_l) + abs(err_r)) / max(abs(reference), 1.0)
-    if achieved > rel_tol:
+    if achieved > 1e-10:
         raise MeasureDomainError(
-            f"one-site quadrature achieved relative error {achieved:.3e} > {rel_tol:.1e}"
+            f"one-site quadrature achieved relative error {achieved:.3e} > 1e-10"
         )
     return OneSiteRatio(lhs, rhs, reference, abs(lhs - rhs) / abs(reference))
 
@@ -601,24 +565,20 @@ class PushforwardKS:
     n_samples: int
     ks_nz: float
     ks_azimuth: float
-    critical: float  # at the 1% level
-
-    @property
-    def passed(self):
-        return self.ks_nz < self.critical and self.ks_azimuth < self.critical
 
 
-def pushforward_uniformity(rng, n_samples=100_000) -> PushforwardKS:
-    """KS statistics of mapped uniform spinors against the uniform sphere.
+def pushforward_uniformity(rng) -> PushforwardKS:
+    """KS statistics of PUSHFORWARD_SAMPLES mapped uniform spinors against the uniform sphere.
 
     n_z must be uniform on [-1, 1] and the azimuth of (n_x, n_y) uniform on
     [0, 2 pi); this is the sampling-measure face of the measure identity.
+    The caller compares the statistics with ks_critical_value at its alpha.
     """
-    n = hopf_map(random_unit(rng, 4, n_samples).view(np.complex128))
+    n = hopf_map(random_unit(rng, 4, PUSHFORWARD_SAMPLES).view(np.complex128))
     ks_nz = _ks_uniform(n[:, 2], -1.0, 2.0)
     azimuth = np.mod(np.arctan2(n[:, 1], n[:, 0]), 2.0 * math.pi)
     ks_az = _ks_uniform(azimuth, 0.0, 2.0 * math.pi)
-    return PushforwardKS(n_samples, ks_nz, ks_az, ks_critical_value(0.01, n_samples))
+    return PushforwardKS(PUSHFORWARD_SAMPLES, ks_nz, ks_az)
 
 
 def random_sphere_points(rng, count, min_q=0.35, max_abs_nz=0.85):

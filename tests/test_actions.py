@@ -218,12 +218,6 @@ def test_marginalization_random_links_match_closed_form():
     assert worst < 1e-8
 
 
-def test_marginalization_rejects_narrow_window():
-    lat = build_lattice([2])
-    with pytest.raises(ActionError):
-        marginalize_gauge_numeric(lat, CP1Field.constant(lat), 0, 0, 1.0, half_width=4)
-
-
 def test_probe_self_check_and_identity():
     rng = np.random.default_rng(6)
     for ndim in (1, 2, 3):

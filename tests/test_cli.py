@@ -135,6 +135,17 @@ def test_unknown_config_key_named(tmp_path, cli_env):
         (["sample", "--seed", "1", {"model": 3}], 2, "model: 3"),
         (["compare", "--dims", "2", "--seed", "1", {"regime": None}], 2, "regime: None"),
         (["sample", "--seed", "1", {"dims": 8}], 2, "dims: 8"),
+        # a tolerance that would make its check meaningless
+        (["verify", "--suite", "pushforward", "--tol", "pushforward=0"], 2,
+         "tolerance pushforward: 0.0"),
+        (["verify", "--suite", "pushforward", "--tol", "pushforward=1.5"], 2,
+         "tolerance pushforward: 1.5"),
+        (["verify", "--suite", "prefactor", "--tol", "prefactor=-1"], 2,
+         "tolerance prefactor: -1.0"),
+        (["verify", "--suite", "jacobian", "--tol", "jacobian=inf"], 2,
+         "tolerance jacobian: inf"),
+        (["compare", "--dims", "2", "--seed", "1", "--tol", "sigma=nan"], 2,
+         "tolerance sigma: nan"),
     ],
 )
 def test_domain_errors_are_one_line(tmp_path, cli_env, args, code, fragment):
