@@ -45,7 +45,7 @@ from .actions import (
 from .errors import O3CP1Error
 from .fields import CP1Field, jacobian_polar, save_field_csv
 from .lattice import build_lattice
-from .mc import LAW, MODELS, jackknife, run_chains, two_site_exact
+from .mc import DELTA_FLOOR, LAW, MODELS, jackknife, run_chains, two_site_exact
 
 CLI_MODELS = MODELS + ("cp1-gauged",)  # plain tag aliases the covariant action
 
@@ -400,10 +400,9 @@ DEFAULT_TOLERANCES = {
     **{name: c.tolerance for name, c in CHECKS.items() if c.tolerance is not None},
     "sigma": 3.0,  # compare gate, in combined standard errors
 }
-EPS_LADDER = (0.1, 0.05, 0.025)
 
 
-def run_check(name, rng, tol=None, eps_ladder=EPS_LADDER) -> dict:
+def run_check(name, rng, tol=None, eps_ladder=measure.EPS_LADDER) -> dict:
     """Report row of check `name` on inputs drawn from `rng`; tol None: its default."""
     check = CHECKS[name]
     row = check.run(rng, check.tolerance if tol is None else tol, eps_ladder)
@@ -415,7 +414,7 @@ def run_verify(pick) -> tuple:
     if suite != "all" and suite not in CHECKS:
         raise UsageError(f"unknown suite {suite!r}; known: all, {', '.join(SUITES)}")
     seed = _parse_number("seed", pick("seed", 0), int)
-    eps_ladder = _parse_eps(pick("eps", EPS_LADDER))
+    eps_ladder = _parse_eps(pick("eps", measure.EPS_LADDER))
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(_parse_tol(pick("tol")))
 
@@ -563,6 +562,11 @@ def run_compare(pick) -> tuple:
         thermalization=therm, processes=threads,
     )
     rows = _comparison_rows(results, n_sigma)
+    frozen = [r.model for r in results if r.delta_pinned == "floor"]
+    if frozen:
+        print(f"warning: proposal width pinned at its floor {DELTA_FLOOR:g} in chains "
+              f"{', '.join(frozen)}: they barely moved, so their error bars mean little",
+              file=sys.stderr)
 
     oracle_rows = []
     if lat.volume == 2:

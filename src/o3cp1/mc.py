@@ -63,6 +63,7 @@ from .actions import (
 from .errors import O3CP1Error
 from .fields import CP1Field, GaugeField, SpinField, hopf_map
 from .lattice import Lattice
+from .measure import _leggauss
 
 # The law of each flavour's n observables: flavours that share a law give
 # identically distributed n, so compare gates exactly those pairs.
@@ -78,6 +79,7 @@ MODELS = tuple(LAW)
 SELF_CHECK_TOL = 1e-9
 TARGET_ACCEPTANCE = 0.5  # proposal tuning aims here during thermalization
 TUNE_WINDOW = 50  # thermalization sweeps per proposal-width adjustment
+DELTA_FLOOR = 1e-4  # tuning keeps the proposal width in [DELTA_FLOOR, _delta_cap(model)]
 
 
 class McError(O3CP1Error, RuntimeError):
@@ -325,6 +327,11 @@ def chain_sweep(state: ChainState) -> float:
     return rate
 
 
+def _delta_cap(model):
+    """Largest proposal width tuning allows: a half-turn cone for o3."""
+    return math.pi if model == "o3" else 4.0
+
+
 def tune_proposal(state: ChainState, acceptance):
     """Multiplicative proposal-width adjustment toward TARGET_ACCEPTANCE.
 
@@ -332,8 +339,7 @@ def tune_proposal(state: ChainState, acceptance):
     thermalization; the driver freezes delta afterwards.
     """
     factor = min(max(acceptance / TARGET_ACCEPTANCE, 0.5), 2.0)
-    cap = math.pi if state.model == "o3" else 4.0
-    state.delta = min(max(state.delta * factor, 1e-4), cap)
+    state.delta = min(max(state.delta * factor, DELTA_FLOOR), _delta_cap(state.model))
     return state.delta
 
 
@@ -395,6 +401,18 @@ class ChainResult:
     series: dict  # name -> ObservableSeries
     state: ChainState = field(repr=False, default=None)
 
+    @property
+    def delta_pinned(self):
+        """The tuning bound the frozen proposal width sits at: "floor", "cap" or None.
+
+        A chain pinned at the floor barely moved: its error bars say nothing.
+        """
+        if self.delta <= DELTA_FLOOR:
+            return "floor"
+        if self.delta >= _delta_cap(self.model):
+            return "cap"
+        return None
+
     def summary(self):
         out = {
             "model": self.model,
@@ -403,6 +421,7 @@ class ChainResult:
             "sweeps": self.sweeps,
             "thermalization": self.thermalization,
             "delta": self.delta,
+            "delta_pinned": self.delta_pinned,
             "acceptance": self.acceptance,
             "observables": {},
         }
@@ -516,18 +535,16 @@ def two_site_exact(model: str, g: float) -> float:
     n(0).n(1) = 2|w|^2 - 1. Gauged flavors share their matter marginal's
     value exactly.
     """
-    from numpy.polynomial.legendre import leggauss
-
     if model not in LAW:
         raise McError(f"no two-site reference for model {model!r}")
     if LAW[model] == "o3":
-        x, wq = leggauss(400)
+        x, wq = _leggauss(400)
         theta = 0.5 * (x + 1.0) * math.pi
         wt = 0.5 * math.pi * wq * np.sin(theta)
         s_vals = 2.0 * pullback_term(np.cos(0.5 * theta)) / g
         weight = wt * np.exp(-(s_vals - s_vals.min()))
         return float(np.sum(weight * np.cos(theta)) / np.sum(weight))
-    x, wq = leggauss(96)
+    x, wq = _leggauss(96)
     rho = 0.5 * (x + 1.0)  # |w| in [0, 1]
     psi = 0.5 * (x + 1.0) * 2.0 * math.pi
     w = np.multiply.outer(rho, np.cos(psi) + 1j * np.sin(psi))

@@ -62,9 +62,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-# scipy is imported inside the functions that use it: it is most of the
-# package's import time, and sampling uses none of it.
-
 from .errors import O3CP1Error
 from .fields import hopf_map, random_unit
 
@@ -93,6 +90,14 @@ PHI_CHUNK = 256
 
 PUSHFORWARD_SAMPLES = 100_000
 
+# The default mollifier ladder, shared by MollifierConfig and verify's --eps.
+EPS_LADDER = (0.1, 0.05, 0.025)
+
+# gauss_legendre_quad compares QUAD_NODES- and 2*QUAD_NODES-point rules per
+# panel and stops at QUAD_MAX_PANELS panels, converged or not.
+QUAD_NODES = 64
+QUAD_MAX_PANELS = 50
+
 
 class MeasureDomainError(O3CP1Error, ValueError):
     """Test point or quadrature configuration outside the supported domain."""
@@ -108,7 +113,7 @@ def mollified_delta(t, eps):
 class MollifierConfig:
     """Gaussian smoothing widths: the ladder of eps values for extrapolation."""
 
-    eps_ladder: tuple = (0.1, 0.05, 0.025)
+    eps_ladder: tuple = EPS_LADDER
 
     def __post_init__(self):
         ladder = tuple(float(e) for e in self.eps_ladder)
@@ -125,6 +130,34 @@ def _leggauss(n):
     x, w = leggauss(n)
     x.flags.writeable = w.flags.writeable = False
     return x, w
+
+
+def gauss_legendre_quad(f, lo, hi, rel_tol):
+    """Adaptive Gauss-Legendre integral of a vectorized f over [lo, hi].
+
+    Each panel is integrated with the QUAD_NODES- and the 2*QUAD_NODES-point
+    rule; the panel whose two values differ most is halved until the summed
+    differences fall to rel_tol times the value, or QUAD_MAX_PANELS panels
+    are in use. Returns (value, error): the sum of the finer values and the
+    summed differences, so a caller that gets error > rel_tol * |value|
+    knows the rule did not converge.
+    """
+    xn, wn = _leggauss(QUAD_NODES)
+    x2, w2 = _leggauss(2 * QUAD_NODES)
+
+    def panel(a, b):
+        half, mid = 0.5 * (b - a), 0.5 * (b + a)
+        fine = half * float(w2 @ f(mid + half * x2))
+        return a, b, fine, abs(fine - half * float(wn @ f(mid + half * xn)))
+
+    panels = [panel(lo, hi)]
+    while True:
+        value = math.fsum(p[2] for p in panels)
+        error = math.fsum(p[3] for p in panels)
+        if error <= rel_tol * abs(value) or len(panels) >= QUAD_MAX_PANELS:
+            return value, error
+        a, b, _, _ = panels.pop(max(range(len(panels)), key=lambda i: panels[i][3]))
+        panels += [panel(a, 0.5 * (a + b)), panel(0.5 * (a + b), b)]
 
 
 def _n_phi(eps, period=2.0 * math.pi):
@@ -515,28 +548,21 @@ def one_site_ratio_test(lam) -> OneSiteRatio:
     Both equal pi^2 sinh(lam)/lam; the closed form is returned as reference.
     Each quadrature must reach a relative error of 1e-10.
     """
-    from scipy import integrate
-
     lam = float(lam)
-    lhs_1d, err_l = integrate.quad(
-        lambda chi: math.cos(chi) * math.sin(chi) * math.exp(-lam * math.cos(2 * chi)),
+    lhs_1d, err_l = gauss_legendre_quad(
+        lambda chi: np.cos(chi) * np.sin(chi) * np.exp(-lam * np.cos(2.0 * chi)),
         0.0,
-        math.pi / 2.0,
-        epsabs=1e-14,
-        epsrel=1e-13,
+        HALF_PI,
+        1e-13,
     )
     lhs = 0.5 * (2.0 * math.pi) ** 2 * lhs_1d
-    rhs_1d, err_r = integrate.quad(
-        lambda t: math.exp(-lam * math.cos(t)) * math.sin(t),
-        0.0,
-        math.pi,
-        epsabs=1e-14,
-        epsrel=1e-13,
+    rhs_1d, err_r = gauss_legendre_quad(
+        lambda t: np.exp(-lam * np.cos(t)) * np.sin(t), 0.0, math.pi, 1e-13
     )
     rhs = HALF_PI * 0.5 * (2.0 * math.pi) * rhs_1d
     reference = math.pi**2 * (math.sinh(lam) / lam if lam != 0.0 else 1.0)
-    achieved = (abs(err_l) + abs(err_r)) / max(abs(reference), 1.0)
-    if achieved > 1e-10:
+    achieved = (err_l + err_r) / max(abs(reference), 1.0)
+    if not achieved <= 1e-10:
         raise MeasureDomainError(
             f"one-site quadrature achieved relative error {achieved:.3e} > 1e-10"
         )
@@ -546,11 +572,49 @@ def one_site_ratio_test(lam) -> OneSiteRatio:
 # --- pushforward uniformity --------------------------------------------------
 
 
-def ks_critical_value(alpha, n_samples) -> float:
-    """Asymptotic Kolmogorov-Smirnov critical value at significance alpha."""
-    from scipy import special
+def _kolmogorov_tails(x):
+    """(Q(x), 1 - Q(x)) for the Kolmogorov survival function Q, each exact to rounding where small.
 
-    return float(special.kolmogi(alpha)) / math.sqrt(n_samples)
+    x >= 1: Q = 2 sum_k (-1)^(k-1) exp(-2 k^2 x^2). x < 1, where that series
+    converges slowly, its theta-function form
+    1 - Q = (sqrt(2 pi) / x) sum_k exp(-(2k-1)^2 pi^2 / (8 x^2)).
+    Twelve terms reach rounding on either side of x = 1.
+    """
+    if x >= 1.0:
+        q = 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * k * k * x * x) for k in range(1, 13))
+        return q, 1.0 - q
+    if x <= 0.0:
+        return 1.0, 0.0
+    p = SQRT_2PI / x * sum(
+        math.exp(-(((2 * k - 1) * math.pi) ** 2) / (8.0 * x * x)) for k in range(1, 13)
+    )
+    return 1.0 - p, p
+
+
+def ks_critical_value(alpha, n_samples) -> float:
+    """Asymptotic Kolmogorov-Smirnov critical value at significance alpha.
+
+    The root x of Q(x) = alpha, found by bisection to machine precision, over
+    sqrt(n_samples). For alpha > 1/2 the root is found from
+    1 - Q(x) = 1 - alpha, so that a small tail is never taken as a
+    difference from 1.
+    """
+    alpha = float(alpha)
+    if not 0.0 < alpha < 1.0:
+        raise MeasureDomainError(f"KS significance level must lie in (0, 1), got {alpha}")
+    upper = alpha <= 0.5
+    target, side = (alpha, 0) if upper else (1.0 - alpha, 1)
+    # the tail minus target changes sign once on [0, 40]: Q(40) underflows to 0
+    lo, hi = 0.0, 40.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if (_kolmogorov_tails(mid)[side] > target) == upper:
+            lo = mid
+        else:
+            hi = mid
+    return mid / math.sqrt(n_samples)
 
 
 def _ks_uniform(x, loc, scale):

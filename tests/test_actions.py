@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from scipy import integrate
+
+from o3cp1 import actions, measure
 from o3cp1.actions import (
     ActionError,
+    QuadratureError,
     AnalyticFieldProbe,
     action_cp1_gauged,
     action_cp1_reduced,
@@ -216,6 +220,30 @@ def test_marginalization_random_links_match_closed_form():
             )
             assert log_gap < 1e-8
     assert worst < 1e-8
+
+
+@pytest.mark.parametrize("g", [0.05, 0.5, 1.0, 2.0, 10.0])
+def test_adaptive_rule_matches_scipy_quad_on_marginalization_integrand(g):
+    span = actions.GAUGE_HALF_WIDTH * math.sqrt(g)
+    for b in (-1.0, -0.3, 0.0, 0.7, 1.0):
+        lo, hi = min(-span, b - span), max(span, b + span)
+        value, error = measure.gauss_legendre_quad(
+            lambda a: np.exp(-(a * a - 2.0 * a * b) / g), lo, hi, 1e-12
+        )
+        ref, _ = integrate.quad(lambda a: math.exp(-(a * a - 2.0 * a * b) / g), lo, hi,
+                                epsabs=0.0, epsrel=1e-13, limit=200)
+        assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert error <= 1e-12 * value
+
+
+def test_marginalization_raises_when_the_rule_does_not_converge(monkeypatch):
+    lat = build_lattice([2])
+    monkeypatch.setattr(actions, "gauss_legendre_quad", lambda f, lo, hi, tol: (1.0, 1e-6))
+    with pytest.raises(QuadratureError):
+        marginalize_gauge_numeric(lat, CP1Field.constant(lat), 0, 0, 1.0)
+    monkeypatch.setattr(actions, "gauss_legendre_quad", lambda *a: (math.nan, math.nan))
+    with pytest.raises(QuadratureError):
+        marginalize_gauge_numeric(lat, CP1Field.constant(lat), 0, 0, 1.0)
 
 
 def test_probe_self_check_and_identity():

@@ -51,6 +51,16 @@ def test_verify_leaves_scipy_stats_unloaded(tmp_path, cli_env):
     assert proc.stdout.splitlines()[-1] == "0 False"
 
 
+def test_verify_leaves_scipy_unloaded(tmp_path, cli_env):
+    # verify's quadratures, erfc and Kolmogorov inverse need no scipy
+    code = ("import sys, o3cp1.cli; code = o3cp1.cli.main(['verify', '--suite', 'all']); "
+            "print(code, 'scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=cli_env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def test_parse_dims_and_eps():
     assert cli._parse_dims("8x8") == [8, 8]
     assert cli._parse_dims("4") == [4]
@@ -279,6 +289,31 @@ def test_compare_two_site_includes_oracle(tmp_path, cli_env):
         assert row["pass"] is True
     csv_head = (tmp_path / "c_series.csv").read_text().splitlines()[0]
     assert csv_head == "chain,sweep,observable,value"
+
+
+def test_compare_names_chains_pinned_at_the_delta_floor(tmp_path, cli_env):
+    # at tiny g every proposal is rejected until tuning clips delta to its floor
+    proc = run_cli(
+        ["compare", "--dims", "2", "--g", "1e-12", "--sweeps", "1000",
+         "--thermalization", "1000", "--seed", "1", "--out-prefix", "frozen"],
+        tmp_path,
+        cli_env,
+    )
+    assert proc.returncode == 1, proc.stderr
+    chains = json.loads((tmp_path / "frozen_report.json").read_text())["chains"]
+    assert [c["delta_pinned"] for c in chains.values()] == ["floor"] * 3
+    warnings = [line for line in proc.stderr.splitlines() if "floor" in line]
+    assert len(warnings) == 1 and all(m in warnings[0] for m in chains)
+    proc = run_cli(
+        ["compare", "--dims", "2", "--g", "1.0", "--sweeps", "1000",
+         "--thermalization", "300", "--seed", "5", "--out-prefix", "moving"],
+        tmp_path,
+        cli_env,
+    )
+    assert proc.returncode in (0, 1), proc.stderr
+    assert "floor" not in proc.stderr
+    chains = json.loads((tmp_path / "moving_report.json").read_text())["chains"]
+    assert all(c["delta_pinned"] != "floor" for c in chains.values())
 
 
 def test_compare_regime_validation(tmp_path, cli_env):

@@ -337,6 +337,34 @@ def test_stage_rejects_singular_locus():
 # --- one-site ratio -------------------------------------------------------------
 
 
+@pytest.mark.parametrize("lam", [0.0, 1.0, 2.5, 10.0])
+def test_adaptive_rule_matches_scipy_quad_on_one_site_integrands(lam):
+    cases = (
+        (lambda chi: math.cos(chi) * math.sin(chi) * math.exp(-lam * math.cos(2 * chi)),
+         0.0, math.pi / 2),
+        (lambda t: math.exp(-lam * math.cos(t)) * math.sin(t), 0.0, math.pi),
+    )
+    for f, lo, hi in cases:
+        value, error = measure.gauss_legendre_quad(np.vectorize(f), lo, hi, 1e-13)
+        ref, _ = integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert error <= 1e-13 * abs(value)
+
+
+def test_adaptive_rule_never_claims_unreached_convergence():
+    # 1/sqrt(x) needs far more halvings toward 0 than the panel limit allows
+    value, error = measure.gauss_legendre_quad(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, 1e-14)
+    assert error > 1e-14 * abs(value)
+    # the estimate has the size of the true error (Q_2n converges slowly here too)
+    assert error / 2.0 < abs(value - 2.0) < 2.0 * error
+
+
+def test_adaptive_rule_nonfinite_integrand_fails_callers_check(monkeypatch):
+    monkeypatch.setattr(measure, "gauss_legendre_quad", lambda *a: (math.nan, math.nan))
+    with pytest.raises(MeasureDomainError):
+        one_site_ratio_test(1.0)
+
+
 def sinh_over_lam_oracle(lam):
     """Independent 1D integral (1/2) int_{-1}^{1} e^{-lam u} du."""
     val, _ = integrate.quad(lambda u: math.exp(-lam * u), -1.0, 1.0, epsabs=1e-14)
@@ -371,6 +399,23 @@ def test_pushforward_uniformity_ks():
     critical = measure.ks_critical_value(0.01, res.n_samples)
     assert res.ks_nz < critical
     assert res.ks_azimuth < critical
+
+
+@pytest.mark.parametrize(
+    "alpha", [1e-300, 1e-12, 1e-6, 0.01, 0.05, 0.5, 0.9, 0.999, 1.0 - 1e-12]
+)
+def test_ks_critical_value_matches_scipy_kolmogi(alpha):
+    from scipy import special
+
+    ref = special.kolmogi(alpha)
+    assert measure.ks_critical_value(alpha, 1) == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert measure.ks_critical_value(alpha, 400) == pytest.approx(ref / 20.0, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, math.nan])
+def test_ks_critical_value_rejects_alpha_outside_unit_interval(alpha):
+    with pytest.raises(MeasureDomainError):
+        measure.ks_critical_value(alpha, 100)
 
 
 @pytest.mark.parametrize("n", [1, 7, 1000])
