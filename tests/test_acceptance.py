@@ -20,11 +20,11 @@ from o3cp1.actions import (
     AnalyticFieldProbe,
     action_cp1_reduced,
     action_o3_pullback,
-    probe_spinor_field,
 )
 from o3cp1.cli import run_check
 from o3cp1.lattice import build_lattice
 from o3cp1.mc import jackknife, run_chains, two_site_exact
+from references import probe_spinor_field
 
 
 def report(number, name, passed, detail):

@@ -18,14 +18,13 @@ from o3cp1.actions import (
     link_overlaps,
     marginalize_gauge_numeric,
     o3_action_density_from_polar,
-    optimal_gauge,
     partition_constants,
     polar_action_density,
     polar_identity_max_violation,
-    probe_spinor_field,
 )
 from o3cp1.fields import CP1Field, GaugeField, SpinField, hopf_map
 from o3cp1.lattice import build_lattice
+from references import optimal_gauge, probe_spinor_field
 
 
 def phase_field(lat, theta):

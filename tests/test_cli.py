@@ -156,6 +156,20 @@ def test_unknown_config_key_named(tmp_path, cli_env):
          "tolerance jacobian: inf"),
         (["compare", "--dims", "2", "--seed", "1", "--tol", "sigma=nan"], 2,
          "tolerance sigma: nan"),
+        # flags go through the same parsers as config-file values
+        (["sample", "--dims", "2", "--seed", "1", "--sweeps", "abc"], 2, "sweeps: 'abc'"),
+        (["sample", "--dims", "2", "--seed", "1", "--sweeps", "30.7"], 2, "sweeps: '30.7'"),
+        (["verify", "--suite", "prefactor", "--seed", "abc"], 2, "seed: 'abc'"),
+        (["sample", "--dims", "2", "--seed", "-1"], 2, "seed: -1"),
+        (["verify", "--suite", "prefactor", "--seed", "-1"], 2, "seed: -1"),
+        (["sample", "--dims", "2", "--seed", "1", "--g", "inf"], 2, "g: inf"),
+        (["sample", "--dims", "2", "--seed", "1", "--delta0", "inf"], 2, "delta0: inf"),
+        (["sample", "--dims", "2", "--seed", "1", "--delta0", "nan"], 2, "delta0: nan"),
+        (["verify", "--suite", "measure-constant", "--eps", "nan,0.05,0.025"], 2, "eps: nan"),
+        (["compare", "--dims", "2", "--seed", "1", "--threads", "0"], 2, "threads: 0"),
+        (["sample", "--dims", "2", "--seed", "1", "--volume", "3"], 2, "--volume"),
+        (["verify", "--config", "missing.json"], 2, "missing.json"),
+        (["verify", "--suite", "prefactor", "--out", "no/such/dir/r.json"], 1, "no/such/dir"),
     ],
 )
 def test_domain_errors_are_one_line(tmp_path, cli_env, args, code, fragment):
@@ -169,6 +183,51 @@ def test_domain_errors_are_one_line(tmp_path, cli_env, args, code, fragment):
             argv.append(arg)
     proc = run_cli(argv, tmp_path, cli_env)
     assert_cli_error(proc, code, fragment)
+
+
+# a valid value of every option, not its default: (flag string, config-file JSON value);
+# a None flag string is a flag that takes no value
+VALID_VALUES = {
+    "suite": ("prefactor", "prefactor"),
+    "eps": ("0.2,0.1", [0.2, 0.1]),
+    "seed": ("12", 12),
+    "tol": ("sigma=4", "sigma=4"),
+    "out": ("r.json", "r.json"),
+    "model": ("cp1-gauged", "cp1-gauged"),
+    "dims": ("4x6", "4x6"),
+    "g": ("0.5", 0.5),
+    "sweeps": ("500", 500),
+    "thermalization": ("7", 7.0),
+    "delta0": ("0.25", 0.25),
+    "self-check": (None, True),
+    "out-prefix": ("run", "run"),
+    "regime": ("both", "both"),
+    "threads": ("2", 2),
+}
+
+
+@pytest.mark.parametrize(
+    "command, name", [(c, n) for c, options in cli.OPTIONS.items() for n in options]
+)
+def test_flag_and_config_file_take_one_path(tmp_path, command, name):
+    # runs no chain: only the parser and the option table
+    flag, file_value = VALID_VALUES[name]
+    seed = ["--seed", "1"] if name != "seed" else []
+    parser = cli.build_parser()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({name: file_value}))
+    from_flag = cli._options(parser.parse_args(
+        [command, *seed, f"--{name}", *([] if flag is None else [flag])]
+    ))
+    from_file = cli._options(parser.parse_args([command, *seed, "--config", str(cfg)]))
+    assert from_flag == from_file
+    assert from_flag[name] != cli.OPTIONS[command][name].default
+
+
+def test_malformed_config_file_is_one_line(tmp_path, cli_env):
+    (tmp_path / "bad.json").write_text("{suite: prefactor}")
+    proc = run_cli(["verify", "--config", "bad.json"], tmp_path, cli_env)
+    assert_cli_error(proc, 2, "bad.json")
 
 
 def test_flags_override_config_file(tmp_path, cli_env):

