@@ -265,34 +265,6 @@ class AnalyticFieldProbe:
         r, s, a, b = self.polar(x)
         return np.stack([r * np.exp(1j * a), s * np.exp(1j * b)], axis=-1)
 
-    def self_check(self, x, h=1e-5, tol=1e-6):
-        """Constraint and derivative consistency at points x.
-
-        The supplied derivative of r^2 + s^2 must vanish; every analytic
-        derivative must match a central finite difference within O(h^2).
-        """
-        x = np.atleast_2d(x)
-        r, s, _, _ = self.polar(x)
-        dr, ds, da, db = self.polar_grad(x)
-        constraint = np.abs(2 * r[:, None] * dr + 2 * s[:, None] * ds).max()
-        if constraint > 1e-12:
-            raise ActionError(f"probe violates d(r^2+s^2) = 0: {constraint:.3e}")
-        worst = 0.0
-        for mu in range(self.ndim):
-            e = np.zeros(self.ndim)
-            e[mu] = h
-            for fun, grad in (
-                (lambda p: np.cos(self.u.value(p)), dr),
-                (lambda p: np.sin(self.u.value(p)), ds),
-                (self.alpha.value, da),
-                (self.beta.value, db),
-            ):
-                fd = (fun(x + e) - fun(x - e)) / (2 * h)
-                worst = max(worst, float(np.abs(fd - grad[:, mu]).max()))
-        if worst > tol:
-            raise ActionError(f"probe derivative mismatch vs central diff: {worst:.3e}")
-        return worst
-
 
 def polar_action_density(probe: AnalyticFieldProbe, x, g):
     """(1/g) sum_mu [ r^2 s^2 (da - db)^2 + dr^2 + ds^2 ] at points x."""

@@ -424,6 +424,15 @@ def _series_rows(result, chain_label=None):
             yield (*lead, sweep, name, repr(value))
 
 
+def _warn_frozen(results):
+    """Name on stderr the chains whose proposal width froze at its floor."""
+    frozen = [r.model for r in results if r.delta_pinned == "floor"]
+    if frozen:
+        print(f"warning: proposal width pinned at its floor {DELTA_FLOOR:g} in chains "
+              f"{', '.join(frozen)}: they barely moved, so their error bars mean little",
+              file=sys.stderr)
+
+
 def run_sample(opts) -> tuple:
     """Run one chain and write its files; opts as from _options."""
     model, prefix = opts["model"], opts["out-prefix"]
@@ -432,12 +441,13 @@ def run_sample(opts) -> tuple:
         thermalization=opts["thermalization"], delta0=opts["delta0"],
         self_check=opts["self-check"],
     )[0]
+    _warn_frozen([result])
     config = {k: opts[k] for k in ("model", "dims", "g", "sweeps", "seed", "delta0")}
     config.update(thermalization=result.thermalization)
     summary = {"command": "sample", "config": config, "chain": result.summary()}
     # final-configuration snapshots for reproducibility checks
     state = result.state
-    save_field_csv(f"{prefix}_field.csv", state.spin if model == "o3" else state.zfield)
+    save_field_csv(f"{prefix}_field.csv", state.matter)
     if state.is_gauged:
         save_field_csv(f"{prefix}_gauge.csv", state.gauge)
     _write_series_csv(f"{prefix}_series.csv", _series_rows(result), ["sweep", "observable", "value"])
@@ -496,11 +506,7 @@ def run_compare(opts) -> tuple:
         thermalization=opts["thermalization"], processes=opts["threads"],
     )
     rows = _comparison_rows(results, n_sigma)
-    frozen = [r.model for r in results if r.delta_pinned == "floor"]
-    if frozen:
-        print(f"warning: proposal width pinned at its floor {DELTA_FLOOR:g} in chains "
-              f"{', '.join(frozen)}: they barely moved, so their error bars mean little",
-              file=sys.stderr)
+    _warn_frozen(results)
 
     oracle_rows = []
     if lat.volume == 2:

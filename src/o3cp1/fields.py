@@ -44,14 +44,13 @@ class SpinField:
     n: np.ndarray
 
     @classmethod
-    def constant(cls, lat: Lattice, vec=(0.0, 0.0, 1.0)):
-        vec = np.asarray(vec, dtype=float)
-        vec = vec / np.linalg.norm(vec)
-        return cls(np.tile(vec, (lat.volume, 1)))
-
-    @classmethod
     def random(cls, lat: Lattice, rng):
         return cls(random_unit(rng, 3, lat.volume))
+
+    @property
+    def rows(self):
+        """The per-site points on S^2: n itself."""
+        return self.n
 
     def check(self, tol=NORM_TOL):
         err = np.abs(np.einsum("ij,ij->i", self.n, self.n) - 1.0).max()
@@ -71,24 +70,15 @@ class CP1Field:
             raise FieldError(f"spinor data needs 4 reals per site, got shape {self.data.shape}")
 
     @classmethod
-    def constant(cls, lat: Lattice, z=(1.0, 0.0)):
-        z = np.asarray(z, dtype=complex)
-        z = z / np.sqrt(np.sum(np.abs(z) ** 2))
-        return cls(np.tile(z.view(np.float64), (lat.volume, 1)))
-
-    @classmethod
     def random(cls, lat: Lattice, rng):
         return cls(random_unit(rng, 4, lat.volume))
-
-    @classmethod
-    def from_complex(cls, z):
-        z = np.ascontiguousarray(np.atleast_2d(z), dtype=complex)
-        return cls(z.view(np.float64))
 
     @property
     def z(self):
         """Complex view of `data`, shape (volume, 2); shares its memory."""
         return self.data.view(np.complex128)
+
+    rows = z  # the per-site points on S^3, as complex spinors
 
     def check(self, tol=NORM_TOL):
         err = np.abs(np.einsum("ij,ij->i", self.data, self.data) - 1.0).max()

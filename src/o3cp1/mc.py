@@ -18,11 +18,18 @@ exp(-(A - A*)^2/g) * exp(-S_matter(z)) with A* = Im z(x)^dag z(x+mu), so the
 gauge field is resampled exactly from its Gaussian conditional
 (mean A*, variance g/2).
 
-Matter updates are single-site Metropolis. A sweep updates the colour
-classes of the lattice in turn, each class vectorized: no two sites of a
-class are neighbours, so their simultaneous updates are independent. On
-lattices with every extent even the classes are the two checkerboard
-parities; with an odd extent there are three (see _colour_classes).
+Matter updates are single-site Metropolis with one proposal for every
+flavour, a Gaussian kick x' = normalize(x + delta * eta) of the site's row:
+a real unit 3-vector for o3, a complex unit spinor (a point of S^3) for the
+others. The law of x' given x depends only on the angle between them, so the
+proposal is symmetric on both spheres. Tuning keeps delta in
+[DELTA_FLOOR, DELTA_CAP] = [1e-4, 4].
+
+A sweep updates the colour classes of the lattice in turn, each class
+vectorized: no two sites of a class are neighbours, so their simultaneous
+updates are independent. On lattices with every extent even the classes are
+the two checkerboard parities; with an odd extent there are three (see
+_colour_classes).
 
 Each class has an index table of its sites' neighbours and, for gauged
 chains, of the links joining them, built once per chain. One kernel,
@@ -34,9 +41,10 @@ path and, after every class, compares the sum of the accepted action
 changes with the change of the full action (total_action, which uses the
 independent references action_o3 and action_cp1_gauged where they apply).
 
-A spinor chain keeps one buffer, CP1Field.data, read and written through its
-complex view CP1Field.z; observables use hopf(z), computed once per
-measurement.
+A chain keeps its matter field in one slot, ChainState.matter: a SpinField
+for o3, else a CP1Field whose one buffer, CP1Field.data, is read and written
+through its complex view CP1Field.z. Both expose the rows the sampler moves
+as .rows. Spinor observables use hopf(z), computed once per measurement.
 
 Reproducibility: a chain's generator is PCG64 seeded from
 SeedSequence(master_seed).spawn(n_chains)[chain_index]; identical
@@ -79,7 +87,8 @@ MODELS = tuple(LAW)
 SELF_CHECK_TOL = 1e-9
 TARGET_ACCEPTANCE = 0.5  # proposal tuning aims here during thermalization
 TUNE_WINDOW = 50  # thermalization sweeps per proposal-width adjustment
-DELTA_FLOOR = 1e-4  # tuning keeps the proposal width in [DELTA_FLOOR, _delta_cap(model)]
+DELTA_FLOOR = 1e-4  # tuning keeps the proposal width in [DELTA_FLOOR, DELTA_CAP]
+DELTA_CAP = 4.0
 
 
 class McError(O3CP1Error, RuntimeError):
@@ -95,8 +104,23 @@ class ObservableSeries:
     bin_size: int = 1
 
 
+def _binned_jackknife(vals, b):
+    bins = vals.reshape(-1, b).mean(axis=1)
+    n_bins = len(bins)
+    leave_one_out = (bins.sum() - bins) / (n_bins - 1)
+    mean = float(bins.mean())
+    err = math.sqrt((n_bins - 1) / n_bins * float(((leave_one_out - mean) ** 2).sum()))
+    return mean, err
+
+
 def jackknife(series: ObservableSeries):
-    """Binned jackknife (mean, standard error); needs >= 20 bins."""
+    """Binned jackknife (mean, standard error); needs >= 20 bins.
+
+    Finite values give a finite error bar: where the sums or squares of values
+    near the float range overflow, the series is scaled by an exact power of
+    two first, so every error bar that was finite without scaling keeps its
+    bits.
+    """
     vals = np.asarray(series.values, dtype=float)
     b = int(series.bin_size)
     if b < 1:
@@ -107,11 +131,13 @@ def jackknife(series: ObservableSeries):
             f"jackknife needs >= 20 bins, got {n_bins} "
             f"({len(vals)} values at bin size {b})"
         )
-    bins = vals[: n_bins * b].reshape(n_bins, b).mean(axis=1)
-    total = bins.sum()
-    leave_one_out = (total - bins) / (n_bins - 1)
-    mean = float(bins.mean())
-    err = math.sqrt((n_bins - 1) / n_bins * float(((leave_one_out - mean) ** 2).sum()))
+    vals = vals[: n_bins * b]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, err = _binned_jackknife(vals, b)
+        if not (math.isfinite(mean) and math.isfinite(err)):
+            e = math.frexp(float(np.abs(vals).max()))[1]
+            mean, err = _binned_jackknife(np.ldexp(vals, -e), b)
+            mean, err = math.ldexp(mean, e), math.ldexp(err, e)
     return mean, err
 
 
@@ -124,8 +150,7 @@ class ChainState:
     g: float
     delta: float
     rng: np.random.Generator
-    spin: SpinField = None
-    zfield: CP1Field = None
+    matter: SpinField | CP1Field  # SpinField for o3, else CP1Field
     gauge: GaugeField = None
     self_check: bool = False
     _classes: tuple = field(default=None, repr=False)  # one _SiteTable per colour class
@@ -140,33 +165,30 @@ def init_chain(lat, model, g, rng, delta=0.5, self_check=False) -> ChainState:
         raise McError(f"unknown model {model!r}; expected one of {MODELS}")
     if not (g > 0):
         raise McError(f"coupling must be positive, got {g}")
+    matter = (SpinField if model == "o3" else CP1Field).random(lat, rng)
     state = ChainState(lat=lat, model=model, g=float(g), delta=float(delta), rng=rng,
-                       self_check=self_check)
-    if model == "o3":
-        state.spin = SpinField.random(lat, rng)
-    else:
-        state.zfield = CP1Field.random(lat, rng)
-        if state.is_gauged:
-            state.gauge = GaugeField.zeros(lat)
-            gibbs_gauge_update(state)
+                       matter=matter, self_check=self_check)
+    if state.is_gauged:
+        state.gauge = GaugeField.zeros(lat)
+        gibbs_gauge_update(state)
     return state
 
 
 def total_action(state: ChainState) -> float:
     """Full action of the current configuration (reference for self-checks)."""
-    lat, g = state.lat, state.g
+    lat, g, matter = state.lat, state.g, state.matter
     if state.model == "o3":
-        return action_o3(lat, state.spin, g)
+        return action_o3(lat, matter, g)
     if state.model == "cp1-pullback":
-        return action_o3_pullback(lat, state.zfield, g)
+        return action_o3_pullback(lat, matter, g)
     if state.model == "cp1-reduced":
-        return action_cp1_reduced(lat, state.zfield, g)
+        return action_cp1_reduced(lat, matter, g)
     if state.model == "cp1-gauged-reduced":
         # per link, (A - A*)^2/g + reduced term equals the covariant action
-        return action_cp1_gauged(lat, state.zfield, state.gauge, g)
-    w = link_overlaps(lat, state.zfield)
+        return action_cp1_gauged(lat, matter, state.gauge, g)
+    w = link_overlaps(lat, matter)
     gauss = float(np.sum(gauge_term(state.gauge.a, w))) / g
-    return gauss + action_o3_pullback(lat, state.zfield, g)
+    return gauss + action_o3_pullback(lat, matter, g)
 
 
 # --- local updates -----------------------------------------------------------
@@ -205,11 +227,11 @@ def _delta_s(state, table, old, new):
     o3, with h the neighbour sum; for spinors the per-link kernels of
     actions.py applied to the overlaps w = z(x)^dag z(y).
     """
+    nbr = state.matter.rows[table.nbr]
     if state.model == "o3":
-        h = state.spin.n[table.nbr].sum(axis=0)
-        return -((new - old) * h).sum(axis=1) / (2.0 * state.g)
+        return -((new - old) * nbr.sum(axis=0)).sum(axis=1) / (2.0 * state.g)
     pair = np.concatenate((new, old)).reshape(2, 1, len(new), 2)
-    w = spinor_overlap(pair, state.zfield.z[table.nbr])  # (2, 2 ndim, k): new, old
+    w = spinor_overlap(pair, nbr)  # (2, 2 ndim, k): new, old
     matter_term = pullback_term if LAW[state.model] == "o3" else reduced_term
     terms = matter_term(w)
     if state.is_gauged:
@@ -218,38 +240,17 @@ def _delta_s(state, table, old, new):
     return (s_new - s_old) / state.g
 
 
-def _propose_spin(state, n_old):
-    """Cone proposal: rotate about a random axis orthogonal to n by U[0, delta]."""
-    k = len(n_old)
-    axis = state.rng.standard_normal((k, 3))
-    axis -= np.einsum("kc,kc->k", axis, n_old)[:, None] * n_old
-    # sqrt of the row sums of squares: np.linalg.norm's arithmetic, minus its overhead
-    norm = np.sqrt((axis * axis).sum(axis=1))
-    while (norm < 1e-12).any():  # rare: drawn vector parallel to n
-        bad = norm < 1e-12
-        axis[bad] = state.rng.standard_normal((int(bad.sum()), 3))
-        axis[bad] -= np.einsum("kc,kc->k", axis[bad], n_old[bad])[:, None] * n_old[bad]
-        norm = np.sqrt((axis * axis).sum(axis=1))
-    axis /= norm[:, None]
-    theta = state.rng.uniform(0.0, state.delta, k)
-    # axis x n_old as np.cross computes it, minus its per-call axis handling
-    (a0, a1, a2), (n0, n1, n2) = axis.T, n_old.T
-    perp = np.empty((k, 3))
-    perp[:, 0] = a1 * n2 - a2 * n1
-    perp[:, 1] = a2 * n0 - a0 * n2
-    perp[:, 2] = a0 * n1 - a1 * n0
-    n_new = np.cos(theta)[:, None] * n_old + np.sin(theta)[:, None] * perp
-    n_new /= np.sqrt((n_new * n_new).sum(axis=1, keepdims=True))
-    return n_new
+def _propose(state, old):
+    """Gaussian kick, renormalized: x' = normalize(x + delta * eta), row by row.
 
-
-def _propose_z(state, z_old):
-    """Additive Gaussian kick, renormalized: z' = normalize(z + delta * eta)."""
-    k = len(z_old)
-    eta = state.rng.standard_normal((k, 4))
-    z_new = z_old + state.delta * (eta[:, 0::2] + 1j * eta[:, 1::2])
-    z_new /= np.sqrt((np.abs(z_new) ** 2).sum(axis=1, keepdims=True))
-    return z_new
+    Rows are real unit 3-vectors (S^2) or complex unit spinors (S^3, eta with
+    independent standard normal real and imaginary parts). The law of x'
+    given x depends only on the angle between them: the proposal is symmetric.
+    """
+    eta = state.rng.standard_normal(old.view(np.float64).shape).view(old.dtype)
+    new = old + state.delta * eta
+    new /= np.sqrt((np.abs(new) ** 2).sum(axis=1, keepdims=True))
+    return new
 
 
 def _update_batch(state, table):
@@ -259,12 +260,9 @@ def _update_batch(state, table):
     full-action difference across the batch.
     """
     before = total_action(state) if state.self_check else None
-    if state.model == "o3":
-        buf, propose = state.spin.n, _propose_spin
-    else:
-        buf, propose = state.zfield.z, _propose_z
+    buf = state.matter.rows
     old = buf[table.sites]
-    new = propose(state, old)
+    new = _propose(state, old)
     ds = _delta_s(state, table, old, new)
     accept = state.rng.uniform(size=len(ds)) < np.exp(np.minimum(-ds, 0.0))
     buf[table.sites[accept]] = new[accept]
@@ -314,7 +312,7 @@ def gibbs_gauge_update(state: ChainState):
     """Resample every link exactly from its Gaussian conditional N(A*, g/2)."""
     if not state.is_gauged:
         raise McError(f"gauge update requires a gauged model, got {state.model}")
-    astar = link_overlaps(state.lat, state.zfield).imag
+    astar = link_overlaps(state.lat, state.matter).imag
     noise = state.rng.standard_normal(astar.shape)
     state.gauge.a[:] = astar + math.sqrt(state.g / 2.0) * noise
 
@@ -327,11 +325,6 @@ def chain_sweep(state: ChainState) -> float:
     return rate
 
 
-def _delta_cap(model):
-    """Largest proposal width tuning allows: a half-turn cone for o3."""
-    return math.pi if model == "o3" else 4.0
-
-
 def tune_proposal(state: ChainState, acceptance):
     """Multiplicative proposal-width adjustment toward TARGET_ACCEPTANCE.
 
@@ -339,7 +332,7 @@ def tune_proposal(state: ChainState, acceptance):
     thermalization; the driver freezes delta afterwards.
     """
     factor = min(max(acceptance / TARGET_ACCEPTANCE, 0.5), 2.0)
-    state.delta = min(max(state.delta * factor, DELTA_FLOOR), _delta_cap(state.model))
+    state.delta = min(max(state.delta * factor, DELTA_FLOOR), DELTA_CAP)
     return state.delta
 
 
@@ -348,7 +341,7 @@ def tune_proposal(state: ChainState, acceptance):
 
 def spin_view(state: ChainState) -> np.ndarray:
     """The unit-vector field the chain induces: n itself or hopf(z)."""
-    return state.spin.n if state.model == "o3" else hopf_map(state.zfield)
+    return state.matter.n if state.model == "o3" else hopf_map(state.matter)
 
 
 def _shift_indices(lat: Lattice, rvec):
@@ -409,7 +402,7 @@ class ChainResult:
         """
         if self.delta <= DELTA_FLOOR:
             return "floor"
-        if self.delta >= _delta_cap(self.model):
+        if self.delta >= DELTA_CAP:
             return "cap"
         return None
 

@@ -24,25 +24,32 @@ from o3cp1.actions import (
 )
 from o3cp1.fields import CP1Field, GaugeField, SpinField, hopf_map
 from o3cp1.lattice import build_lattice
-from references import optimal_gauge, probe_spinor_field
+from references import (
+    constant_spin_field,
+    constant_spinor_field,
+    optimal_gauge,
+    probe_self_check,
+    probe_spinor_field,
+    spinor_field,
+)
 
 
 def phase_field(lat, theta):
     """z(x) = (e^{i theta(x)}, 0)."""
     z = np.stack([np.exp(1j * theta), np.zeros_like(theta, dtype=complex)], axis=-1)
-    return CP1Field.from_complex(z)
+    return spinor_field(z)
 
 
 def test_coupling_validation():
     with pytest.raises(ActionError):
-        action_o3(build_lattice([2]), SpinField.constant(build_lattice([2])), -1.0)
+        action_o3(build_lattice([2]), constant_spin_field(build_lattice([2])), -1.0)
 
 
 def test_action_o3_constant_zero():
     for dims in ([4], [3, 3], [2, 2, 2]):
         lat = build_lattice(dims)
         for g in (0.5, 1.0, 2.0):
-            assert action_o3(lat, SpinField.constant(lat), g) == 0.0
+            assert action_o3(lat, constant_spin_field(lat), g) == 0.0
 
 
 def test_action_o3_two_site_antipodal():
@@ -69,7 +76,7 @@ def test_action_o3_refinement_to_continuum():
 
 def test_action_o3_rejects_unnormalized():
     lat = build_lattice([4])
-    spin = SpinField.constant(lat)
+    spin = constant_spin_field(lat)
     spin.n[1] *= 2.0
     with pytest.raises(Exception):
         action_o3(lat, spin, 1.0)
@@ -97,7 +104,7 @@ def test_action_o3_rotation_invariance():
 
 def test_action_gauged_constant_and_single_link():
     lat = build_lattice([6])
-    zf = CP1Field.constant(lat)
+    zf = constant_spinor_field(lat)
     assert action_cp1_gauged(lat, zf, GaugeField.zeros(lat), 1.0) == 0.0
     gauge = GaugeField.zeros(lat)
     gauge.a[2, 0] = 0.37
@@ -116,9 +123,9 @@ def test_reduced_phase_winding_per_link():
 def test_reduced_constant_zero_and_global_phase_invariance():
     rng = np.random.default_rng(1)
     lat = build_lattice([3, 3])
-    assert action_cp1_reduced(lat, CP1Field.constant(lat), 2.0) == 0.0
+    assert action_cp1_reduced(lat, constant_spinor_field(lat), 2.0) == 0.0
     zf = CP1Field.random(lat, rng)
-    rotated = CP1Field.from_complex(np.exp(1j * 0.83) * zf.z)
+    rotated = spinor_field(np.exp(1j * 0.83) * zf.z)
     assert action_cp1_reduced(lat, rotated, 1.3) == pytest.approx(
         action_cp1_reduced(lat, zf, 1.3), abs=1e-12
     )
@@ -126,7 +133,7 @@ def test_reduced_constant_zero_and_global_phase_invariance():
 
 def test_optimal_gauge_constant_and_phase_field():
     lat = build_lattice([6])
-    assert np.all(optimal_gauge(lat, CP1Field.constant(lat)).a == 0.0)
+    assert np.all(optimal_gauge(lat, constant_spinor_field(lat)).a == 0.0)
     theta = np.array([0.0, 0.4, 1.1, 1.9, 3.0, 4.6])
     zf = phase_field(lat, theta)
     astar = optimal_gauge(lat, zf).a[:, 0]
@@ -182,7 +189,7 @@ def test_optimal_gauge_is_strict_minimum():
 
 def test_marginalization_trivial_values():
     lat = build_lattice([6])
-    zc = CP1Field.constant(lat)
+    zc = constant_spinor_field(lat)
     assert marginalize_gauge_numeric(lat, zc, 0, 0, 1.0).value == pytest.approx(
         math.sqrt(math.pi), rel=1e-12
     )
@@ -196,7 +203,7 @@ def test_marginalization_known_overlap():
     lat = build_lattice([2])
     b = 0.3
     z = np.array([[1.0, 0.0], [1j * b + math.sqrt(1 - b * b), 0.0]], dtype=complex)
-    zf = CP1Field.from_complex(z)
+    zf = spinor_field(z)
     res = marginalize_gauge_numeric(lat, zf, 0, 0, 1.0)
     assert res.value == pytest.approx(math.sqrt(math.pi) * math.exp(0.09), rel=1e-10)
     assert res.tail_bound < 1e-14 * res.value
@@ -239,10 +246,10 @@ def test_marginalization_raises_when_the_rule_does_not_converge(monkeypatch):
     lat = build_lattice([2])
     monkeypatch.setattr(actions, "gauss_legendre_quad", lambda f, lo, hi, tol: (1.0, 1e-6))
     with pytest.raises(QuadratureError):
-        marginalize_gauge_numeric(lat, CP1Field.constant(lat), 0, 0, 1.0)
+        marginalize_gauge_numeric(lat, constant_spinor_field(lat), 0, 0, 1.0)
     monkeypatch.setattr(actions, "gauss_legendre_quad", lambda *a: (math.nan, math.nan))
     with pytest.raises(QuadratureError):
-        marginalize_gauge_numeric(lat, CP1Field.constant(lat), 0, 0, 1.0)
+        marginalize_gauge_numeric(lat, constant_spinor_field(lat), 0, 0, 1.0)
 
 
 def test_probe_self_check_and_identity():
@@ -250,7 +257,7 @@ def test_probe_self_check_and_identity():
     for ndim in (1, 2, 3):
         probe = AnalyticFieldProbe.random(rng, ndim=ndim)
         x = rng.uniform(0, 1, (40, ndim))
-        probe.self_check(x)
+        probe_self_check(probe, x)
         assert polar_identity_max_violation(probe, x, g=0.8) < 1e-10
 
 

@@ -373,6 +373,38 @@ def test_compare_names_chains_pinned_at_the_delta_floor(tmp_path, cli_env):
     assert "floor" not in proc.stderr
     chains = json.loads((tmp_path / "moving_report.json").read_text())["chains"]
     assert all(c["delta_pinned"] != "floor" for c in chains.values())
+    # sample names its one chain through the same warning
+    for g, prefix in (("1e-12", "frozen"), ("1.0", "moving")):
+        proc = run_cli(
+            ["sample", "--model", "cp1-pullback", "--dims", "2", "--g", g, "--sweeps", "1000",
+             "--thermalization", "1000", "--seed", "1", "--out-prefix", prefix],
+            tmp_path,
+            cli_env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        chain = json.loads((tmp_path / f"{prefix}_summary.json").read_text())["chain"]
+        warnings = [line for line in proc.stderr.splitlines() if "floor" in line]
+        if prefix == "frozen":
+            assert chain["delta_pinned"] == "floor"
+            assert len(warnings) == 1 and "cp1-pullback" in warnings[0]
+        else:
+            assert chain["delta_pinned"] != "floor" and not warnings
+
+
+def test_sample_at_a_tiny_coupling_has_finite_error_bars(tmp_path, cli_env):
+    # energy = ndim (1 - corr_r1) / 2g is near 1e297 here: its deviations
+    # overflow when squared unless the jackknife rescales
+    proc = run_cli(
+        ["sample", "--dims", "2", "--seed", "1", "--g", "1e-300", "--sweeps", "200",
+         "--thermalization", "10", "--out-prefix", "tiny"],
+        tmp_path,
+        cli_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    observables = json.loads((tmp_path / "tiny_summary.json").read_text())["chain"]["observables"]
+    assert observables["energy"]["error"] is not None
+    assert all(o["error"] is not None for o in observables.values())
 
 
 def test_compare_regime_validation(tmp_path, cli_env):

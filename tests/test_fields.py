@@ -16,6 +16,7 @@ from o3cp1.fields import (
     save_field_csv,
 )
 from o3cp1.lattice import build_lattice
+from references import constant_spin_field, constant_spinor_field
 
 # phases are undefined on the polar chart when r or s vanishes
 DEGENERATE_TOL = 1e-12
@@ -229,12 +230,12 @@ def test_pushforward_mean_nz():
 
 def test_field_normalization_checks():
     lat = build_lattice([4])
-    spin = SpinField.constant(lat)
+    spin = constant_spin_field(lat)
     spin.check()
     spin.n[0] *= 1.5
     with pytest.raises(FieldError):
         spin.check()
-    zf = CP1Field.constant(lat)
+    zf = constant_spinor_field(lat)
     zf.check()
     zf.data[0] *= 1.5
     with pytest.raises(FieldError):

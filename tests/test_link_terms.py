@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from o3cp1.actions import gauge_term, pullback_term, reduced_term, spinor_overlap
 from o3cp1.fields import PAULI, CP1Field, FieldError
 from o3cp1.lattice import build_lattice
+from references import constant_spinor_field
 
 _coord = st.floats(-1.0, 1.0, allow_nan=False)
 _raw = st.tuples(_coord, _coord, _coord, _coord).filter(
@@ -57,7 +58,7 @@ def test_pullback_identity(z, zp):
 
 
 def test_complex_view_shares_the_buffer():
-    zf = CP1Field.constant(build_lattice([3]))
+    zf = constant_spinor_field(build_lattice([3]))
     zf.z[1] = [0.6j, -0.8]
     assert list(zf.data[1]) == [0.0, 0.6, -0.8, 0.0]
     zf.data[2] = [0.0, 0.0, 0.0, 1.0]

@@ -1,11 +1,12 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from o3cp1 import mc
-from o3cp1.fields import CP1Field, SpinField
+from o3cp1.fields import SpinField
 from o3cp1.lattice import Lattice, build_lattice
 from o3cp1.mc import (
     MODELS,
@@ -22,6 +23,7 @@ from o3cp1.mc import (
     tune_proposal,
     two_site_exact,
 )
+from references import constant_spin_field, constant_spinor_field, optimal_gauge
 
 
 def rng_of(seed):
@@ -48,6 +50,23 @@ def test_jackknife_alternating_series():
 def test_jackknife_requires_bins():
     with pytest.raises(McError):
         jackknife(ObservableSeries("x", np.arange(30.0), bin_size=2))
+
+
+def test_jackknife_is_finite_near_the_float_range():
+    # deviations of values near 1e301 overflow when squared: the error bar
+    # must still come out finite, without a warning, and equal to the error
+    # bar of the same series scaled down by an exact power of two
+    small = rng_of(17).standard_normal(200) + 1024.0
+    big = np.ldexp(small, 990)
+    extreme = np.tile([1.7e308, -1.7e308], 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = jackknife(ObservableSeries("small", small, bin_size=4))
+        assert jackknife(ObservableSeries("big", big, bin_size=4)) == tuple(
+            math.ldexp(x, 990) for x in scaled
+        )
+        mean, err = jackknife(ObservableSeries("extreme", extreme, bin_size=1))
+    assert mean == 0.0 and math.isfinite(err) and err > 1e307
 
 
 def test_jackknife_ar1_oracle():
@@ -116,11 +135,10 @@ def test_zero_width_proposal_is_identity():
     lat = build_lattice([4, 4])
     for model in ("o3", "cp1-reduced"):
         state = init_chain(lat, model, 1.0, rng_of(1), delta=0.0)
-        before = (state.spin.n if model == "o3" else state.zfield.data).copy()
+        before = state.matter.rows.copy()
         rate = metropolis_sweep(state)
-        after = state.spin.n if model == "o3" else state.zfield.data
         assert rate == 1.0
-        assert np.array_equal(before, after)
+        assert np.array_equal(before, state.matter.rows)
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -138,12 +156,11 @@ def test_delta_s_matches_full_action_difference(model):
     for dims in ([2], [4, 4], [2, 2, 2]):
         lat = build_lattice(dims)
         state = init_chain(lat, model, 0.7, rng_of(15), delta=1.5)
-        buf, propose = ((state.spin.n, mc._propose_spin) if model == "o3"
-                        else (state.zfield.z, mc._propose_z))
+        buf = state.matter.rows
         for site in range(lat.volume):
             table = mc._site_table(state, np.array([site]))
             old = buf[table.sites]
-            new = propose(state, old)
+            new = mc._propose(state, old)
             ds = mc._delta_s(state, table, old, new)
             before = mc.total_action(state)
             buf[site] = new[0]
@@ -184,7 +201,7 @@ def test_serial_and_vectorized_paths_agree_statistically():
             vals = []
             for _ in range(3000):
                 sweep(state)
-                n = state.spin.n
+                n = state.matter.n
                 vals.append(float((n * n[lat.fwd(0)]).sum()) / lat.volume)
             means.append((np.mean(vals), np.std(vals) / math.sqrt(len(vals) / 20)))
         gap = abs(means[0][0] - means[1][0])
@@ -198,7 +215,7 @@ def test_gibbs_moments_constant_z():
     lat = build_lattice([10, 10])
     g = 1.3
     state = init_chain(lat, "cp1-gauged-reduced", g, rng_of(4))
-    state.zfield = CP1Field.constant(lat)
+    state.matter = constant_spinor_field(lat)
     samples = []
     for _ in range(500):
         gibbs_gauge_update(state)
@@ -210,13 +227,11 @@ def test_gibbs_moments_constant_z():
 
 
 def test_gibbs_collapses_to_optimal_gauge_at_small_g():
-    from references import optimal_gauge
-
     lat = build_lattice([4, 4])
     g = 1e-12
     state = init_chain(lat, "cp1-gauged-reduced", g, rng_of(5))
     gibbs_gauge_update(state)
-    astar = optimal_gauge(lat, state.zfield).a
+    astar = optimal_gauge(lat, state.matter).a
     assert np.abs(state.gauge.a - astar).max() < 1e-5
 
 
@@ -270,7 +285,7 @@ def test_correlator_zero_separation_is_one():
 def test_correlator_rejects_long_separation():
     lat = build_lattice([4, 4])
     with pytest.raises(McError):
-        correlator(lat, [SpinField.constant(lat).n], [3, 0])
+        correlator(lat, [constant_spin_field(lat).n], [3, 0])
 
 
 def test_correlator_decoupled_sites():
@@ -302,6 +317,15 @@ def test_tune_proposal_monotone():
     state.delta = 0.5
     down = tune_proposal(state, acceptance=0.1)
     assert down < 0.5
+
+
+@pytest.mark.parametrize("model", ["o3", "cp1-reduced"])
+def test_tuning_on_a_flat_target_stops_at_the_cap(model):
+    # at g = 1e6 every proposal is accepted, so each window doubles delta
+    res = run_chain(build_lattice([4, 4]), model, 1e6, 100, np.random.SeedSequence(16),
+                    thermalization=10 * mc.TUNE_WINDOW)
+    assert res.delta == mc.DELTA_CAP
+    assert res.delta_pinned == "cap"
 
 
 def test_delta_frozen_without_thermalization():
@@ -364,9 +388,10 @@ def test_two_site_sampler_matches_quadrature_quick():
 
 # --- one-site external-weight systems -------------------------------------------------
 #
-# A single spin (or spinor) with weight exp(-lam * n_z): both samplers must
-# reproduce <n_z> = -(coth(lam) - 1/lam), the moment of the uniform
-# distribution of n_z on [-1, 1] tilted by the weight. For the spinor this is
+# A single spin (or spinor) with weight exp(-lam * n_z): Metropolis with the
+# proposal on S^2 rows and on S^3 rows must both reproduce
+# <n_z> = -(coth(lam) - 1/lam), the moment of the uniform distribution of n_z
+# on [-1, 1] tilted by the weight. For the spinor this is
 # the sampling-measure face of the spinor-to-vector equivalence.
 
 
@@ -374,41 +399,25 @@ def langevin_moment(lam):
     return -(1.0 / math.tanh(lam) - 1.0 / lam)
 
 
-def test_one_site_external_weight_spin_sampler():
-    rng = rng_of(12)
+@pytest.mark.parametrize("seed, row, n_z", [
+    (12, [[0.0, 0.0, 1.0]], lambda n: n[0, 2]),
+    (13, [[1.0 + 0.0j, 0.0j]], lambda z: abs(z[0, 0]) ** 2 - abs(z[0, 1]) ** 2),
+], ids=["S2", "S3"])
+def test_one_site_external_weight_sampler(seed, row, n_z):
+    rng = rng_of(seed)
     state = SimpleNamespace(rng=rng, delta=1.2)
     lam = 1.0
-    n = np.array([[0.0, 0.0, 1.0]])
+    x = np.array(row)
     total, count = 0.0, 0
     for i in range(40_000):
-        new = mc._propose_spin(state, n)
-        ds = lam * (new[0, 2] - n[0, 2])
+        new = mc._propose(state, x)
+        ds = lam * (n_z(new) - n_z(x))
         if rng.uniform() < math.exp(min(-ds, 0.0)):
-            n = new
+            x = new
         if i >= 4000:
-            total += n[0, 2]
+            total += n_z(x)
             count += 1
     sigma = math.sqrt(0.25 / count) * 5  # generous band for autocorrelation
-    assert abs(total / count - langevin_moment(lam)) < 5 * sigma
-
-
-def test_one_site_external_weight_spinor_sampler():
-    rng = rng_of(13)
-    state = SimpleNamespace(rng=rng, delta=1.2)
-    lam = 1.0
-    z = np.array([[1.0 + 0.0j, 0.0j]])
-    total, count = 0.0, 0
-    for i in range(40_000):
-        new = mc._propose_z(state, z)
-        nz_old = abs(z[0, 0]) ** 2 - abs(z[0, 1]) ** 2
-        nz_new = abs(new[0, 0]) ** 2 - abs(new[0, 1]) ** 2
-        ds = lam * (nz_new - nz_old)
-        if rng.uniform() < math.exp(min(-ds, 0.0)):
-            z = new
-        if i >= 4000:
-            total += abs(z[0, 0]) ** 2 - abs(z[0, 1]) ** 2
-            count += 1
-    sigma = math.sqrt(0.25 / count) * 5
     assert abs(total / count - langevin_moment(lam)) < 5 * sigma
 
 
