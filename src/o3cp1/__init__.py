@@ -21,7 +21,6 @@ from .fields import (
 )
 from .lattice import Lattice, build_lattice
 from .measure import (
-    MollifierConfig,
     measure_lhs,
     one_site_ratio_test,
     pushforward_uniformity,
@@ -30,7 +29,6 @@ from .measure import (
 )
 from .mc import (
     ChainState,
-    ObservableSeries,
     gibbs_gauge_update,
     init_chain,
     jackknife,

@@ -13,7 +13,10 @@ sample   runs one Monte Carlo chain and writes the observable series as CSV
          plus a JSON summary.
 compare  runs chains of different models at the same coupling and gates the
          observables of each pair of chains that share a law (mc.LAW) at a
-         combined-sigma threshold.
+         combined-sigma threshold, and on two sites each chain's corr_r1
+         against its quadrature. comparison_rows and oracle_rows build both
+         tables from the chains' estimates through one gate, _gate;
+         acceptance tests c09 and c10 call them too.
 
 One table, OPTIONS, declares each option of each command once: its parser
 (with the value's bounds), default and help. An option is the flag --NAME or
@@ -46,7 +49,7 @@ from .actions import (
 from .errors import O3CP1Error
 from .fields import CP1Field, jacobian_polar, save_field_csv
 from .lattice import build_lattice
-from .mc import DELTA_FLOOR, LAW, MODELS, jackknife, run_chains, two_site_exact
+from .mc import DELTA_FLOOR, LAW, MODELS, run_chains, two_site_exact
 
 CLI_MODELS = MODELS + ("cp1-gauged",)  # plain tag aliases the covariant action
 
@@ -117,13 +120,15 @@ def _parse_dims(text):
 
 
 def _parse_eps(text):
-    """Mollifier widths: a comma-separated string or a JSON list, each finite and > 0."""
+    """Mollifier widths, comma-separated or a JSON list: finite, > 0 and strictly decreasing."""
     parts = text.split(",") if isinstance(text, str) else text
     if not isinstance(parts, list):
         raise _invalid("eps", text, "comma-separated widths or a list of them")
     vals = [_number("eps", float, 0, strict=True)(v) for v in parts if v != ""]
     if not vals:
         raise _invalid("eps", text, "at least one width")
+    if any(b >= a for a, b in zip(vals, vals[1:])):
+        raise _invalid("eps", text, "strictly decreasing")
     return vals
 
 
@@ -272,8 +277,7 @@ def _check_one_site_ratio(rng, tol, eps_ladder):
 
 def _check_measure_constant(rng, tol, eps_ladder):
     points = measure.random_sphere_points(rng, 10)
-    mol = measure.MollifierConfig(eps_ladder=tuple(eps_ladder))
-    est = measure.verify_constant_c(points, mol)
+    est = measure.verify_constant_c(points, eps_ladder)
     diagnostics = {
         "spread": est.spread,
         "measured_order": est.measured_order,
@@ -420,7 +424,7 @@ def _series_rows(result, chain_label=None):
     """Yield the series CSV rows of one chain, led by chain_label if given."""
     lead = () if chain_label is None else (chain_label,)
     for name in sorted(result.series):
-        for sweep, value in enumerate(result.series[name].values.tolist()):
+        for sweep, value in enumerate(result.series[name].tolist()):
             yield (*lead, sweep, name, repr(value))
 
 
@@ -455,27 +459,27 @@ def run_sample(opts) -> tuple:
     return summary, 0
 
 
-def _comparison_rows(results, n_sigma):
+def _gate(diff, sigma, n_sigma):
+    """(|diff| / sigma, whether it is <= n_sigma); a zero sigma passes only diff == 0."""
+    if sigma > 0:
+        ns = abs(diff) / sigma
+        return ns, ns <= n_sigma
+    return (float("inf") if diff else 0.0), diff == 0.0
+
+
+def comparison_rows(results, n_sigma):
     """Pairwise observable comparison; chains that share a law must agree within n_sigma."""
     rows = []
-    names = sorted(results[0].series)
-    stats = {
-        r.model: {name: jackknife(r.series[name]) for name in names} for r in results
-    }
+    names = sorted(results[0].estimates)
     for i, ra in enumerate(results):
         for rb in results[i + 1 :]:
             gated = LAW[ra.model] == LAW[rb.model]
             for name in names:
-                mean_a, err_a = stats[ra.model][name]
-                mean_b, err_b = stats[rb.model][name]
+                mean_a, err_a = ra.estimates[name]
+                mean_b, err_b = rb.estimates[name]
                 combined = math.hypot(err_a, err_b)
                 diff = mean_a - mean_b
-                if combined > 0:
-                    ns = abs(diff) / combined
-                    ok = ns <= n_sigma
-                else:
-                    ns = float("inf") if diff else 0.0
-                    ok = diff == 0.0
+                ns, ok = _gate(diff, combined, n_sigma)
                 rows.append(
                     {
                         "observable": name,
@@ -495,6 +499,27 @@ def _comparison_rows(results, n_sigma):
     return rows
 
 
+def oracle_rows(results, g, n_sigma):
+    """Two-site chains against their quadrature: corr_r1 must match within n_sigma."""
+    rows = []
+    for r in results:
+        mean, err = r.estimates["corr_r1"]
+        exact_val = two_site_exact(r.model, g)
+        ns, ok = _gate(mean - exact_val, err, n_sigma)
+        rows.append(
+            {
+                "chain": r.model,
+                "observable": "corr_r1",
+                "mean": mean,
+                "error": err,
+                "reference": exact_val,
+                "n_sigma": ns,
+                "pass": ok,
+            }
+        )
+    return rows
+
+
 def run_compare(opts) -> tuple:
     """Run the regime's chains, gate them and write the files; opts as from _options."""
     g, prefix = opts["g"], opts["out-prefix"]
@@ -505,30 +530,12 @@ def run_compare(opts) -> tuple:
         lat, REGIMES[opts["regime"]], g, opts["sweeps"], master_seed=opts["seed"],
         thermalization=opts["thermalization"], processes=opts["threads"],
     )
-    rows = _comparison_rows(results, n_sigma)
+    rows = comparison_rows(results, n_sigma)
     _warn_frozen(results)
-
-    oracle_rows = []
-    if lat.volume == 2:
-        for r in results:
-            mean, err = jackknife(r.series["corr_r1"])
-            exact_val = two_site_exact(r.model, g)
-            ns = abs(mean - exact_val) / err if err > 0 else float("inf")
-            oracle_rows.append(
-                {
-                    "chain": r.model,
-                    "observable": "corr_r1",
-                    "mean": mean,
-                    "error": err,
-                    "reference": exact_val,
-                    "n_sigma": ns,
-                    "pass": ns <= n_sigma,
-                }
-            )
+    oracle = oracle_rows(results, g, n_sigma) if lat.volume == 2 else []
 
     gated_ok = all(row["pass"] for row in rows if row["gated"])
-    oracle_ok = all(row["pass"] for row in oracle_rows)
-    passed = gated_ok and oracle_ok
+    passed = gated_ok and all(row["pass"] for row in oracle)
     config = {k: opts[k] for k in ("dims", "g", "sweeps", "seed", "regime", "threads")}
     config.update(thermalization=results[0].thermalization, n_sigma=n_sigma)
     report = {
@@ -536,7 +543,7 @@ def run_compare(opts) -> tuple:
         "config": config,
         "chains": {r.model: r.summary() for r in results},
         "comparisons": rows,
-        "two_site_oracle": oracle_rows,
+        "two_site_oracle": oracle,
         "passed": passed,
     }
     csv_rows = itertools.chain.from_iterable(

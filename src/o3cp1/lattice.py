@@ -6,6 +6,7 @@ quantities are in lattice units. Instances are immutable after construction
 and safe to share between chains.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,9 +38,12 @@ class Lattice:
                 raise LatticeError(f"every dim must be >= 2, got {d} in {dims}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "ndim", len(dims))
-        object.__setattr__(self, "volume", int(np.prod(dims)))
+        object.__setattr__(self, "volume", math.prod(dims))
         object.__setattr__(self, "n_links", self.volume * self.ndim)
-        object.__setattr__(self, "neighbors", self._build_neighbors())
+        try:
+            object.__setattr__(self, "neighbors", self._build_neighbors())
+        except (ValueError, MemoryError) as exc:  # numpy refuses tables this large
+            raise LatticeError(f"lattice of {self.volume} sites is too large: {exc}") from None
 
     def _build_neighbors(self):
         coords = self.site_coords(np.arange(self.volume))  # (volume, ndim)

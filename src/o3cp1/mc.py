@@ -46,6 +46,9 @@ for o3, else a CP1Field whose one buffer, CP1Field.data, is read and written
 through its complex view CP1Field.z. Both expose the rows the sampler moves
 as .rows. Spinor observables use hopf(z), computed once per measurement.
 
+ChainResult.estimates holds each observable's jackknife (mean, error),
+computed once on first use: the one place error bars are computed.
+
 Reproducibility: a chain's generator is PCG64 seeded from
 SeedSequence(master_seed).spawn(n_chains)[chain_index]; identical
 configuration and master seed reproduce identical series bit for bit.
@@ -53,6 +56,7 @@ configuration and master seed reproduce identical series bit for bit.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -95,15 +99,6 @@ class McError(O3CP1Error, RuntimeError):
     """Sampling-contract violation (bad model tag, self-check failure, ...)."""
 
 
-@dataclass
-class ObservableSeries:
-    """Tagged Monte Carlo series with binning metadata."""
-
-    name: str
-    values: np.ndarray
-    bin_size: int = 1
-
-
 def _binned_jackknife(vals, b):
     bins = vals.reshape(-1, b).mean(axis=1)
     n_bins = len(bins)
@@ -113,16 +108,16 @@ def _binned_jackknife(vals, b):
     return mean, err
 
 
-def jackknife(series: ObservableSeries):
-    """Binned jackknife (mean, standard error); needs >= 20 bins.
+def jackknife(values, bin_size):
+    """Binned jackknife (mean, standard error) of a series; needs >= 20 bins.
 
     Finite values give a finite error bar: where the sums or squares of values
     near the float range overflow, the series is scaled by an exact power of
     two first, so every error bar that was finite without scaling keeps its
     bits.
     """
-    vals = np.asarray(series.values, dtype=float)
-    b = int(series.bin_size)
+    vals = np.asarray(values, dtype=float)
+    b = int(bin_size)
     if b < 1:
         raise McError(f"bin size must be >= 1, got {b}")
     n_bins = len(vals) // b
@@ -391,8 +386,14 @@ class ChainResult:
     thermalization: int
     delta: float
     acceptance: float
-    series: dict  # name -> ObservableSeries
+    series: dict  # name -> values, one per measured sweep
+    bin_size: int  # the jackknife bin of every observable
     state: ChainState = field(repr=False, default=None)
+
+    @cached_property
+    def estimates(self):
+        """name -> jackknife (mean, error); McError with fewer than 20 bins."""
+        return {name: jackknife(values, self.bin_size) for name, values in self.series.items()}
 
     @property
     def delta_pinned(self):
@@ -418,15 +419,16 @@ class ChainResult:
             "acceptance": self.acceptance,
             "observables": {},
         }
-        for name, series in sorted(self.series.items()):
-            bins = int(len(series.values) // series.bin_size)
-            entry = {"bins": bins, "bin_size": series.bin_size}
-            try:
-                entry["mean"], entry["error"] = jackknife(series)
-            except McError:
-                entry["mean"] = float(np.mean(series.values))
-                entry["error"] = None  # too few bins for a jackknife error bar
-            out["observables"][name] = entry
+        try:
+            estimates = self.estimates
+        except McError:  # too few bins for a jackknife error bar
+            estimates = {name: (float(np.mean(v)), None) for name, v in self.series.items()}
+        for name, values in sorted(self.series.items()):
+            mean, error = estimates[name]
+            out["observables"][name] = {
+                "bins": len(values) // self.bin_size, "bin_size": self.bin_size,
+                "mean": mean, "error": error,
+            }
         return out
 
 
@@ -468,11 +470,6 @@ def run_chain(
     for i in range(sweeps):
         acc += chain_sweep(state)
         data[i] = measurer.measure(spin_view(state))
-    bin_size = max(1, sweeps // 50)
-    series = {
-        name: ObservableSeries(name, data[:, j].copy(), bin_size=bin_size)
-        for j, name in enumerate(names)
-    }
     return ChainResult(
         model=model,
         dims=lat.dims,
@@ -481,7 +478,8 @@ def run_chain(
         thermalization=therm,
         delta=state.delta,
         acceptance=acc / sweeps,
-        series=series,
+        series={name: data[:, j].copy() for j, name in enumerate(names)},
+        bin_size=max(1, sweeps // 50),
         state=state,
     )
 

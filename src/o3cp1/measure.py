@@ -90,7 +90,7 @@ PHI_CHUNK = 256
 
 PUSHFORWARD_SAMPLES = 100_000
 
-# The default mollifier ladder, shared by MollifierConfig and verify's --eps.
+# The default mollifier ladder, shared by verify_constant_c and verify's --eps.
 EPS_LADDER = (0.1, 0.05, 0.025)
 
 # gauss_legendre_quad compares QUAD_NODES- and 2*QUAD_NODES-point rules per
@@ -107,21 +107,6 @@ def mollified_delta(t, eps):
     """Gaussian nascent delta of width eps."""
     t = np.asarray(t, dtype=float)
     return np.exp(-t * t / (2.0 * eps * eps)) / (eps * SQRT_2PI)
-
-
-@dataclass(frozen=True)
-class MollifierConfig:
-    """Gaussian smoothing widths: the ladder of eps values for extrapolation."""
-
-    eps_ladder: tuple = EPS_LADDER
-
-    def __post_init__(self):
-        ladder = tuple(float(e) for e in self.eps_ladder)
-        if any(e <= 0 for e in ladder):
-            raise MeasureDomainError("eps ladder entries must be positive")
-        if any(b >= a for a, b in zip(ladder, ladder[1:])):
-            raise MeasureDomainError(f"eps ladder must be strictly decreasing: {ladder}")
-        object.__setattr__(self, "eps_ladder", ladder)
 
 
 def _legendre(n, x):
@@ -310,12 +295,14 @@ class ConstantEstimate:
         return bool(within and self.converged and not self.biased)
 
 
-def verify_constant_c(points, mollifier: MollifierConfig = MollifierConfig()) -> ConstantEstimate:
+def verify_constant_c(points, eps_ladder=EPS_LADDER) -> ConstantEstimate:
     """Extract the measure constant from pointwise ratios over the eps ladder.
 
-    Requires at least 10 on-sphere test points. With fewer than 3 ladder
-    widths the estimate is returned flagged as biased (no extrapolation is
-    possible); non-monotone ladder convergence is flagged as not converged.
+    Requires at least 10 on-sphere test points and an eps_ladder of positive,
+    strictly decreasing widths (the rule verify's --eps parser enforces). With
+    fewer than 3 ladder widths the estimate is returned flagged as biased (no
+    extrapolation is possible); non-monotone ladder convergence is flagged as
+    not converged.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] < 10 or points.shape[1] != 3:
@@ -323,7 +310,7 @@ def verify_constant_c(points, mollifier: MollifierConfig = MollifierConfig()) ->
     off = np.abs(np.linalg.norm(points, axis=1) - 1.0).max()
     if off > 1e-9:
         raise MeasureDomainError(f"test points must lie on the unit sphere ({off:.2e} off)")
-    ladder = mollifier.eps_ladder
+    ladder = tuple(eps_ladder)
     ratios = np.empty((points.shape[0], len(ladder)))
     for i, p in enumerate(points):
         for j, eps in enumerate(ladder):

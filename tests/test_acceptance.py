@@ -3,7 +3,8 @@
 Run as `pytest tests/test_acceptance.py -v` (add -s to see the summary lines
 inline). Every tolerance is fixed here, not configurable. Criteria 1-7 run the
 checks of the `verify` registry (`o3cp1.cli.CHECKS`) through `run_check`, each
-on its own pinned generator.
+on its own pinned generator. Criteria 9 and 10 gate their chains with the rows
+`compare` builds, `oracle_rows` and `comparison_rows`.
 """
 
 import math
@@ -21,9 +22,9 @@ from o3cp1.actions import (
     action_cp1_reduced,
     action_o3_pullback,
 )
-from o3cp1.cli import run_check
+from o3cp1.cli import comparison_rows, oracle_rows, run_check
 from o3cp1.lattice import build_lattice
-from o3cp1.mc import jackknife, run_chains, two_site_exact
+from o3cp1.mc import run_chains
 from references import probe_spinor_field
 
 
@@ -158,18 +159,12 @@ def test_c09_two_site_sampler_exactness():
     models = ["o3", "cp1-pullback", "cp1-reduced", "cp1-gauged-reduced"]
     results = run_chains(lat, models, 1.0, 100_000, master_seed=109,
                          thermalization=5000, processes=2)
-    ok = True
-    details = []
-    for res in results:
-        mean, err = jackknife(res.series["corr_r1"])
-        exact = two_site_exact(res.model, 1.0)
-        n_sigma = abs(mean - exact) / err
-        ok = ok and n_sigma <= 3.0
-        details.append(f"{res.model} {n_sigma:.1f}s")
+    rows = oracle_rows(results, 1.0, 3.0)
+    details = [f"{row['chain']} {row['n_sigma']:.1f}s" for row in rows]
     elapsed = time.time() - t0
     report(
         9, "two-site-exactness",
-        ok and elapsed < 60.0,
+        all(row["pass"] for row in rows) and elapsed < 60.0,
         f"{'; '.join(details)} (gate 3 sigma), {elapsed:.0f}s (<60s)",
     )
 
@@ -179,22 +174,12 @@ def test_c10_cross_model_equivalence():
     lat = build_lattice([8, 8])
     models = ["o3", "cp1-pullback", "cp1-gauged-pullback"]
     results = run_chains(lat, models, 1.0, 50_000, master_seed=110, processes=2)
-    names = ["energy"] + [f"corr_r{r}" for r in (1, 2, 3, 4)]
-    stats = {r.model: {n: jackknife(r.series[n]) for n in names} for r in results}
-    worst = 0.0
-    ok = True
-    for i, ma in enumerate(models):
-        for mb in models[i + 1:]:
-            for name in names:
-                mean_a, err_a = stats[ma][name]
-                mean_b, err_b = stats[mb][name]
-                n_sigma = abs(mean_a - mean_b) / math.hypot(err_a, err_b)
-                worst = max(worst, n_sigma)
-                ok = ok and n_sigma <= 3.0
+    rows = comparison_rows(results, 3.0)  # every pair shares the o3 law: all gated
+    worst = max(row["n_sigma"] for row in rows)
     elapsed = time.time() - t0
     report(
         10, "cross-model",
-        ok and elapsed < 300.0,
+        all(row["pass"] for row in rows) and elapsed < 300.0,
         f"worst deviation {worst:.2f} sigma (gate 3) over energy + corr r=1..4, "
         f"{elapsed:.0f}s (<300s)",
     )

@@ -1,11 +1,14 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 from o3cp1 import cli
+from o3cp1.mc import two_site_exact
 
 
 def run_cli(args, cwd, env):
@@ -120,7 +123,7 @@ def test_unknown_config_key_named(tmp_path, cli_env):
 @pytest.mark.parametrize(
     "args, code, fragment",
     [
-        (["verify", "--suite", "measure-constant", "--eps", "0.1,0.1"], 1,
+        (["verify", "--suite", "measure-constant", "--eps", "0.1,0.1"], 2,
          "strictly decreasing"),
         (["sample", "--dims", "2", "--seed", "1", "--sweeps", "0"], 2, "sweeps"),
         (["sample", "--dims", "2", "--seed", "1", "--sweeps", "-1"], 2, "sweeps"),
@@ -170,6 +173,14 @@ def test_unknown_config_key_named(tmp_path, cli_env):
         (["sample", "--dims", "2", "--seed", "1", "--volume", "3"], 2, "--volume"),
         (["verify", "--config", "missing.json"], 2, "missing.json"),
         (["verify", "--suite", "prefactor", "--out", "no/such/dir/r.json"], 1, "no/such/dir"),
+        # the eps ladder rule holds for every suite, from a flag or a config file
+        (["verify", "--suite", "prefactor", "--eps", "0.05,0.1"], 2, "strictly decreasing"),
+        (["verify", "--suite", "prefactor", {"eps": [0.1, 0.1]}], 2, "strictly decreasing"),
+        # lattices whose tables numpy refuses outright: nothing is allocated
+        (["sample", "--dims", "4294967296x4294967296", "--seed", "1"], 1,
+         "18446744073709551616 sites"),
+        (["sample", "--dims", "3000000000x3000000000", "--seed", "1"], 1,
+         "9000000000000000000 sites"),
     ],
 )
 def test_domain_errors_are_one_line(tmp_path, cli_env, args, code, fragment):
@@ -441,6 +452,67 @@ def test_compare_refuses_error_bars_with_too_few_bins(tmp_path, cli_env):
         cli_env,
     )
     assert_cli_error(proc, 1, "bins")
+
+
+def test_sample_with_too_few_bins_reports_null_errors(tmp_path, cli_env):
+    # 10 sweeps make 10 bins of one sweep: means, but no jackknife error bars
+    proc = run_cli(
+        ["sample", "--dims", "2", "--sweeps", "10", "--thermalization", "5", "--seed", "3",
+         "--out-prefix", "few"],
+        tmp_path,
+        cli_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    observables = load_strict_json(tmp_path / "few_summary.json")["chain"]["observables"]
+    assert observables
+    for entry in observables.values():
+        assert math.isfinite(entry["mean"])
+        assert entry["error"] is None
+        assert entry["bins"] == 10
+
+
+def chain(model, mean, error):
+    """A stand-in chain result with one corr_r1 estimate."""
+    return SimpleNamespace(model=model, estimates={"corr_r1": (mean, error)})
+
+
+def test_one_gate_for_pair_rows_and_oracle_rows():
+    # a zero sigma passes only a zero difference, in pair rows and oracle rows alike
+    exact = two_site_exact("o3", 1.0)
+    on, off = chain("o3", exact, 0.0), chain("cp1-pullback", exact + 1e-3, 0.0)
+    [row] = cli.comparison_rows([on, chain("cp1-pullback", exact, 0.0)], 3.0)
+    assert (row["n_sigma"], row["pass"]) == (0.0, True)
+    [row] = cli.comparison_rows([on, off], 3.0)
+    assert (row["n_sigma"], row["pass"]) == (math.inf, False)
+    rows = cli.oracle_rows([on, off], 1.0, 3.0)
+    assert [(r["n_sigma"], r["pass"]) for r in rows] == [(0.0, True), (math.inf, False)]
+    # a nonzero sigma passes up to n_sigma inclusive
+    pair = [chain("o3", 1.0, 0.0), chain("cp1-pullback", 0.25, 0.25)]
+    assert [r["pass"] for r in cli.comparison_rows(pair, 3.0)] == [True]
+    assert [r["pass"] for r in cli.comparison_rows(pair, 2.9)] == [False]
+
+
+def test_acceptance_c09_c10_gate_through_the_cli_rows(monkeypatch, capsys):
+    # c09 and c10 report the rows oracle_rows and comparison_rows build, not copies
+    import test_acceptance as acceptance
+
+    calls = []
+
+    def fake_rows(n_sigma):
+        def rows(results, *args):
+            calls.append((results, args))
+            return [{"chain": "stand-in", "n_sigma": n_sigma, "pass": True}]
+        return rows
+
+    monkeypatch.setattr(acceptance, "run_chains", lambda *args, **kwargs: ["chains"])
+    monkeypatch.setattr(acceptance, "oracle_rows", fake_rows(1.3))
+    monkeypatch.setattr(acceptance, "comparison_rows", fake_rows(2.5))
+    acceptance.test_c09_two_site_sampler_exactness()
+    acceptance.test_c10_cross_model_equivalence()
+    out = capsys.readouterr().out
+    assert "stand-in 1.3s (gate 3 sigma)" in out
+    assert "worst deviation 2.50 sigma (gate 3)" in out
+    assert calls == [(["chains"], (1.0, 3.0)), (["chains"], (3.0,))]
 
 
 def test_verify_coarse_single_width_flagged(tmp_path, cli_env):

@@ -21,6 +21,14 @@ def test_build_rejects_bad_dims():
         build_lattice([0])
 
 
+def test_build_rejects_tables_numpy_cannot_allocate():
+    # the volume is exact, not wrapped around in int64 (2**64 wrapped gives 0);
+    # numpy refuses both index tables outright, so nothing is allocated
+    for dims, volume in (([2**32, 2**32], 2**64), ([3_000_000_000] * 2, 9 * 10**18)):
+        with pytest.raises(LatticeError, match=f"{volume} sites"):
+            build_lattice(dims)
+
+
 def test_neighbor_examples():
     lat = build_lattice([4])
     assert lat.neighbor(3, 0, +1) == 0

@@ -11,7 +11,6 @@ from o3cp1.lattice import Lattice, build_lattice
 from o3cp1.mc import (
     MODELS,
     McError,
-    ObservableSeries,
     _shift_indices,
     chain_sweep,
     gibbs_gauge_update,
@@ -34,22 +33,20 @@ def rng_of(seed):
 
 
 def test_jackknife_constant_series():
-    series = ObservableSeries("c", np.full(200, 3.7), bin_size=5)
-    mean, err = jackknife(series)
+    mean, err = jackknife(np.full(200, 3.7), 5)
     assert mean == pytest.approx(3.7, abs=1e-14)
     assert err == pytest.approx(0.0, abs=1e-14)
 
 
 def test_jackknife_alternating_series():
-    series = ObservableSeries("alt", np.tile([1.0, -1.0], 50), bin_size=2)
-    mean, err = jackknife(series)
+    mean, err = jackknife(np.tile([1.0, -1.0], 50), 2)
     assert mean == 0.0
     assert err == 0.0
 
 
 def test_jackknife_requires_bins():
     with pytest.raises(McError):
-        jackknife(ObservableSeries("x", np.arange(30.0), bin_size=2))
+        jackknife(np.arange(30.0), 2)
 
 
 def test_jackknife_is_finite_near_the_float_range():
@@ -61,11 +58,9 @@ def test_jackknife_is_finite_near_the_float_range():
     extreme = np.tile([1.7e308, -1.7e308], 50)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        scaled = jackknife(ObservableSeries("small", small, bin_size=4))
-        assert jackknife(ObservableSeries("big", big, bin_size=4)) == tuple(
-            math.ldexp(x, 990) for x in scaled
-        )
-        mean, err = jackknife(ObservableSeries("extreme", extreme, bin_size=1))
+        scaled = jackknife(small, 4)
+        assert jackknife(big, 4) == tuple(math.ldexp(x, 990) for x in scaled)
+        mean, err = jackknife(extreme, 1)
     assert mean == 0.0 and math.isfinite(err) and err > 1e307
 
 
@@ -82,7 +77,7 @@ def test_jackknife_ar1_oracle():
     tau_int = (1 + phi) / (2 * (1 - phi))  # about 2.8
     analytic = math.sqrt((1 + phi) / (1 - phi) / n)
     bin_size = int(40 * tau_int)  # comfortably above 5 tau
-    _, err = jackknife(ObservableSeries("ar1", x, bin_size=bin_size))
+    _, err = jackknife(x, bin_size)
     assert abs(err - analytic) / analytic < 0.25
 
 
@@ -248,7 +243,7 @@ def test_gauged_marginal_matches_reduced_chain():
         lat, ["cp1-reduced", "cp1-gauged-reduced"], 1.0, 20_000,
         master_seed=77, thermalization=2000,
     )
-    stats = [jackknife(r.series["corr_r1"]) for r in results]
+    stats = [r.estimates["corr_r1"] for r in results]
     gap = abs(stats[0][0] - stats[1][0])
     assert gap <= 3 * math.hypot(stats[0][1], stats[1][1])
 
@@ -256,7 +251,7 @@ def test_gauged_marginal_matches_reduced_chain():
 # --- observables ----------------------------------------------------------------
 
 
-def correlator(lat: Lattice, snapshots, rvec) -> ObservableSeries:
+def correlator(lat: Lattice, snapshots, rvec) -> np.ndarray:
     """Translation-averaged <n(x) . n(x+r)> per snapshot for separation vector r.
 
     Components of r beyond half the lattice extent are rejected (the periodic
@@ -267,19 +262,16 @@ def correlator(lat: Lattice, snapshots, rvec) -> ObservableSeries:
         if abs(int(r)) > d // 2:
             raise McError(f"separation {r} along direction {mu} exceeds {d}//2")
     idx = _shift_indices(lat, rvec)
-    vals = np.array(
+    return np.array(
         [float(np.einsum("ij,ij->", n, n[idx])) / lat.volume for n in snapshots]
     )
-    name = "corr_" + "x".join(str(int(r)) for r in rvec)
-    return ObservableSeries(name, vals)
 
 
 def test_correlator_zero_separation_is_one():
     lat = build_lattice([4, 4])
     rng = rng_of(7)
     snaps = [SpinField.random(lat, rng).n for _ in range(5)]
-    series = correlator(lat, snaps, [0, 0])
-    assert np.allclose(series.values, 1.0, atol=1e-12)
+    assert np.allclose(correlator(lat, snaps, [0, 0]), 1.0, atol=1e-12)
 
 
 def test_correlator_rejects_long_separation():
@@ -291,7 +283,7 @@ def test_correlator_rejects_long_separation():
 def test_correlator_decoupled_sites():
     lat = build_lattice([4, 4])
     res = run_chain(lat, "o3", 1e6, 2000, np.random.SeedSequence(8), thermalization=500)
-    mean, err = jackknife(res.series["corr_r1"])
+    mean, err = res.estimates["corr_r1"]
     assert abs(mean) < max(3 * err, 0.02)
 
 
@@ -299,8 +291,8 @@ def test_correlator_matches_measurer_on_snapshots():
     lat = build_lattice([4, 4])
     rng = rng_of(9)
     snaps = [SpinField.random(lat, rng).n for _ in range(3)]
-    s_axis0 = correlator(lat, snaps, [1, 0]).values
-    s_axis1 = correlator(lat, snaps, [0, 1]).values
+    s_axis0 = correlator(lat, snaps, [1, 0])
+    s_axis1 = correlator(lat, snaps, [0, 1])
     meas = mc._Measurer(lat, 1.0, 2)
     rows = np.array([meas.measure(n) for n in snaps])
     assert np.allclose(rows[:, 1], (s_axis0 + s_axis1) / 2, atol=1e-12)
@@ -346,7 +338,7 @@ def test_seed_determinism():
                    thermalization=200)
     for ra, rb in zip(a, b):
         for name in ra.series:
-            assert np.array_equal(ra.series[name].values, rb.series[name].values)
+            assert np.array_equal(ra.series[name], rb.series[name])
 
 
 # --- small-system exactness -----------------------------------------------------------
@@ -382,7 +374,7 @@ def test_two_site_sampler_matches_quadrature_quick():
     for model in ("o3", "cp1-reduced"):
         res = run_chain(lat, model, 1.0, 20_000, np.random.SeedSequence(5),
                         thermalization=2000)
-        mean, err = jackknife(res.series["corr_r1"])
+        mean, err = res.estimates["corr_r1"]
         assert abs(mean - two_site_exact(model, 1.0)) <= 3 * err
 
 

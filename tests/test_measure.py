@@ -9,7 +9,6 @@ from o3cp1.measure import (
     HALF_PI,
     STAGE_LADDER,
     MeasureDomainError,
-    MollifierConfig,
     _as_point,
     constant_ratio,
     identity_rhs_smoothed,
@@ -77,14 +76,6 @@ def measure_lhs_cartesian(n, eps, steps_per_eps=3.0, window_sigmas=10.0) -> floa
 
 
 # --- tests --------------------------------------------------------------------------
-
-
-def test_mollifier_config_validation():
-    MollifierConfig(eps_ladder=(0.1, 0.05))
-    with pytest.raises(MeasureDomainError):
-        MollifierConfig(eps_ladder=(0.05, 0.1))
-    with pytest.raises(MeasureDomainError):
-        MollifierConfig(eps_ladder=(0.1, 0.1))
 
 
 def test_on_sphere_ratio_is_half_pi():
@@ -246,7 +237,7 @@ def test_verify_constant_rotated_points():
 def test_verify_constant_single_width_is_biased():
     rng = np.random.default_rng(15)
     points = random_sphere_points(rng, 10)
-    est = verify_constant_c(points, MollifierConfig(eps_ladder=(0.5,)))
+    est = verify_constant_c(points, (0.5,))
     assert est.biased
     assert not est.passes()
     assert "biased" in est.notes
