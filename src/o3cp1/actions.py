@@ -63,7 +63,7 @@ def action_o3(lat: Lattice, spin: SpinField, g) -> float:
     n = spin.n
     total = 0.0
     for mu in range(lat.ndim):
-        d = n[lat.fwd(mu)] - n
+        d = n.take(lat.fwd(mu), axis=0) - n
         total += float(np.einsum("ij,ij->", d, d))
     return total / (4.0 * g)
 
@@ -78,7 +78,7 @@ def link_overlaps(lat: Lattice, zf: CP1Field):
     z = zf.z
     w = np.empty((lat.volume, lat.ndim), dtype=complex)
     for mu in range(lat.ndim):
-        w[:, mu] = spinor_overlap(z, z[lat.fwd(mu)])
+        w[:, mu] = spinor_overlap(z, z.take(lat.fwd(mu), axis=0))
     return w
 
 
@@ -105,7 +105,7 @@ def action_cp1_gauged(lat: Lattice, zf: CP1Field, gauge: GaugeField, g) -> float
     z = zf.z
     total = 0.0
     for mu in range(lat.ndim):
-        cov = z[lat.fwd(mu)] - z - 1j * gauge.a[:, mu, None] * z
+        cov = z.take(lat.fwd(mu), axis=0) - z - 1j * gauge.a[:, mu, None] * z
         total += float(np.sum(np.abs(cov) ** 2))
     return total / g
 

@@ -49,7 +49,7 @@ from .actions import (
 from .errors import O3CP1Error
 from .fields import CP1Field, jacobian_polar, save_field_csv
 from .lattice import build_lattice
-from .mc import DELTA_FLOOR, LAW, MODELS, run_chains, two_site_exact
+from .mc import DELTA_FLOOR, LAW, MODELS, chain_bin_size, count_bins, run_chains, two_site_exact
 
 CLI_MODELS = MODELS + ("cp1-gauged",)  # plain tag aliases the covariant action
 
@@ -526,6 +526,7 @@ def run_compare(opts) -> tuple:
     n_sigma = dict(DEFAULT_TOLERANCES, **opts["tol"])["sigma"]
 
     lat = build_lattice(opts["dims"])
+    count_bins(opts["sweeps"], chain_bin_size(opts["sweeps"]))  # refuse before sampling
     results = run_chains(
         lat, REGIMES[opts["regime"]], g, opts["sweeps"], master_seed=opts["seed"],
         thermalization=opts["thermalization"], processes=opts["threads"],

@@ -13,7 +13,6 @@ Conventions: standard Pauli matrices, so n = z^dag sigma z has components
 for z = (r e^{i alpha}, s e^{i beta}).
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,38 +143,34 @@ def random_unit(rng, dim, size=None):
 
 
 # --- snapshot files -------------------------------------------------------
-#
-# CSV column order is part of the CLI reproducibility contract:
-#   spin:   site, nx, ny, nz
-#   cp1:    site, re1, im1, re2, im2
-#   gauge:  site, mu, a
 
+# CSV column order is part of the CLI reproducibility contract
 _HEADERS = {
     "spin": ["site", "nx", "ny", "nz"],
     "cp1": ["site", "re1", "im1", "re2", "im2"],
     "gauge": ["site", "mu", "a"],
 }
+CSV_CHUNK_ROWS = 8192
 
 
 def save_field_csv(path, field):
-    """Dump a field to CSV with full float precision, writing one row at a time."""
+    """Dump a field to CSV with full float precision, CSV_CHUNK_ROWS rows at a time.
+
+    The bytes are csv.writer's (excel dialect: CRLF line ends, no field quoted).
+    """
     if isinstance(field, SpinField):
-        kind = "spin"
-        rows = ((i, *map(repr, row.tolist())) for i, row in enumerate(field.n))
+        kind, values = "spin", field.n
     elif isinstance(field, CP1Field):
-        kind = "cp1"
-        rows = ((i, *map(repr, row.tolist())) for i, row in enumerate(field.data))
+        kind, values = "cp1", field.data
     elif isinstance(field, GaugeField):
-        kind = "gauge"
-        rows = (
-            (i, mu, repr(a))
-            for i, row in enumerate(field.a)
-            for mu, a in enumerate(row.tolist())
-        )
+        kind, values = "gauge", field.a.reshape(-1, 1)  # one row per link
     else:
         raise FieldError(f"cannot save field of type {type(field).__name__}")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_HEADERS[kind])
-        writer.writerows(rows)
-
+        fh.write(",".join(_HEADERS[kind]) + "\r\n")
+        for start in range(0, len(values), CSV_CHUNK_ROWS):
+            block = values[start : start + CSV_CHUNK_ROWS]
+            rows = np.arange(start, start + len(block))
+            lead = divmod(rows, field.a.shape[1]) if kind == "gauge" else (rows,)  # site[, mu]
+            cols = [map(str, c.tolist()) for c in lead] + [map(repr, c) for c in block.T.tolist()]
+            fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")

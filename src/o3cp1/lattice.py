@@ -26,7 +26,8 @@ class Lattice:
     volume: int = field(init=False)
     ndim: int = field(init=False)
     n_links: int = field(init=False)
-    # neighbors[site, mu, 0] = forward neighbor, [site, mu, 1] = backward
+    # neighbors[0, mu, site] = forward neighbor, [1, mu, site] = backward: each
+    # (direction, sign) table is one contiguous row, so gathers need no copy
     neighbors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -46,13 +47,11 @@ class Lattice:
             raise LatticeError(f"lattice of {self.volume} sites is too large: {exc}") from None
 
     def _build_neighbors(self):
-        coords = self.site_coords(np.arange(self.volume))  # (volume, ndim)
-        nbr = np.empty((self.volume, self.ndim, 2), dtype=np.int64)
+        grid = np.arange(self.volume).reshape(self.dims[::-1])  # axis ndim-1-mu is x_mu
+        nbr = np.empty((2, self.ndim, self.volume), dtype=np.int64)
         for mu in range(self.ndim):
-            for k, shift in enumerate((+1, -1)):
-                c = coords.copy()
-                c[:, mu] = (c[:, mu] + shift) % self.dims[mu]
-                nbr[:, mu, k] = self.coord_index(c)
+            for k, roll in enumerate((-1, +1)):  # rolling by -1 brings site x + mu to x
+                nbr[k, mu] = np.roll(grid, roll, axis=self.ndim - 1 - mu).ravel()
         nbr.setflags(write=False)
         return nbr
 
@@ -85,13 +84,13 @@ class Lattice:
         site = int(site)
         if not (0 <= site < self.volume):
             raise LatticeError(f"site {site} out of range for volume {self.volume}")
-        return int(self.neighbors[site, mu, 0 if sign > 0 else 1])
+        return int(self.neighbors[0 if sign > 0 else 1, mu, site])
 
     def fwd(self, mu):
-        """Array of forward-neighbor indices for every site along mu."""
+        """Contiguous array of forward-neighbor indices for every site along mu."""
         if not (0 <= mu < self.ndim):
             raise LatticeError(f"direction {mu} out of range for ndim {self.ndim}")
-        return self.neighbors[:, mu, 0]
+        return self.neighbors[0, mu]
 
 
 def build_lattice(dims) -> Lattice:

@@ -32,14 +32,17 @@ the two checkerboard parities; with an odd extent there are three (see
 _colour_classes).
 
 Each class has an index table of its sites' neighbours and, for gauged
-chains, of the links joining them, built once per chain. One kernel,
-_delta_s, gathers the neighbours once and takes the action change of the
-proposed and the current value from that gather: -(n' - n).h / 2g for o3,
-with h the neighbour sum, and for spinors the per-link kernels of actions.py
-applied to the overlaps with the neighbours. Self-check mode runs the same
-path and, after every class, compares the sum of the accepted action
-changes with the change of the full action (total_action, which uses the
-independent references action_o3 and action_cp1_gauged where they apply).
+chains, of the links joining them, built once per chain. Every per-site
+gather is ndarray.take over a contiguous index table, and the accept
+write-back goes through compress: the values of fancy indexing, with less
+memory traffic. One kernel, _delta_s, gathers the neighbours once and takes
+the action change of the proposed and the current value from that gather:
+-(n' - n).h / 2g for o3, with h the neighbour sum, and for spinors the
+per-link kernels of actions.py applied to the overlaps with the neighbours.
+Self-check mode runs the same path and, after every class, compares the sum
+of the accepted action changes with the change of the full action
+(total_action, which uses the independent references action_o3 and
+action_cp1_gauged where they apply).
 
 A chain keeps its matter field in one slot, ChainState.matter: a SpinField
 for o3, else a CP1Field whose one buffer, CP1Field.data, is read and written
@@ -108,6 +111,24 @@ def _binned_jackknife(vals, b):
     return mean, err
 
 
+def chain_bin_size(sweeps):
+    """Jackknife bin of a chain of `sweeps` measured sweeps: 50 bins of at least one sweep."""
+    return max(1, sweeps // 50)
+
+
+def count_bins(n_values, bin_size):
+    """Whole bins of n_values values at bin_size; McError below the jackknife's 20."""
+    b = int(bin_size)
+    if b < 1:
+        raise McError(f"bin size must be >= 1, got {b}")
+    n_bins = n_values // b
+    if n_bins < 20:
+        raise McError(
+            f"jackknife needs >= 20 bins, got {n_bins} ({n_values} values at bin size {b})"
+        )
+    return n_bins
+
+
 def jackknife(values, bin_size):
     """Binned jackknife (mean, standard error) of a series; needs >= 20 bins.
 
@@ -118,15 +139,7 @@ def jackknife(values, bin_size):
     """
     vals = np.asarray(values, dtype=float)
     b = int(bin_size)
-    if b < 1:
-        raise McError(f"bin size must be >= 1, got {b}")
-    n_bins = len(vals) // b
-    if n_bins < 20:
-        raise McError(
-            f"jackknife needs >= 20 bins, got {n_bins} "
-            f"({len(vals)} values at bin size {b})"
-        )
-    vals = vals[: n_bins * b]
+    vals = vals[: count_bins(len(vals), b) * b]
     with np.errstate(over="ignore", invalid="ignore"):
         mean, err = _binned_jackknife(vals, b)
         if not (math.isfinite(mean) and math.isfinite(err)):
@@ -206,12 +219,11 @@ class _SiteTable(NamedTuple):
 
 def _site_table(state, sites):
     lat = state.lat
-    fwd, bwd = lat.neighbors[sites, :, 0].T, lat.neighbors[sites, :, 1].T
-    nbr = np.concatenate([fwd, bwd])
+    nbr = lat.neighbors.take(sites, axis=2).reshape(2 * lat.ndim, len(sites))
     if not state.is_gauged:
         return _SiteTable(sites, nbr)
     mu = np.arange(lat.ndim)[:, None]
-    links = np.concatenate([sites * lat.ndim + mu, bwd * lat.ndim + mu])
+    links = np.concatenate([sites * lat.ndim + mu, nbr[lat.ndim :] * lat.ndim + mu])
     return _SiteTable(sites, nbr, links, np.repeat([1.0, -1.0], lat.ndim)[:, None])
 
 
@@ -222,7 +234,7 @@ def _delta_s(state, table, old, new):
     o3, with h the neighbour sum; for spinors the per-link kernels of
     actions.py applied to the overlaps w = z(x)^dag z(y).
     """
-    nbr = state.matter.rows[table.nbr]
+    nbr = state.matter.rows.take(table.nbr, axis=0)
     if state.model == "o3":
         return -((new - old) * nbr.sum(axis=0)).sum(axis=1) / (2.0 * state.g)
     pair = np.concatenate((new, old)).reshape(2, 1, len(new), 2)
@@ -256,11 +268,11 @@ def _update_batch(state, table):
     """
     before = total_action(state) if state.self_check else None
     buf = state.matter.rows
-    old = buf[table.sites]
+    old = buf.take(table.sites, axis=0)
     new = _propose(state, old)
     ds = _delta_s(state, table, old, new)
     accept = state.rng.uniform(size=len(ds)) < np.exp(np.minimum(-ds, 0.0))
-    buf[table.sites[accept]] = new[accept]
+    buf[table.sites.compress(accept)] = new.compress(accept, axis=0)
     if state.self_check:
         gap = abs((total_action(state) - before) - float(ds[accept].sum()))
         if gap > SELF_CHECK_TOL:
@@ -366,13 +378,14 @@ class _Measurer:
         lat = self.lat
         energy, corr1 = 0.0, 0.0
         for mu in range(lat.ndim):
-            n_fwd = n[lat.fwd(mu)]
+            n_fwd = n.take(lat.fwd(mu), axis=0)
             d = n_fwd - n
             energy += float((d * d).sum())
             corr1 += float((n * n_fwd).sum())
         row = [energy / (4.0 * self.g * lat.volume)]
         for r in self.r_values:
-            c = corr1 if r == 1 else sum(float((n * n[idx]).sum()) for idx in self.shifts[r])
+            c = corr1 if r == 1 else sum(float((n * n.take(idx, axis=0)).sum())
+                                          for idx in self.shifts[r])
             row.append(c / (lat.ndim * lat.volume))
         return row
 
@@ -479,7 +492,7 @@ def run_chain(
         delta=state.delta,
         acceptance=acc / sweeps,
         series={name: data[:, j].copy() for j, name in enumerate(names)},
-        bin_size=max(1, sweeps // 50),
+        bin_size=chain_bin_size(sweeps),
         state=state,
     )
 

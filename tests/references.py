@@ -1,8 +1,11 @@
 """Reference constructions that only the tests use, built on the package's API."""
 
+import csv
+
 import numpy as np
 
-from o3cp1.actions import link_overlaps
+from o3cp1 import mc
+from o3cp1.actions import gauge_term, link_overlaps, pullback_term, reduced_term, spinor_overlap
 from o3cp1.fields import CP1Field, GaugeField, SpinField
 
 
@@ -64,3 +67,91 @@ def probe_self_check(probe, x, h=1e-5, tol=1e-6):
             worst = max(worst, float(np.abs(fd - grad[:, mu]).max()))
     assert worst <= tol, f"probe derivative mismatch vs central diff: {worst:.3e}"
     return worst
+
+
+# --- the sampler's site kernels through plain fancy indexing ------------------
+#
+# The package gathers with ndarray.take and writes back with compress; these
+# are the same kernels written with x[idx] and boolean masks, for the tests
+# that require the two to keep the same bits.
+
+
+def site_table(state, sites):
+    """mc._SiteTable of `sites`, built site by site from Lattice.neighbor."""
+    lat = state.lat
+    steps = [(mu, sign) for sign in (+1, -1) for mu in range(lat.ndim)]
+    nbr = np.array([[lat.neighbor(x, mu, sign) for x in sites] for mu, sign in steps])
+    if not state.is_gauged:
+        return mc._SiteTable(sites, nbr)
+    # the link to a backward neighbour y is (y, mu)
+    links = np.array([[(x if sign > 0 else lat.neighbor(x, mu, -1)) * lat.ndim + mu
+                       for x in sites] for mu, sign in steps])
+    return mc._SiteTable(sites, nbr, links, np.repeat([1.0, -1.0], lat.ndim)[:, None])
+
+
+def delta_s(state, table, old, new):
+    """mc._delta_s with a fancy-index neighbour gather."""
+    nbr = state.matter.rows[table.nbr]
+    if state.model == "o3":
+        return -((new - old) * nbr.sum(axis=0)).sum(axis=1) / (2.0 * state.g)
+    pair = np.concatenate((new, old)).reshape(2, 1, len(new), 2)
+    w = spinor_overlap(pair, nbr)
+    terms = (pullback_term if mc.LAW[state.model] == "o3" else reduced_term)(w)
+    if state.is_gauged:
+        terms += gauge_term(state.gauge.a.take(table.links) * table.sign, w)
+    s_new, s_old = terms.sum(axis=1)
+    return (s_new - s_old) / state.g
+
+
+def update_batch(state, table):
+    """mc._update_batch with a fancy-index gather and a boolean-mask write-back."""
+    buf = state.matter.rows
+    old = buf[table.sites]
+    new = mc._propose(state, old)
+    ds = delta_s(state, table, old, new)
+    accept = state.rng.uniform(size=len(ds)) < np.exp(np.minimum(-ds, 0.0))
+    buf[table.sites[accept]] = new[accept]
+    return int(np.count_nonzero(accept))
+
+
+def measure(measurer, n):
+    """mc._Measurer.measure with fancy-index gathers."""
+    lat = measurer.lat
+    energy, corr1 = 0.0, 0.0
+    for mu in range(lat.ndim):
+        n_fwd = n[lat.fwd(mu)]
+        d = n_fwd - n
+        energy += float((d * d).sum())
+        corr1 += float((n * n_fwd).sum())
+    row = [energy / (4.0 * measurer.g * lat.volume)]
+    for r in measurer.r_values:
+        c = corr1 if r == 1 else sum(float((n * n[idx]).sum()) for idx in measurer.shifts[r])
+        row.append(c / (lat.ndim * lat.volume))
+    return row
+
+
+def link_overlaps_fancy(lat, zf):
+    """actions.link_overlaps with a fancy-index gather."""
+    z = zf.z
+    return np.stack([spinor_overlap(z, z[lat.fwd(mu)]) for mu in range(lat.ndim)], axis=1)
+
+
+# --- snapshot files through csv.writer ---------------------------------------
+
+
+def save_field_csv(path, field):
+    """fields.save_field_csv as csv.writer writes it, one row at a time."""
+    if isinstance(field, SpinField):
+        header = ["site", "nx", "ny", "nz"]
+        rows = ((i, *map(repr, row.tolist())) for i, row in enumerate(field.n))
+    elif isinstance(field, CP1Field):
+        header = ["site", "re1", "im1", "re2", "im2"]
+        rows = ((i, *map(repr, row.tolist())) for i, row in enumerate(field.data))
+    else:
+        header = ["site", "mu", "a"]
+        rows = ((i, mu, repr(a)) for i, row in enumerate(field.a)
+                for mu, a in enumerate(row.tolist()))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -452,6 +453,15 @@ def test_compare_refuses_error_bars_with_too_few_bins(tmp_path, cli_env):
         cli_env,
     )
     assert_cli_error(proc, 1, "bins")
+    # the bin count follows from --sweeps alone, so the refusal comes before
+    # sampling: three chains of 1019 sweeps on 128x128 would take about 45 s
+    start = time.perf_counter()
+    proc = run_cli(["compare", "--dims", "128x128", "--sweeps", "19", "--seed", "3"],
+                   tmp_path, cli_env)
+    elapsed = time.perf_counter() - start
+    assert_cli_error(proc, 1, "jackknife needs >= 20 bins, got 19")
+    assert not list(tmp_path.iterdir())  # no series file, no report
+    assert elapsed < 15
 
 
 def test_sample_with_too_few_bins_reports_null_errors(tmp_path, cli_env):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from o3cp1.fields import (
+    CSV_CHUNK_ROWS,
     PAULI,
     CP1Field,
     FieldError,
@@ -16,6 +17,7 @@ from o3cp1.fields import (
     save_field_csv,
 )
 from o3cp1.lattice import build_lattice
+import references
 from references import constant_spin_field, constant_spinor_field
 
 # phases are undefined on the polar chart when r or s vanishes
@@ -265,3 +267,31 @@ def test_snapshot_round_trip(tmp_path, kind):
     loaded = load_field_csv(path)
     restored = {"spin": "n", "cp1": "data", "gauge": "a"}[kind]
     assert np.array_equal(getattr(loaded, restored), original)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("field_type, width", [
+    (SpinField, 3), (CP1Field, 4), (GaugeField, 1), (GaugeField, 2), (GaugeField, 3),
+])
+def test_snapshot_bytes_match_csv_writer(tmp_path, field_type, width, offset):
+    # the chunked writer against csv.writer row by row. A gauge field writes
+    # one row per link, so its rows per site are the lattice dimension (width);
+    # the files have just below, exactly (where the rows divide) and just above
+    # one chunk of rows, and five sites
+    per_site = width if field_type is GaugeField else 1
+    sites = CSV_CHUNK_ROWS // per_site + offset
+    rng = np.random.default_rng(sites * 10 + width)
+    values = rng.standard_normal((sites, width)) * 10.0 ** rng.integers(-300, 300, (sites, width))
+    flat = values.reshape(-1)
+    edge = CSV_CHUNK_ROWS * (width // per_site)  # first value of the second chunk
+    for at in (0, edge - 2, flat.size - 4):  # start, chunk edge, end
+        at = min(at, flat.size - 4)
+        flat[at : at + 4] = [-0.0, 5e-324, 1e308, 1 / 3]
+    for part in (values[:5], values):
+        field = field_type(part.copy())
+        save_field_csv(tmp_path / "chunked.csv", field)
+        references.save_field_csv(tmp_path / "csv_writer.csv", field)
+        expected = (tmp_path / "csv_writer.csv").read_bytes()
+        assert (tmp_path / "chunked.csv").read_bytes() == expected
+        for text in (b",-0.0", b",5e-324", b",1e+308", b",0.3333333333333333"):
+            assert text in expected

@@ -51,8 +51,11 @@ def test_neighbor_rejects_out_of_range():
 def test_neighbor_round_trip_and_bijection(dims):
     lat = build_lattice(dims)
     for mu in range(lat.ndim):
-        fwd = lat.neighbors[:, mu, 0]
-        bwd = lat.neighbors[:, mu, 1]
+        fwd, bwd = lat.neighbors[:, mu]
+        assert fwd.flags.c_contiguous and bwd.flags.c_contiguous  # gathers copy no index
+        assert np.array_equal(lat.fwd(mu), fwd)
+        coords, step = lat.site_coords(np.arange(lat.volume)), np.eye(lat.ndim, dtype=int)[mu]
+        assert np.array_equal(lat.site_coords(fwd), (coords + step) % lat.dims)
         assert np.array_equal(bwd[fwd], np.arange(lat.volume))
         assert np.array_equal(fwd[bwd], np.arange(lat.volume))
         # bijection: every site appears exactly once as a forward neighbor

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from o3cp1 import mc
+from o3cp1.actions import link_overlaps
 from o3cp1.fields import SpinField
 from o3cp1.lattice import Lattice, build_lattice
 from o3cp1.mc import (
@@ -22,6 +23,7 @@ from o3cp1.mc import (
     tune_proposal,
     two_site_exact,
 )
+import references
 from references import constant_spin_field, constant_spinor_field, optimal_gauge
 
 
@@ -201,6 +203,34 @@ def test_serial_and_vectorized_paths_agree_statistically():
             means.append((np.mean(vals), np.std(vals) / math.sqrt(len(vals) / 20)))
         gap = abs(means[0][0] - means[1][0])
         assert gap < 4 * math.hypot(means[0][1], means[1][1]), dims
+
+
+@pytest.mark.parametrize("dims", [[2], [3, 5], [8, 8]])
+@pytest.mark.parametrize("model", MODELS)
+def test_sweeps_keep_the_bits_of_the_fancy_index_reference(dims, model, monkeypatch):
+    # take/compress gathers and write-backs against x[idx] and boolean masks:
+    # the same draws and the same arithmetic, so the same bytes
+    lat = build_lattice(dims)
+    states, rates = [], []
+    for reference in (False, True):
+        state = init_chain(lat, model, 0.7, rng_of(21), delta=1.0)
+        with monkeypatch.context() as m:
+            if reference:
+                state._classes = tuple(references.site_table(state, sites)
+                                       for sites in mc._colour_classes(lat))
+                m.setattr(mc, "_update_batch", references.update_batch)
+            rates += [chain_sweep(state) for _ in range(20)]
+        states.append(state)
+    new, ref = states
+    assert 0.0 < np.mean(rates) < 1.0  # both branches of the write-back ran
+    assert new.matter.rows.tobytes() == ref.matter.rows.tobytes()
+    if new.is_gauged:
+        assert new.gauge.a.tobytes() == ref.gauge.a.tobytes()
+        assert (link_overlaps(lat, new.matter).tobytes()
+                == references.link_overlaps_fancy(lat, new.matter).tobytes())
+    measurer = mc._Measurer(lat, 0.7, min(4, min(dims) // 2))
+    n = mc.spin_view(new)
+    assert measurer.measure(n) == references.measure(measurer, n)
 
 
 # --- gauge sector ---------------------------------------------------------------
