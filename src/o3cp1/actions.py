@@ -15,9 +15,11 @@ w = z(x)^dag z(x+mu) (spinor_overlap, or link_overlaps for a whole field):
     gauge_term(A, w)    = (A - Im w)^2
 
 and the covariant term is gauge_term + reduced_term: integrating A out leaves
-the reduced term. These kernels are the one definition of each term; the
-global actions here and the local Metropolis updates in mc both sum them
-(times 1/g). action_o3 and action_cp1_gauged are written out independently,
+the reduced term. Their (Im w)^2 cancel: the covariant term
+A^2 + 2 - 2 Re w - 2 A Im w is affine in w, hence in each spinor of the link
+(the local field of mc._delta_s). These kernels are the one definition of
+each term; the global actions here and the local Metropolis updates in mc
+both sum them (times 1/g). action_o3 and action_cp1_gauged are written out independently,
 as references for the tests and the sampler's self-check.
 
 Constant prefactors such as the per-link sqrt(pi g) are tracked as log

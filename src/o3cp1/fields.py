@@ -11,6 +11,9 @@ Conventions: standard Pauli matrices, so n = z^dag sigma z has components
   n_y = -2 r s sin(alpha - beta)
   n_z = r^2 - s^2
 for z = (r e^{i alpha}, s e^{i beta}).
+
+save_field_csv formats a snapshot of two or more CSV_CHUNK_ROWS blocks in two
+forked worker processes and writes the blocks in order: the same bytes.
 """
 
 from dataclasses import dataclass
@@ -153,24 +156,37 @@ _HEADERS = {
 CSV_CHUNK_ROWS = 8192
 
 
+def _csv_text(start, block, per_site):
+    """CSV text of the rows of `block`, the first of which is row `start` of its file."""
+    rows = np.arange(start, start + len(block))
+    lead = divmod(rows, per_site) if per_site else (rows,)  # site[, mu]
+    cols = [map(str, c.tolist()) for c in lead] + [map(repr, c) for c in block.T.tolist()]
+    return "\r\n".join(map(",".join, zip(*cols))) + "\r\n"
+
+
 def save_field_csv(path, field):
     """Dump a field to CSV with full float precision, CSV_CHUNK_ROWS rows at a time.
 
     The bytes are csv.writer's (excel dialect: CRLF line ends, no field quoted).
+    Two or more chunks go to a pool of two forked workers that closes on return.
     """
-    if isinstance(field, SpinField):
-        kind, values = "spin", field.n
+    if isinstance(field, SpinField):  # per_site: rows per site of a gauge field
+        kind, values, per_site = "spin", field.n, 0
     elif isinstance(field, CP1Field):
-        kind, values = "cp1", field.data
+        kind, values, per_site = "cp1", field.data, 0
     elif isinstance(field, GaugeField):
-        kind, values = "gauge", field.a.reshape(-1, 1)  # one row per link
+        kind, values, per_site = "gauge", field.a.reshape(-1, 1), field.a.shape[1]
     else:
         raise FieldError(f"cannot save field of type {type(field).__name__}")
+    starts = range(0, len(values), CSV_CHUNK_ROWS)
+    args = (starts, [values[s : s + CSV_CHUNK_ROWS] for s in starts], [per_site] * len(starts))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_HEADERS[kind]) + "\r\n")
-        for start in range(0, len(values), CSV_CHUNK_ROWS):
-            block = values[start : start + CSV_CHUNK_ROWS]
-            rows = np.arange(start, start + len(block))
-            lead = divmod(rows, field.a.shape[1]) if kind == "gauge" else (rows,)  # site[, mu]
-            cols = [map(str, c.tolist()) for c in lead] + [map(repr, c) for c in block.T.tolist()]
-            fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
+        if len(starts) < 2:
+            fh.writelines(map(_csv_text, *args))
+            return
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
+            fh.writelines(pool.map(_csv_text, *args))

@@ -65,16 +65,6 @@ class Lattice:
             rem = rem // d
         return out
 
-    def coord_index(self, coords):
-        """Inverse of site_coords."""
-        coords = np.asarray(coords)
-        idx = np.zeros(coords.shape[:-1], dtype=np.int64)
-        stride = 1
-        for mu, d in enumerate(self.dims):
-            idx = idx + coords[..., mu] * stride
-            stride *= d
-        return idx
-
     def neighbor(self, site, mu, sign):
         """Periodic neighbor of `site` along direction mu, sign = +1 or -1."""
         if not (0 <= mu < self.ndim):

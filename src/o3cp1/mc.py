@@ -36,9 +36,13 @@ chains, of the links joining them, built once per chain. Every per-site
 gather is ndarray.take over a contiguous index table, and the accept
 write-back goes through compress: the values of fancy indexing, with less
 memory traffic. One kernel, _delta_s, gathers the neighbours once and takes
-the action change of the proposed and the current value from that gather:
--(n' - n).h / 2g for o3, with h the neighbour sum, and for spinors the
-per-link kernels of actions.py applied to the overlaps with the neighbours.
+the action change of the proposed and the current value from that gather.
+Where the action is affine in the site's row it is -c (x' - x).h / g with a
+local field h: the neighbour sum for o3 (c = 1/2) and, for cp1-gauged-reduced
+(c = 2; see actions), the staple sum_j (1 - i s_j A_j) z_j with s_j = -1 on
+backward links, whose direction and 2|h|/g are the mean and concentration of
+the site's von Mises-Fisher conditional on S^3. The other spinor chains apply
+the per-link kernels of actions.py to the overlaps with the neighbours.
 Self-check mode runs the same path and, after every class, compares the sum
 of the accepted action changes with the change of the full action
 (total_action, which uses the independent references action_o3 and
@@ -230,21 +234,27 @@ def _site_table(state, sites):
 def _delta_s(state, table, old, new):
     """Action change of moving each site of `table` from `old` to `new`.
 
-    One gather of the neighbours serves both values: -(n' - n).h / 2g for
-    o3, with h the neighbour sum; for spinors the per-link kernels of
-    actions.py applied to the overlaps w = z(x)^dag z(y).
+    One gather of the neighbours serves both values: the affine branch
+    -c (x' - x).h / g for o3 and cp1-gauged-reduced (see the module notes),
+    the per-link kernels of the overlaps w = z(x)^dag z(y) for the others.
     """
-    nbr = state.matter.rows.take(table.nbr, axis=0)
     if state.model == "o3":
-        return -((new - old) * nbr.sum(axis=0)).sum(axis=1) / (2.0 * state.g)
-    pair = np.concatenate((new, old)).reshape(2, 1, len(new), 2)
-    w = spinor_overlap(pair, nbr)  # (2, 2 ndim, k): new, old
-    matter_term = pullback_term if LAW[state.model] == "o3" else reduced_term
-    terms = matter_term(w)
-    if state.is_gauged:
-        terms += gauge_term(state.gauge.a.take(table.links) * table.sign, w)
-    s_new, s_old = terms.sum(axis=1)
-    return (s_new - s_old) / state.g
+        c, h = 0.5, state.matter.n.take(table.nbr, axis=0).sum(axis=0)
+    elif state.model == "cp1-gauged-reduced":
+        nbr = state.matter.data.take(table.nbr, axis=0)  # (2 ndim, k, 4) reals
+        ha = np.einsum("jk,jkd->kd", state.gauge.a.take(table.links) * table.sign, nbr)
+        c, h = 2.0, nbr.sum(axis=0) + ha[:, [1, 0, 3, 2]] * [1.0, -1.0, 1.0, -1.0]  # -i ha
+        old, new = old.view(np.float64), new.view(np.float64)
+    else:
+        nbr = state.matter.z.take(table.nbr, axis=0)
+        pair = np.concatenate((new, old)).reshape(2, 1, len(new), 2)
+        w = spinor_overlap(pair, nbr)  # (2, 2 ndim, k): new, old
+        terms = (pullback_term if LAW[state.model] == "o3" else reduced_term)(w)
+        if state.is_gauged:
+            terms += gauge_term(state.gauge.a.take(table.links) * table.sign, w)
+        s_new, s_old = terms.sum(axis=1)
+        return (s_new - s_old) / state.g
+    return -c * ((new - old) * h).sum(axis=1) / state.g
 
 
 def _propose(state, old):
@@ -351,12 +361,6 @@ def spin_view(state: ChainState) -> np.ndarray:
     return state.matter.n if state.model == "o3" else hopf_map(state.matter)
 
 
-def _shift_indices(lat: Lattice, rvec):
-    coords = lat.site_coords(np.arange(lat.volume))
-    shifted = (coords + np.asarray(rvec, dtype=np.int64)) % np.asarray(lat.dims)
-    return lat.coord_index(shifted)
-
-
 class _Measurer:
     """Per-sweep scalar observables: energy density and axis-averaged correlators."""
 
@@ -364,12 +368,14 @@ class _Measurer:
         self.lat = lat
         self.g = g
         self.r_values = [r for r in range(1, r_max + 1)]
-        # r = 1 reuses the forward-neighbour gather of the energy term
-        self.shifts = {
-            r: [_shift_indices(lat, r * np.eye(lat.ndim, dtype=int)[mu])
-                for mu in range(lat.ndim)]
-            for r in self.r_values if r > 1
-        }
+        # r = 1 reuses the forward-neighbour gather of the energy term; the
+        # table of r steps along mu is the forward table composed r times
+        self.shifts = {r: [] for r in self.r_values if r > 1}
+        for mu in range(lat.ndim):
+            fwd = idx = lat.fwd(mu)
+            for r in self.shifts:
+                idx = fwd.take(idx)
+                self.shifts[r].append(idx)
 
     def names(self):
         return ["energy"] + [f"corr_r{r}" for r in self.r_values]

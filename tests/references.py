@@ -34,6 +34,23 @@ def optimal_gauge(lat, zf):
     return GaugeField(link_overlaps(lat, zf).imag.copy())
 
 
+def coord_index(lat, coords):
+    """Site index of coordinates, direction 0 fastest: the inverse of Lattice.site_coords."""
+    coords = np.asarray(coords)
+    idx = np.zeros(coords.shape[:-1], dtype=np.int64)
+    stride = 1
+    for mu, d in enumerate(lat.dims):
+        idx = idx + coords[..., mu] * stride
+        stride *= d
+    return idx
+
+
+def shift_indices(lat, rvec):
+    """Index of x + rvec (periodic) for every site x, from coordinates."""
+    coords = lat.site_coords(np.arange(lat.volume))
+    return coord_index(lat, (coords + np.asarray(rvec, dtype=np.int64)) % np.asarray(lat.dims))
+
+
 def probe_spinor_field(probe, lat):
     """Sample the probe on a lattice, mapping site coords to the unit torus."""
     coords = lat.site_coords(np.arange(lat.volume)).astype(float)

@@ -1,4 +1,7 @@
 import csv
+import importlib
+import inspect
+import multiprocessing
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +22,7 @@ from o3cp1.fields import (
 from o3cp1.lattice import build_lattice
 import references
 from references import constant_spin_field, constant_spinor_field
+from test_tracer_names import load_tracer
 
 # phases are undefined on the polar chart when r or s vanishes
 DEGENERATE_TOL = 1e-12
@@ -269,7 +273,7 @@ def test_snapshot_round_trip(tmp_path, kind):
     assert np.array_equal(getattr(loaded, restored), original)
 
 
-@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("offset", [-1, 0, 1, 2 * CSV_CHUNK_ROWS + 100])
 @pytest.mark.parametrize("field_type, width", [
     (SpinField, 3), (CP1Field, 4), (GaugeField, 1), (GaugeField, 2), (GaugeField, 3),
 ])
@@ -277,7 +281,9 @@ def test_snapshot_bytes_match_csv_writer(tmp_path, field_type, width, offset):
     # the chunked writer against csv.writer row by row. A gauge field writes
     # one row per link, so its rows per site are the lattice dimension (width);
     # the files have just below, exactly (where the rows divide) and just above
-    # one chunk of rows, and five sites
+    # one chunk of rows, three or more chunks and part of one more, and five
+    # sites. Files of two or more chunks go through the worker pool, whose
+    # workers are gone when the call returns
     per_site = width if field_type is GaugeField else 1
     sites = CSV_CHUNK_ROWS // per_site + offset
     rng = np.random.default_rng(sites * 10 + width)
@@ -290,8 +296,33 @@ def test_snapshot_bytes_match_csv_writer(tmp_path, field_type, width, offset):
     for part in (values[:5], values):
         field = field_type(part.copy())
         save_field_csv(tmp_path / "chunked.csv", field)
+        assert multiprocessing.active_children() == []
         references.save_field_csv(tmp_path / "csv_writer.csv", field)
         expected = (tmp_path / "csv_writer.csv").read_bytes()
         assert (tmp_path / "chunked.csv").read_bytes() == expected
         for text in (b",-0.0", b",5e-324", b",1e+308", b",0.3333333333333333"):
             assert text in expected
+
+
+def test_pooled_snapshot_bytes_under_the_tracer(tmp_path, monkeypatch):
+    # the benchmark's tracer rebinds the functions of o3cp1's modules; the
+    # function the pool maps must still pickle by name, with the same bytes
+    tracer = load_tracer()
+    for mod_name in ["o3cp1"] + [f"o3cp1.{short}" for short in tracer.MODULES]:
+        mod = importlib.import_module(mod_name)  # undo every rebinding when the test ends
+        for name, obj in list(vars(mod).items()):
+            if inspect.isfunction(obj) or inspect.ismodule(obj):
+                monkeypatch.setattr(mod, name, obj)
+    for short, cls_name, meth in tracer.EXTRA_METHODS:
+        cls = getattr(importlib.import_module(f"o3cp1.{short}"), cls_name)
+        monkeypatch.setattr(cls, meth, vars(cls)[meth])
+    rec = tracer.Recorder(str(tmp_path))
+    mods = tracer.install(rec, "o3cp1")
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((3 * CSV_CHUNK_ROWS + 7, 4)) * 10.0 ** rng.integers(-300, 300, 4)
+    field = CP1Field(values)
+    mods["fields"].save_field_csv(tmp_path / "traced.csv", field)
+    assert rec.stats["fields.save_field_csv"]["count"] == 1
+    assert multiprocessing.active_children() == []
+    references.save_field_csv(tmp_path / "csv_writer.csv", field)
+    assert (tmp_path / "traced.csv").read_bytes() == (tmp_path / "csv_writer.csv").read_bytes()

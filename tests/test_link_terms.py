@@ -5,6 +5,7 @@ For unit spinors z, z' on the two ends of a link and a real gauge value A:
     gauged:    |dz - iAz|^2        = (A - A*)^2 + |dz|^2 - A*^2,  A* = Im z^dag z'
     reduced:   |dz|^2 - (Im z^dag z')^2 = 2 - 2 Re w - (Im w)^2,  w = z^dag z'
     pullback:  (1/4)|hopf(z') - hopf(z)|^2 = 1 - |w|^2
+    covariant: (A - A*)^2 + reduced term = A^2 + 2 - 2 Re w - 2 A Im w, any |w| <= 1
 
 The left-hand sides are written out here, independently of the package.
 """
@@ -27,6 +28,9 @@ unit_spinors = _raw.map(
     lambda v: np.array([v[0] + 1j * v[1], v[2] + 1j * v[3]]) / np.sqrt(sum(c * c for c in v))
 )
 gauge_values = st.floats(-10.0, 10.0, allow_nan=False)
+disk_points = st.tuples(_coord, _coord).filter(lambda v: v[0] ** 2 + v[1] ** 2 <= 1.0).map(
+    lambda v: complex(*v)
+)
 
 
 def pauli_vector(z):
@@ -42,6 +46,14 @@ def test_gauged_identity(z, zp, a):
     w = spinor_overlap(z, zp)
     assert np.isclose(covariant, expanded, rtol=0, atol=1e-10)
     assert np.isclose(covariant, gauge_term(a, w) + reduced_term(w), rtol=0, atol=1e-10)
+
+
+@given(disk_points, gauge_values)
+def test_covariant_term_is_affine_in_the_overlap(w, a):
+    # the (Im w)^2 of the two kernels cancel, so a site's covariant action is
+    # affine in its spinor: the local field of mc._delta_s
+    affine = a * a + 2.0 - 2.0 * w.real - 2.0 * a * w.imag
+    assert np.isclose(gauge_term(a, w) + reduced_term(w), affine, rtol=0, atol=1e-12)
 
 
 @given(unit_spinors, unit_spinors)

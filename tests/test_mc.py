@@ -12,7 +12,6 @@ from o3cp1.lattice import Lattice, build_lattice
 from o3cp1.mc import (
     MODELS,
     McError,
-    _shift_indices,
     chain_sweep,
     gibbs_gauge_update,
     init_chain,
@@ -164,6 +163,25 @@ def test_delta_s_matches_full_action_difference(model):
             assert abs(ds[0] - (mc.total_action(state) - before)) < 1e-12
 
 
+@pytest.mark.parametrize("dims", [[2], [3, 5], [8, 8], [2, 3, 2]])
+def test_covariant_local_field_matches_the_overlap_kernels(dims):
+    # the staple form of the cp1-gauged-reduced action change against the
+    # per-link kernels of the overlaps, for every colour class; init_chain
+    # draws random spinors and then the gauge field by a Gibbs refresh
+    lat = build_lattice(dims)
+    for g, delta in ((0.35, 0.4), (1.3, 2.5)):
+        state = init_chain(lat, "cp1-gauged-reduced", g, rng_of(31), delta=delta)
+        assert np.abs(state.gauge.a).min() > 0.0
+        for sites in mc._colour_classes(lat):
+            table = mc._site_table(state, sites)
+            old = state.matter.rows.take(sites, axis=0)
+            new = mc._propose(state, old)
+            ds = mc._delta_s(state, table, old, new)
+            ref = references.delta_s(state, table, old, new)
+            assert np.abs(ds - ref).max() < 1e-12, (dims, g)
+            assert np.abs(ref).max() > 0.1
+
+
 def test_self_check_aborts_on_bad_local_terms(monkeypatch):
     lat = build_lattice([4, 4])
     state = init_chain(lat, "o3", 1.0, rng_of(3), delta=0.7, self_check=True)
@@ -291,10 +309,21 @@ def correlator(lat: Lattice, snapshots, rvec) -> np.ndarray:
     for mu, (r, d) in enumerate(zip(rvec, lat.dims)):
         if abs(int(r)) > d // 2:
             raise McError(f"separation {r} along direction {mu} exceeds {d}//2")
-    idx = _shift_indices(lat, rvec)
+    idx = references.shift_indices(lat, rvec)
     return np.array(
         [float(np.einsum("ij,ij->", n, n[idx])) / lat.volume for n in snapshots]
     )
+
+
+@pytest.mark.parametrize("dims", [[2], [3, 5], [8, 8], [4, 3, 6], [256, 256]])
+def test_shift_tables_compose_the_forward_table(dims):
+    lat = build_lattice(dims)
+    measurer = mc._Measurer(lat, 1.0, 4)
+    assert list(measurer.shifts) == [2, 3, 4]
+    for r, tables in measurer.shifts.items():
+        for mu, idx in enumerate(tables):
+            expected = references.shift_indices(lat, r * np.eye(lat.ndim, dtype=int)[mu])
+            assert idx.dtype == expected.dtype and np.array_equal(idx, expected), (r, mu)
 
 
 def test_correlator_zero_separation_is_one():
