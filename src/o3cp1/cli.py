@@ -21,9 +21,11 @@ compare  runs chains of different models at the same coupling and gates the
 One table, OPTIONS, declares each option of each command once: its parser
 (with the value's bounds), default and help. An option is the flag --NAME or
 the key NAME of a JSON config file (--config FILE); the flag overrides the
-file, the file the default, and both go through the same parser. A bad value,
-a bad config file and argparse's own errors all end in one `error:` line and
-exit code 2. Every output embeds the effective configuration and seed.
+file, the file the default, and both go through the same parser. Each
+command's --tol accepts only the tolerances that command reads: the CHECKS
+tolerances for verify, sigma for compare. A bad value, a bad config file and
+argparse's own errors all end in one `error:` line and exit code 2. Every
+output embeds the effective configuration and seed.
 CSV schemas:
   sample   columns sweep, observable, value
   compare  columns chain, sweep, observable, value
@@ -119,40 +121,30 @@ def _parse_dims(text):
     return dims
 
 
-def _parse_eps(text):
-    """Mollifier widths, comma-separated or a JSON list: finite, > 0 and strictly decreasing."""
-    parts = text.split(",") if isinstance(text, str) else text
-    if not isinstance(parts, list):
-        raise _invalid("eps", text, "comma-separated widths or a list of them")
-    vals = [_number("eps", float, 0, strict=True)(v) for v in parts if v != ""]
-    if not vals:
-        raise _invalid("eps", text, "at least one width")
-    if any(b >= a for a, b in zip(vals, vals[1:])):
-        raise _invalid("eps", text, "strictly decreasing")
-    return vals
+def _tolerances(known):
+    """Parser of NAME=VALUE overrides of the tolerances named in `known`.
 
-
-def _parse_tol(pairs):
-    """NAME=VALUE overrides: repeated flags, or one string or a list of them from a file."""
-    if isinstance(pairs, str):
-        pairs = [pairs]
-    if not isinstance(pairs, list) or not all(isinstance(p, str) for p in pairs):
-        raise _invalid("tol", pairs, "NAME=VALUE or a list of them")
-    out = {}
-    for item in pairs:
-        if "=" not in item:
-            raise UsageError(f"invalid tolerance override {item!r}; expected NAME=VALUE")
-        name, value = item.split("=", 1)
-        if name not in DEFAULT_TOLERANCES:
-            raise UsageError(
-                f"unknown tolerance {name!r}; known: {', '.join(sorted(DEFAULT_TOLERANCES))}"
-            )
-        label = f"tolerance {name}"
-        number = _number(label, float, 0.0)(value)
-        if name == "pushforward" and not 0.0 < number < 1.0:  # a KS significance level
-            raise _invalid(label, number, "in (0, 1)")
-        out[name] = number
-    return out
+    Takes repeated flags, or one string or a list of them from a file.
+    """
+    def parse(pairs):
+        if isinstance(pairs, str):
+            pairs = [pairs]
+        if not isinstance(pairs, list) or not all(isinstance(p, str) for p in pairs):
+            raise _invalid("tol", pairs, "NAME=VALUE or a list of them")
+        out = {}
+        for item in pairs:
+            if "=" not in item:
+                raise UsageError(f"invalid tolerance override {item!r}; expected NAME=VALUE")
+            name, value = item.split("=", 1)
+            if name not in known:
+                raise UsageError(f"unknown tolerance {name!r}; known: {', '.join(sorted(known))}")
+            label = f"tolerance {name}"
+            number = _number(label, float, 0.0)(value)
+            if name == "pushforward" and not 0.0 < number < 1.0:  # a KS significance level
+                raise _invalid(label, number, "in (0, 1)")
+            out[name] = number
+        return out
+    return parse
 
 
 def _parse_model(value):
@@ -192,11 +184,11 @@ def _check_row(inputs, value, reference, tolerance, passed, diagnostics=None):
 
 # --- verify checks -----------------------------------------------------------
 #
-# Every check takes (rng, tol, eps_ladder) and returns its report row without
-# the name, which CHECKS below gives it.
+# Every check takes (rng, tol) and returns its report row without the name,
+# which CHECKS below gives it.
 
 
-def _check_polar_identity(rng, tol, eps_ladder):
+def _check_polar_identity(rng, tol):
     worst = 0.0
     n_probes, pts_per_probe = 1000, 8
     for _ in range(n_probes):
@@ -229,7 +221,7 @@ def _fd_determinant(r, alpha, s, beta, h=1e-5):
     return float(np.linalg.det(jac))
 
 
-def _check_jacobian(rng, tol, eps_ladder):
+def _check_jacobian(rng, tol):
     worst = 0.0
     n_points = 100
     for _ in range(n_points):
@@ -241,7 +233,7 @@ def _check_jacobian(rng, tol, eps_ladder):
     return _check_row({"points": n_points}, worst, 0.0, tol, worst <= tol)
 
 
-def _check_marginalization(rng, tol, eps_ladder):
+def _check_marginalization(rng, tol):
     lat = build_lattice([4, 4])
     worst = 0.0
     couplings = (0.5, 1.0, 2.0)
@@ -262,7 +254,7 @@ def _check_marginalization(rng, tol, eps_ladder):
     )
 
 
-def _check_one_site_ratio(rng, tol, eps_ladder):
+def _check_one_site_ratio(rng, tol):
     lams = (0.0, 1.0, 2.5)
     worst = 0.0
     values = {}
@@ -275,20 +267,19 @@ def _check_one_site_ratio(rng, tol, eps_ladder):
     )
 
 
-def _check_measure_constant(rng, tol, eps_ladder):
+def _check_measure_constant(rng, tol):
     points = measure.random_sphere_points(rng, 10)
-    est = measure.verify_constant_c(points, eps_ladder)
+    est = measure.verify_constant_c(points)
     diagnostics = {
         "spread": est.spread,
         "measured_order": est.measured_order,
         "residual": est.residual,
-        "biased": est.biased,
         "converged": est.converged,
         "notes": est.notes,
-        "ladder": list(est.ladder),
+        "ladder": list(measure.EPS_LADDER),
     }
     return _check_row(
-        {"points": len(points), "eps_ladder": list(eps_ladder)},
+        {"points": len(points), "eps_ladder": list(measure.EPS_LADDER)},
         est.constant,
         measure.HALF_PI,
         tol,
@@ -297,7 +288,7 @@ def _check_measure_constant(rng, tol, eps_ladder):
     )
 
 
-def _check_reduction_stages(rng, tol, eps_ladder):
+def _check_reduction_stages(rng, tol):
     """Each point carries its own combined tolerance, so `tol` is unused."""
     points = measure.random_sphere_points(rng, 5, min_q=0.55, max_abs_nz=0.8)
     worst_gap, worst_tol, all_pass = 0.0, 0.0, True
@@ -326,7 +317,7 @@ def _check_reduction_stages(rng, tol, eps_ladder):
     )
 
 
-def _check_pushforward(rng, alpha, eps_ladder):
+def _check_pushforward(rng, alpha):
     res = measure.pushforward_uniformity(rng)
     critical = measure.ks_critical_value(alpha, res.n_samples)
     return _check_row(
@@ -339,7 +330,7 @@ def _check_pushforward(rng, alpha, eps_ladder):
     )
 
 
-def _check_prefactor(rng, tol, eps_ladder):
+def _check_prefactor(rng, tol):
     g = 1.3
     lat = build_lattice([4, 4])
     consts = partition_constants(lat, g)
@@ -356,7 +347,7 @@ def _check_prefactor(rng, tol, eps_ladder):
 
 
 class Check(NamedTuple):
-    run: Callable  # (rng, tol, eps_ladder) -> report row without "name"
+    run: Callable  # (rng, tol) -> report row without "name"
     tolerance: Optional[float]  # default; None: the check sets its own, not overridable
     stream: int  # verify draws from SeedSequence([seed, stream]); 0: draws nothing
 
@@ -373,35 +364,33 @@ CHECKS = {
     "prefactor": Check(_check_prefactor, 1e-12, 0),
 }
 SUITES = tuple(CHECKS)
-DEFAULT_TOLERANCES = {
-    **{name: c.tolerance for name, c in CHECKS.items() if c.tolerance is not None},
-    "sigma": 3.0,  # compare gate, in combined standard errors
-}
+# the tolerances --tol can set: verify's per check, compare's one gate
+VERIFY_TOLERANCES = {name: c.tolerance for name, c in CHECKS.items() if c.tolerance is not None}
+COMPARE_TOLERANCES = {"sigma": 3.0}  # in combined standard errors
 
 
-def run_check(name, rng, tol=None, eps_ladder=measure.EPS_LADDER) -> dict:
+def run_check(name, rng, tol=None) -> dict:
     """Report row of check `name` on inputs drawn from `rng`; tol None: its default."""
     check = CHECKS[name]
-    row = check.run(rng, check.tolerance if tol is None else tol, eps_ladder)
-    return {"name": name, **row}
+    return {"name": name, **check.run(rng, check.tolerance if tol is None else tol)}
 
 
 def run_verify(opts) -> tuple:
     """Report and exit code of the checks opts["suite"] names; opts as from _options."""
-    suite, seed, eps_ladder = opts["suite"], opts["seed"], opts["eps"]
-    tol = dict(DEFAULT_TOLERANCES, **opts["tol"])
+    suite, seed = opts["suite"], opts["seed"]
+    tol = dict(VERIFY_TOLERANCES, **opts["tol"])
 
     checks = []
     for name in SUITES if suite == "all" else (suite,):
         rng = np.random.default_rng(np.random.SeedSequence([seed, CHECKS[name].stream]))
-        checks.append(run_check(name, rng, tol.get(name), eps_ladder))
+        checks.append(run_check(name, rng, tol.get(name)))
     passed = all(c["pass"] for c in checks)
     report = {
         "command": "verify",
         "config": {
             "suite": suite,
             "seed": seed,
-            "eps_ladder": eps_ladder,
+            "eps_ladder": list(measure.EPS_LADDER),
             "tolerances": tol,
         },
         "checks": checks,
@@ -442,11 +431,10 @@ def run_sample(opts) -> tuple:
     model, prefix = opts["model"], opts["out-prefix"]
     result = run_chains(
         build_lattice(opts["dims"]), [model], opts["g"], opts["sweeps"], master_seed=opts["seed"],
-        thermalization=opts["thermalization"], delta0=opts["delta0"],
-        self_check=opts["self-check"],
+        thermalization=opts["thermalization"], self_check=opts["self-check"],
     )[0]
     _warn_frozen([result])
-    config = {k: opts[k] for k in ("model", "dims", "g", "sweeps", "seed", "delta0")}
+    config = {k: opts[k] for k in ("model", "dims", "g", "sweeps", "seed")}
     config.update(thermalization=result.thermalization)
     summary = {"command": "sample", "config": config, "chain": result.summary()}
     # final-configuration snapshots for reproducibility checks
@@ -523,7 +511,7 @@ def oracle_rows(results, g, n_sigma):
 def run_compare(opts) -> tuple:
     """Run the regime's chains, gate them and write the files; opts as from _options."""
     g, prefix = opts["g"], opts["out-prefix"]
-    n_sigma = dict(DEFAULT_TOLERANCES, **opts["tol"])["sigma"]
+    n_sigma = dict(COMPARE_TOLERANCES, **opts["tol"])["sigma"]
 
     lat = build_lattice(opts["dims"])
     count_bins(opts["sweeps"], chain_bin_size(opts["sweeps"]))  # refuse before sampling
@@ -573,9 +561,15 @@ _G = Option(_number("g", float, 0, strict=True), 1.0, "coupling, finite and > 0 
 _THERMALIZATION = Option(_number("thermalization", int, 0), None,
                          "sweeps before measuring (default: the chain's own)")
 _SEED = Option(_number("seed", int, 0), REQUIRED, "master seed, an integer >= 0 (required)")
-_TOL = Option(_parse_tol, {}, "tolerance override NAME=VALUE (repeatable)", "append")
 _SWEEPS = Option(_number("sweeps", int, 1), None, "measured sweeps")
 _OUT_PREFIX = Option(_typed("out-prefix", str), None, "output file prefix")
+
+
+def _tol(defaults):
+    """The --tol option of a command whose tolerances and their defaults are `defaults`."""
+    names = ", ".join(f"{name} ({value:g})" for name, value in defaults.items())
+    return Option(_tolerances(defaults), {}, f"tolerance override NAME=VALUE (repeatable); "
+                  f"NAME (default) one of: {names}", "append")
 
 
 # Every option of every command, in validation order. The flag --NAME and the
@@ -584,10 +578,8 @@ OPTIONS = {
     "verify": {
         "suite": Option(_typed("suite", str, ("all",) + SUITES), "all",
                         "all (default) or one of: " + ", ".join(SUITES)),
-        "eps": Option(_parse_eps, list(measure.EPS_LADDER),
-                      "comma-separated mollifier ladder (default 0.1,0.05,0.025)"),
         "seed": _SEED._replace(default=0, help="seed for randomized check inputs (default 0)"),
-        "tol": _TOL,
+        "tol": _tol(VERIFY_TOLERANCES),
         "out": Option(_typed("out", str), "report.json", "JSON report path (default report.json)"),
     },
     "sample": {
@@ -597,7 +589,6 @@ OPTIONS = {
         "sweeps": _SWEEPS._replace(default=10000),
         "thermalization": _THERMALIZATION,
         "seed": _SEED,
-        "delta0": Option(_number("delta0", float, 0), 0.5, "initial proposal width (default 0.5)"),
         "self-check": Option(_typed("self-check", bool), False,
                              "check every accepted local action change", "store_true"),
         "out-prefix": _OUT_PREFIX._replace(default="sample"),
@@ -611,7 +602,7 @@ OPTIONS = {
         "regime": Option(_typed("regime", str, tuple(REGIMES)), "pullback",
                          "pullback (default), reduced, or both"),
         "threads": Option(_number("threads", int, 1), 1, "chains run in parallel (default 1)"),
-        "tol": _TOL,
+        "tol": _tol(COMPARE_TOLERANCES),
         "out-prefix": _OUT_PREFIX._replace(default="compare"),
     },
 }

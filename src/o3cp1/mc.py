@@ -98,6 +98,7 @@ MODELS = tuple(LAW)
 SELF_CHECK_TOL = 1e-9
 TARGET_ACCEPTANCE = 0.5  # proposal tuning aims here during thermalization
 TUNE_WINDOW = 50  # thermalization sweeps per proposal-width adjustment
+DELTA_START = 0.5  # proposal width of a new chain, until the first tuning window
 DELTA_FLOOR = 1e-4  # tuning keeps the proposal width in [DELTA_FLOOR, DELTA_CAP]
 DELTA_CAP = 4.0
 
@@ -172,7 +173,7 @@ class ChainState:
         return self.model.startswith("cp1-gauged")
 
 
-def init_chain(lat, model, g, rng, delta=0.5, self_check=False) -> ChainState:
+def init_chain(lat, model, g, rng, delta=DELTA_START, self_check=False) -> ChainState:
     if model not in MODELS:
         raise McError(f"unknown model {model!r}; expected one of {MODELS}")
     if not (g > 0):
@@ -463,17 +464,17 @@ def run_chain(
     sweeps: int,
     seed_seq: np.random.SeedSequence,
     thermalization=None,
-    delta0=0.5,
     self_check=False,
 ) -> ChainResult:
     """Thermalize (tuning the proposal), then sweep and measure every sweep.
 
-    The proposal width is frozen at the end of thermalization, before any
-    measurement. Observables: o3-pullback energy density and direction-averaged
-    correlators at integer separations r = 1..min(dims)//2, capped at 4.
+    The proposal width starts at DELTA_START and is frozen at the end of
+    thermalization, before any measurement. Observables: o3-pullback energy
+    density and direction-averaged correlators at integer separations
+    r = 1..min(dims)//2, capped at 4.
     """
     rng = np.random.Generator(np.random.PCG64(seed_seq))
-    state = init_chain(lat, model, g, rng, delta=delta0, self_check=self_check)
+    state = init_chain(lat, model, g, rng, self_check=self_check)
     therm = default_thermalization(sweeps) if thermalization is None else thermalization
     measurer = _Measurer(lat, g, min(4, min(lat.dims) // 2))
 
@@ -527,38 +528,29 @@ def run_chains(lat, models, g, sweeps, master_seed, processes=1, **kwargs):
 
 # --- small-system quadrature references ---------------------------------------
 #
-# On the two-site chain every model's <n(0) . n(1)> reduces to a one- or
-# two-dimensional integral of its own Boltzmann weight. Both links join the
-# same two sites, so the action is twice one per-link kernel of actions.py
-# over g, evaluated on the whole node grid at once.
+# On the two-site chain every model's <n(0) . n(1)> reduces to one integral of
+# its own Boltzmann weight over the unit disk of w, on one 96 x 96
+# Gauss-Legendre grid. Both links join the same two sites, so the action is
+# twice one per-link kernel of actions.py over g, evaluated on the whole grid.
 
 
 def two_site_exact(model: str, g: float) -> float:
     """<n(0) . n(1)> on dims [2] by direct quadrature of the model's weight.
 
-    o3 law: reduce by global rotation to the relative polar angle theta, with
-    uniform sphere measure sin(theta); the link overlap of the lifted spinors
-    has |w| = cos(theta/2), so S = 2 pullback_term(cos(theta/2)) / g.
-    reduced law: reduce by invariance to w = z(0)^dag z(1); the flat
+    By invariance the weight depends only on w = z(0)^dag z(1), and the flat
     spinor-sphere measure pushes to the uniform disk |w| <= 1 (the marginal
-    of one unit spinor component), S = 2 reduced_term(w) / g, and
+    of one unit spinor component). S = 2 term(w) / g with the per-link
+    pullback_term for the o3 law and reduced_term for the reduced law, and
     n(0).n(1) = 2|w|^2 - 1. Gauged flavors share their matter marginal's
     value exactly.
     """
     if model not in LAW:
         raise McError(f"no two-site reference for model {model!r}")
-    if LAW[model] == "o3":
-        x, wq = _leggauss(400)
-        theta = 0.5 * (x + 1.0) * math.pi
-        wt = 0.5 * math.pi * wq * np.sin(theta)
-        s_vals = 2.0 * pullback_term(np.cos(0.5 * theta)) / g
-        weight = wt * np.exp(-(s_vals - s_vals.min()))
-        return float(np.sum(weight * np.cos(theta)) / np.sum(weight))
     x, wq = _leggauss(96)
     rho = 0.5 * (x + 1.0)  # |w| in [0, 1]
     psi = 0.5 * (x + 1.0) * 2.0 * math.pi
     w = np.multiply.outer(rho, np.cos(psi) + 1j * np.sin(psi))
-    s_vals = 2.0 * reduced_term(w) / g
+    s_vals = 2.0 * (pullback_term if LAW[model] == "o3" else reduced_term)(w) / g
     wgt = np.outer(0.5 * wq * rho, 0.5 * 2.0 * math.pi * wq)
     weight = wgt * np.exp(-(s_vals - s_vals.min()))
     obs = 2.0 * rho[:, None] ** 2 - 1.0

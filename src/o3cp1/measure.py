@@ -90,7 +90,9 @@ PHI_CHUNK = 256
 
 PUSHFORWARD_SAMPLES = 100_000
 
-# The default mollifier ladder, shared by verify_constant_c and verify's --eps.
+# The mollifier ladder of verify_constant_c: three widths for an eps^2
+# extrapolation and its residual. The reference's corrections are
+# exponentially small in 1/eps^2, so one ladder serves every run.
 EPS_LADDER = (0.1, 0.05, 0.025)
 
 # gauss_legendre_quad compares QUAD_NODES- and 2*QUAD_NODES-point rules per
@@ -283,26 +285,21 @@ class ConstantEstimate:
 
     constant: float
     spread: float
-    ladder: tuple
     measured_order: float
     residual: float
-    biased: bool
     converged: bool
     notes: str = ""
 
     def passes(self, tol=0.01):
-        within = abs(self.constant - HALF_PI) <= tol * HALF_PI
-        return bool(within and self.converged and not self.biased)
+        return bool(abs(self.constant - HALF_PI) <= tol * HALF_PI and self.converged)
 
 
-def verify_constant_c(points, eps_ladder=EPS_LADDER) -> ConstantEstimate:
-    """Extract the measure constant from pointwise ratios over the eps ladder.
+def verify_constant_c(points) -> ConstantEstimate:
+    """Extract the measure constant from pointwise ratios over EPS_LADDER.
 
-    Requires at least 10 on-sphere test points and an eps_ladder of positive,
-    strictly decreasing widths (the rule verify's --eps parser enforces). With
-    fewer than 3 ladder widths the estimate is returned flagged as biased (no
-    extrapolation is possible); non-monotone ladder convergence is flagged as
-    not converged.
+    Requires at least 10 on-sphere test points. Each point's ratios are
+    extrapolated in eps^2; non-monotone ladder convergence is flagged as not
+    converged.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] < 10 or points.shape[1] != 3:
@@ -310,54 +307,29 @@ def verify_constant_c(points, eps_ladder=EPS_LADDER) -> ConstantEstimate:
     off = np.abs(np.linalg.norm(points, axis=1) - 1.0).max()
     if off > 1e-9:
         raise MeasureDomainError(f"test points must lie on the unit sphere ({off:.2e} off)")
-    ladder = tuple(eps_ladder)
-    ratios = np.empty((points.shape[0], len(ladder)))
-    for i, p in enumerate(points):
-        for j, eps in enumerate(ladder):
-            ratios[i, j] = constant_ratio(p, eps)
+    ratios = np.array([[constant_ratio(p, eps) for eps in EPS_LADDER] for p in points])
 
-    notes = []
-    biased = len(ladder) < 3
-    if biased:
-        notes.append(f"ladder has {len(ladder)} width(s); no eps^2 extrapolation, estimate is biased")
-        per_point = ratios[:, -1].copy()
-        residual = float("inf")
-        order = float("nan")
-    else:
-        per_point = np.empty(points.shape[0])
-        residuals = np.empty(points.shape[0])
-        orders = []
-        for i in range(points.shape[0]):
-            per_point[i], residuals[i], o = richardson_extrapolate(ladder, ratios[i])
-            if not math.isnan(o):
-                orders.append(o)
-        residual = float(residuals.max())
-        order = float(np.median(orders)) if orders else float("nan")
+    per_point = np.empty(points.shape[0])
+    residuals = np.empty(points.shape[0])
+    orders = []
+    for i in range(points.shape[0]):
+        per_point[i], residuals[i], o = richardson_extrapolate(EPS_LADDER, ratios[i])
+        if not math.isnan(o):
+            orders.append(o)
 
-    converged = True
-    if not biased:
-        diffs = np.abs(np.diff(ratios, axis=1))
-        scale = np.abs(ratios[:, -1:])
-        noise = 1e-9 * scale
-        shrinking = (diffs[:, 1:] <= diffs[:, :-1] + noise[:, : diffs.shape[1] - 1]) | (
-            diffs[:, 1:] < noise[:, : diffs.shape[1] - 1]
-        )
-        if not shrinking.all():
-            converged = False
-            bad = int(np.sum(~shrinking.all(axis=1)))
-            notes.append(f"non-monotone ladder convergence at {bad} point(s)")
+    diffs = np.abs(np.diff(ratios, axis=1))
+    noise = 1e-9 * np.abs(ratios[:, -1:])
+    shrinking = (diffs[:, 1:] <= diffs[:, :-1] + noise) | (diffs[:, 1:] < noise)
+    bad = int(np.sum(~shrinking.all(axis=1)))
 
     constant = float(np.mean(per_point))
-    spread = float(np.max(np.abs(per_point - constant)))
     return ConstantEstimate(
         constant=constant,
-        spread=spread,
-        ladder=ladder,
-        measured_order=order,
-        residual=residual,
-        biased=biased,
-        converged=converged,
-        notes="; ".join(notes),
+        spread=float(np.max(np.abs(per_point - constant))),
+        measured_order=float(np.median(orders)) if orders else float("nan"),
+        residual=float(residuals.max()),
+        converged=bad == 0,
+        notes=f"non-monotone ladder convergence at {bad} point(s)" if bad else "",
     )
 
 
@@ -409,9 +381,7 @@ def _stage_after_S(n, eps) -> float:
 
 def _stage_after_phi(n, eps) -> float:
     _, ny, _ = n
-    _, fprime = phi_roots(n)
-    if fprime == 0.0:
-        raise MeasureDomainError("coalescing phi roots: |f'(phi0)| = 0")
+    _, fprime = phi_roots(n)  # _require_generic keeps fprime >= 10 eps
     return float(
         math.pi
         / 4.0
@@ -459,30 +429,23 @@ class StageValue:
     constant: float
 
 
+# the raw value of each stage at (n, eps), keyed by STAGES
+_STAGE_VALUES = dict(zip(STAGES, (measure_lhs, _stage_after_R_theta, _stage_after_S,
+                                  _stage_after_phi)))
+
+
 def reduction_stage_value(n, eps, stage) -> StageValue:
     """One reduction stage at one width: raw value, reference, constant estimate."""
     n = _as_point(n)
     _require_generic(n, eps)
-    if stage == "raw-4d":
-        value = measure_lhs(n, eps)
-    elif stage == "after-R-theta":
-        value = _stage_after_R_theta(n, eps)
-    elif stage == "after-S":
-        value = _stage_after_S(n, eps)
-    elif stage == "after-phi":
-        value = _stage_after_phi(n, eps)
-    else:
-        raise MeasureDomainError(f"unknown stage {stage!r}; expected one of {STAGES}")
-    ref = stage_reference(n, eps, stage)
+    ref = stage_reference(n, eps, stage)  # rejects an unknown stage
+    value = _STAGE_VALUES[stage](n, eps)
     return StageValue(stage, eps, value, ref, value / ref)
 
 
 def _require_generic(n, eps):
-    nx, _, nz = n
-    if abs(nz) >= 1.0:
-        raise MeasureDomainError("stage evaluation requires |n_z| < 1")
-    q2 = 1.0 - nx * nx - nz * nz
-    if q2 <= 0.0 or math.sqrt(q2) < 10.0 * eps:
+    """Reject points whose phi roots lie within 10 eps of coalescing (|f'(phi0)| < 10 eps)."""
+    if phi_roots(n)[1] < 10.0 * eps:
         raise MeasureDomainError(
             "test point within 10 eps of the singular locus n_x^2 + n_z^2 = 1 "
             "(coalescing roots); rejected"

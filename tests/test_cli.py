@@ -72,17 +72,19 @@ def test_parse_dims_and_eps():
         cli._parse_dims("8x1")
     with pytest.raises(cli.UsageError):
         cli._parse_dims("abc")
-    assert cli._parse_eps("0.1,0.05,0.025") == [0.1, 0.05, 0.025]
-    with pytest.raises(cli.UsageError):
-        cli._parse_eps("0.1,-0.2")
+    # the mollifier ladder is a constant of verify, not an option
+    assert "eps" not in cli.OPTIONS["verify"]
 
 
 def test_tolerance_override_parsing():
-    assert cli._parse_tol(["jacobian=1e-5"]) == {"jacobian": 1e-5}
-    with pytest.raises(cli.UsageError):
-        cli._parse_tol(["nope=1"])
-    with pytest.raises(cli.UsageError):
-        cli._parse_tol(["jacobian"])
+    verify_tol, compare_tol = (cli.OPTIONS[c]["tol"].parse for c in ("verify", "compare"))
+    assert verify_tol(["jacobian=1e-5"]) == {"jacobian": 1e-5}
+    assert compare_tol("sigma=6") == {"sigma": 6.0}
+    # each command names only the tolerances it reads
+    for parse, item in ((verify_tol, "sigma=4"), (compare_tol, "jacobian=5"),
+                        (verify_tol, "nope=1"), (verify_tol, "jacobian")):
+        with pytest.raises(cli.UsageError):
+            parse([item])
 
 
 def test_cli_error_check_rejects_interpreter_failure():
@@ -124,16 +126,19 @@ def test_unknown_config_key_named(tmp_path, cli_env):
 @pytest.mark.parametrize(
     "args, code, fragment",
     [
-        (["verify", "--suite", "measure-constant", "--eps", "0.1,0.1"], 2,
-         "strictly decreasing"),
+        # verify has no eps option and sample no delta0, and each command refuses
+        # a tolerance it does not read; these cases recur below, from a flag or
+        # a config file
+        (["verify", "--suite", "measure-constant", "--eps", "0.1,0.05,0.025"], 2,
+         "unrecognized arguments: --eps"),
         (["sample", "--dims", "2", "--seed", "1", "--sweeps", "0"], 2, "sweeps"),
         (["sample", "--dims", "2", "--seed", "1", "--sweeps", "-1"], 2, "sweeps"),
         (["sample", "--dims", "2", "--seed", "1", "--thermalization", "-5"], 2,
          "thermalization"),
         (["compare", "--dims", "2", "--seed", "1", "--tol", "sigma=abc"], 2,
          "tolerance sigma"),
-        (["verify", "--suite", "prefactor", "--eps", "a,b"], 2, "eps"),
-        (["sample", "--dims", "2", "--seed", "1", "--delta0", "-1"], 2, "delta0"),
+        (["verify", "--suite", "prefactor", {"eps": [0.1, 0.05, 0.025]}], 2, "eps"),
+        (["sample", "--dims", "2", "--seed", "1", {"delta0": 0.5}], 2, "delta0"),
         (["sample", "--dims", "2", "--seed", "1", {"sweeps": 30.7}], 2, "sweeps: 30.7"),
         (["sample", "--dims", "2", "--seed", "1", {"sweeps": True}], 2, "sweeps: True"),
         (["sample", "--dims", "2", "--seed", "1", {"g": True}], 2, "g: True"),
@@ -167,16 +172,18 @@ def test_unknown_config_key_named(tmp_path, cli_env):
         (["sample", "--dims", "2", "--seed", "-1"], 2, "seed: -1"),
         (["verify", "--suite", "prefactor", "--seed", "-1"], 2, "seed: -1"),
         (["sample", "--dims", "2", "--seed", "1", "--g", "inf"], 2, "g: inf"),
-        (["sample", "--dims", "2", "--seed", "1", "--delta0", "inf"], 2, "delta0: inf"),
-        (["sample", "--dims", "2", "--seed", "1", "--delta0", "nan"], 2, "delta0: nan"),
-        (["verify", "--suite", "measure-constant", "--eps", "nan,0.05,0.025"], 2, "eps: nan"),
+        (["sample", "--dims", "2", "--seed", "1", "--delta0", "0.5"], 2,
+         "unrecognized arguments: --delta0"),
+        (["verify", "--suite", "prefactor", "--tol", "sigma=4"], 2, "unknown tolerance 'sigma'"),
+        (["compare", "--dims", "2", "--seed", "1", "--tol", "jacobian=5"], 2,
+         "unknown tolerance 'jacobian'"),
         (["compare", "--dims", "2", "--seed", "1", "--threads", "0"], 2, "threads: 0"),
         (["sample", "--dims", "2", "--seed", "1", "--volume", "3"], 2, "--volume"),
         (["verify", "--config", "missing.json"], 2, "missing.json"),
         (["verify", "--suite", "prefactor", "--out", "no/such/dir/r.json"], 1, "no/such/dir"),
-        # the eps ladder rule holds for every suite, from a flag or a config file
-        (["verify", "--suite", "prefactor", "--eps", "0.05,0.1"], 2, "strictly decreasing"),
-        (["verify", "--suite", "prefactor", {"eps": [0.1, 0.1]}], 2, "strictly decreasing"),
+        (["verify", "--suite", "prefactor", {"tol": "sigma=4"}], 2, "unknown tolerance 'sigma'"),
+        (["compare", "--dims", "2", "--seed", "1", {"tol": ["jacobian=5"]}], 2,
+         "unknown tolerance 'jacobian'"),
         # lattices whose tables numpy refuses outright: nothing is allocated
         (["sample", "--dims", "4294967296x4294967296", "--seed", "1"], 1,
          "18446744073709551616 sites"),
@@ -198,19 +205,19 @@ def test_domain_errors_are_one_line(tmp_path, cli_env, args, code, fragment):
 
 
 # a valid value of every option, not its default: (flag string, config-file JSON value);
-# a None flag string is a flag that takes no value
+# a None flag string is a flag that takes no value. A (command, name) key gives
+# the value for one command.
 VALID_VALUES = {
     "suite": ("prefactor", "prefactor"),
-    "eps": ("0.2,0.1", [0.2, 0.1]),
     "seed": ("12", 12),
-    "tol": ("sigma=4", "sigma=4"),
+    ("verify", "tol"): ("prefactor=1e-3", "prefactor=1e-3"),
+    ("compare", "tol"): ("sigma=4", "sigma=4"),
     "out": ("r.json", "r.json"),
     "model": ("cp1-gauged", "cp1-gauged"),
     "dims": ("4x6", "4x6"),
     "g": ("0.5", 0.5),
     "sweeps": ("500", 500),
     "thermalization": ("7", 7.0),
-    "delta0": ("0.25", 0.25),
     "self-check": (None, True),
     "out-prefix": ("run", "run"),
     "regime": ("both", "both"),
@@ -223,7 +230,7 @@ VALID_VALUES = {
 )
 def test_flag_and_config_file_take_one_path(tmp_path, command, name):
     # runs no chain: only the parser and the option table
-    flag, file_value = VALID_VALUES[name]
+    flag, file_value = VALID_VALUES.get((command, name)) or VALID_VALUES[name]
     seed = ["--seed", "1"] if name != "seed" else []
     parser = cli.build_parser()
     cfg = tmp_path / "cfg.json"
@@ -308,6 +315,8 @@ def test_report_schema_golden(tmp_path, cli_env):
         "diagnostics", "inputs", "name", "pass", "reference", "tolerance", "value",
     ]
     assert sorted(report["config"].keys()) == ["eps_ladder", "seed", "suite", "tolerances"]
+    # the tolerances verify reads, and no other: compare's sigma is not among them
+    assert report["config"]["tolerances"] == cli.VERIFY_TOLERANCES
 
 
 def test_sample_outputs_and_schema(tmp_path, cli_env):
@@ -523,30 +532,6 @@ def test_acceptance_c09_c10_gate_through_the_cli_rows(monkeypatch, capsys):
     assert "stand-in 1.3s (gate 3 sigma)" in out
     assert "worst deviation 2.50 sigma (gate 3)" in out
     assert calls == [(["chains"], (1.0, 3.0)), (["chains"], (3.0,))]
-
-
-def test_verify_coarse_single_width_flagged(tmp_path, cli_env):
-    proc = run_cli(
-        ["verify", "--suite", "measure-constant", "--eps", "0.5",
-         "--out", "r.json"],
-        tmp_path,
-        cli_env,
-    )
-    assert proc.returncode == 1
-    report = json.loads((tmp_path / "r.json").read_text())
-    row = report["checks"][0]
-    assert row["pass"] is False
-    assert row["diagnostics"]["biased"] is True
-    assert "biased" in row["diagnostics"]["notes"]
-
-
-def test_verify_config_file_eps(tmp_path, cli_env):
-    cfg = tmp_path / "v.json"
-    cfg.write_text(json.dumps({"suite": "prefactor", "eps": "0.2,0.1"}))
-    proc = run_cli(["verify", "--config", str(cfg), "--out", "r.json"], tmp_path, cli_env)
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads((tmp_path / "r.json").read_text())
-    assert report["config"]["eps_ladder"] == [0.2, 0.1]
 
 
 @pytest.mark.parametrize("tol", ["prefactor=1e-3", ["prefactor=1e-3", "jacobian=1e-5"]])

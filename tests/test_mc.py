@@ -380,10 +380,10 @@ def test_tuning_on_a_flat_target_stops_at_the_cap(model):
 
 
 def test_delta_frozen_without_thermalization():
+    # no tuning window: the width stays the one every chain starts from
     lat = build_lattice([2])
-    res = run_chain(lat, "o3", 1.0, 500, np.random.SeedSequence(3),
-                    thermalization=0, delta0=0.37)
-    assert res.delta == 0.37
+    res = run_chain(lat, "o3", 1.0, 500, np.random.SeedSequence(3), thermalization=0)
+    assert res.delta == mc.DELTA_START
 
 
 # --- determinism / reproducibility ---------------------------------------------------
@@ -404,11 +404,12 @@ def test_seed_determinism():
 
 
 def test_two_site_exact_o3_closed_form():
-    # relative-angle weight gives <cos theta> = coth(1/g) - g
-    for g in (0.5, 1.0, 2.0):
-        assert two_site_exact("o3", g) == pytest.approx(
-            1.0 / math.tanh(1.0 / g) - g, abs=1e-10
-        )
+    # relative-angle weight gives <cos theta> = coth(1/g) - g for every o3-law flavour
+    for model in (m for m in mc.MODELS if mc.LAW[m] == "o3"):
+        for g in (0.01, 0.05, 0.35, 0.5, 1.0, 2.0, 10.0):
+            assert two_site_exact(model, g) == pytest.approx(
+                1.0 / math.tanh(1.0 / g) - g, abs=1e-14
+            ), (model, g)
 
 
 def test_two_site_exact_reduced_independent_oracle():

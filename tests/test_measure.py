@@ -234,17 +234,6 @@ def test_verify_constant_rotated_points():
     assert est.constant == pytest.approx(HALF_PI, rel=1e-4)
 
 
-def test_verify_constant_single_width_is_biased():
-    rng = np.random.default_rng(15)
-    points = random_sphere_points(rng, 10)
-    est = verify_constant_c(points, (0.5,))
-    assert est.biased
-    assert not est.passes()
-    assert "biased" in est.notes
-    # the coarse-width estimate itself misses the constant by more than 1%
-    assert abs(est.constant - HALF_PI) > 0.01 * HALF_PI
-
-
 def test_verify_constant_requires_points():
     rng = np.random.default_rng(16)
     with pytest.raises(MeasureDomainError):
