@@ -198,33 +198,44 @@ def partition_constants(lat: Lattice, g) -> dict:
 
 
 class _FourierScalar:
-    """f(x) = c0 + sum_j a_j cos(k_j . x + p_j) with exact gradient."""
+    """f(x) = c0 + sum_j a_j cos(k_j . x + p_j) with exact gradient.
+
+    amps and phases have shape (modes,) and waves (modes, ndim); a batch of B
+    scalars puts a leading axis B on all three and takes x of shape
+    (B, N, ndim), scalar b at points x[b].
+    """
 
     def __init__(self, c0, amps, waves, phases):
         self.c0 = float(c0)
         self.amps = np.asarray(amps, dtype=float)
-        self.waves = np.asarray(waves, dtype=float)  # (modes, ndim)
+        self.waves = np.asarray(waves, dtype=float)  # (..., modes, ndim)
         self.phases = np.asarray(phases, dtype=float)
 
+    def _arg(self, x):
+        """k_j . x + p_j, shape (..., N, modes)."""
+        return np.atleast_2d(x) @ np.swapaxes(self.waves, -1, -2) + self.phases[..., None, :]
+
     def value(self, x):
-        x = np.atleast_2d(x)
-        arg = x @ self.waves.T + self.phases
-        return self.c0 + np.cos(arg) @ self.amps
+        return self.c0 + (np.cos(self._arg(x)) @ self.amps[..., None])[..., 0]
 
     def grad(self, x):
-        x = np.atleast_2d(x)
-        arg = x @ self.waves.T + self.phases  # (N, modes)
-        return -(np.sin(arg) * self.amps) @ self.waves  # (N, ndim)
+        """Shape (..., N, ndim)."""
+        return -(np.sin(self._arg(x)) * self.amps[..., None, :]) @ self.waves
 
     @classmethod
-    def random(cls, rng, ndim, c0, max_total_amp, n_modes, max_mode=2):
-        amps = rng.uniform(0.2, 1.0, n_modes)
-        amps *= max_total_amp / amps.sum()
-        waves = np.zeros((n_modes, ndim))
-        while np.any(np.all(waves == 0, axis=1)):
-            waves = rng.integers(-max_mode, max_mode + 1, (n_modes, ndim)).astype(float)
+    def random(cls, rng, ndim, c0, max_total_amp, n_modes, max_mode=2, count=None):
+        """One random scalar, or a batch of `count`; each redraws its waves until no row is zero."""
+        size = (n_modes,) if count is None else (count, n_modes)
+        amps = rng.uniform(0.2, 1.0, size)
+        amps *= max_total_amp / amps.sum(axis=-1, keepdims=True)
+        waves = np.zeros(size + (ndim,))
+        redraw = np.ones(size[:-1], dtype=bool)
+        while redraw.any():
+            waves[redraw] = rng.integers(-max_mode, max_mode + 1,
+                                         (np.count_nonzero(redraw), n_modes, ndim))
+            redraw = np.all(waves == 0, axis=-1).any(axis=-1)
         waves *= 2.0 * np.pi
-        phases = rng.uniform(0.0, 2.0 * np.pi, n_modes)
+        phases = rng.uniform(0.0, 2.0 * np.pi, size)
         return cls(c0, amps, waves, phases)
 
 
@@ -234,6 +245,8 @@ class AnalyticFieldProbe:
 
     r = cos(u), s = sin(u) with u kept inside (margin, pi/2 - margin), so
     r^2 + s^2 = 1 holds identically and its derivative vanishes exactly.
+    A batch of probes (random(..., count=B)) takes points x of shape
+    (B, N, ndim), probe b at x[b], and every result gains the leading axis B.
     """
 
     u: _FourierScalar
@@ -242,28 +255,31 @@ class AnalyticFieldProbe:
     ndim: int
 
     @classmethod
-    def random(cls, rng, ndim=1, n_modes=2, margin=0.15, max_mode=2, angle_amp=1.0):
+    def random(cls, rng, ndim=1, n_modes=2, margin=0.15, max_mode=2, angle_amp=1.0,
+               count=None):
+        """One random probe, or a batch of `count` (u, alpha, beta each drawn for all at once)."""
         half_range = np.pi / 4.0 - margin
-        u = _FourierScalar.random(rng, ndim, np.pi / 4.0, 0.9 * half_range, n_modes, max_mode)
-        alpha = _FourierScalar.random(rng, ndim, 0.0, angle_amp, n_modes, max_mode)
-        beta = _FourierScalar.random(rng, ndim, 0.0, angle_amp, n_modes, max_mode)
+        u = _FourierScalar.random(rng, ndim, np.pi / 4.0, 0.9 * half_range, n_modes, max_mode,
+                                  count)
+        alpha = _FourierScalar.random(rng, ndim, 0.0, angle_amp, n_modes, max_mode, count)
+        beta = _FourierScalar.random(rng, ndim, 0.0, angle_amp, n_modes, max_mode, count)
         return cls(u, alpha, beta, ndim)
 
     def polar(self, x):
-        """(r, s, alpha, beta) at points x, each shape (N,)."""
+        """(r, s, alpha, beta) at points x, each shape (..., N)."""
         u = self.u.value(x)
         return np.cos(u), np.sin(u), self.alpha.value(x), self.beta.value(x)
 
     def polar_grad(self, x):
-        """(dr, ds, dalpha, dbeta) at points x, each shape (N, ndim)."""
+        """(dr, ds, dalpha, dbeta) at points x, each shape (..., N, ndim)."""
         u = self.u.value(x)
         du = self.u.grad(x)
-        dr = -np.sin(u)[:, None] * du
-        ds = np.cos(u)[:, None] * du
+        dr = -np.sin(u)[..., None] * du
+        ds = np.cos(u)[..., None] * du
         return dr, ds, self.alpha.grad(x), self.beta.grad(x)
 
     def spinor(self, x):
-        """Unit spinors at points x, shape (N, 2) complex."""
+        """Unit spinors at points x, shape (..., N, 2) complex."""
         r, s, a, b = self.polar(x)
         return np.stack([r * np.exp(1j * a), s * np.exp(1j * b)], axis=-1)
 
@@ -274,7 +290,7 @@ def polar_action_density(probe: AnalyticFieldProbe, x, g):
     r, s, _, _ = probe.polar(x)
     dr, ds, da, db = probe.polar_grad(x)
     rs2 = (r * s) ** 2
-    return (rs2[:, None] * (da - db) ** 2 + dr**2 + ds**2).sum(axis=1) / g
+    return (rs2[..., None] * (da - db) ** 2 + dr**2 + ds**2).sum(axis=-1) / g
 
 
 def o3_action_density_from_polar(probe: AnalyticFieldProbe, x, g):
@@ -289,26 +305,30 @@ def o3_action_density_from_polar(probe: AnalyticFieldProbe, x, g):
     phi = a - b
     c, si = np.cos(phi), np.sin(phi)
     # rows: n_x, n_y, n_z; columns: d/dr, d/ds, d/dalpha, d/dbeta
-    jac = np.empty((len(r), 3, 4))
-    jac[:, 0, 0] = 2 * s * c
-    jac[:, 0, 1] = 2 * r * c
-    jac[:, 0, 2] = -2 * r * s * si
-    jac[:, 0, 3] = 2 * r * s * si
-    jac[:, 1, 0] = -2 * s * si
-    jac[:, 1, 1] = -2 * r * si
-    jac[:, 1, 2] = -2 * r * s * c
-    jac[:, 1, 3] = 2 * r * s * c
-    jac[:, 2, 0] = 2 * r
-    jac[:, 2, 1] = -2 * s
-    jac[:, 2, 2] = 0.0
-    jac[:, 2, 3] = 0.0
-    grads = np.stack([dr, ds, da, db], axis=-1)  # (N, ndim, 4)
-    dn = np.einsum("nab,nmb->nma", jac, grads)  # (N, ndim, 3)
-    return (dn**2).sum(axis=(1, 2)) / (4.0 * g)
+    jac = np.empty(r.shape + (3, 4))
+    jac[..., 0, 0] = 2 * s * c
+    jac[..., 0, 1] = 2 * r * c
+    jac[..., 0, 2] = -2 * r * s * si
+    jac[..., 0, 3] = 2 * r * s * si
+    jac[..., 1, 0] = -2 * s * si
+    jac[..., 1, 1] = -2 * r * si
+    jac[..., 1, 2] = -2 * r * s * c
+    jac[..., 1, 3] = 2 * r * s * c
+    jac[..., 2, 0] = 2 * r
+    jac[..., 2, 1] = -2 * s
+    jac[..., 2, 2] = 0.0
+    jac[..., 2, 3] = 0.0
+    grads = np.stack([dr, ds, da, db], axis=-1)  # (..., N, ndim, 4)
+    dn = np.einsum("...ab,...mb->...ma", jac, grads)  # (..., N, ndim, 3)
+    return (dn**2).sum(axis=(-2, -1)) / (4.0 * g)
 
 
 def polar_identity_max_violation(probe: AnalyticFieldProbe, x, g=1.0) -> float:
-    """Max pointwise gap between the two kinetic densities at points x."""
+    """Max pointwise gap between the two kinetic densities at points x.
+
+    x has shape (N, ndim), or (B, N, ndim) for a batch of B probes: then the
+    max runs over every probe's points.
+    """
     lhs = o3_action_density_from_polar(probe, x, g)
     rhs = polar_action_density(probe, x, g)
     return float(np.abs(lhs - rhs).max())

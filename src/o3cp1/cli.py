@@ -189,12 +189,10 @@ def _check_row(inputs, value, reference, tolerance, passed, diagnostics=None):
 
 
 def _check_polar_identity(rng, tol):
-    worst = 0.0
     n_probes, pts_per_probe = 1000, 8
-    for _ in range(n_probes):
-        probe = AnalyticFieldProbe.random(rng, ndim=2)
-        x = rng.uniform(0.0, 1.0, (pts_per_probe, 2))
-        worst = max(worst, polar_identity_max_violation(probe, x, g=1.0))
+    probes = AnalyticFieldProbe.random(rng, ndim=2, count=n_probes)
+    x = rng.uniform(0.0, 1.0, (n_probes, pts_per_probe, 2))
+    worst = polar_identity_max_violation(probes, x, g=1.0)
     return _check_row(
         {"probes": n_probes, "points_per_probe": pts_per_probe, "g": 1.0},
         worst,

@@ -47,12 +47,15 @@ q = hypot(n_x, n_y), psi = atan2(n_y, n_x) and u = 2 q sin^2((phi + psi)/2),
 delta_eps(n_x - rho cos phi) delta_eps(n_y + rho sin phi) factors exactly into
 delta_eps(rho - q) exp(-rho u / eps^2) / (eps sqrt(2 pi)): one exp per grid
 point. The sin^2 form avoids the cancellation in q - (n_x cos phi - n_y sin phi).
-Nodes with min(rho) u / eps^2 >= 55 are skipped; each term there is below
-e^-55 of its row's largest.
+The kernel sorts the rho values and walks them in blocks of ROW_BLOCK rows;
+each block skips the nodes with min(block rho) u / eps^2 >= 55, so every
+skipped term is below e^-55 of its row's largest. The cut per block, not per
+call, also keeps the exps of the large rho out of numpy's slow subnormal range
+(arguments below -708).
 
 Every quadrature runs at one fixed resolution, set by the module constants
-N_RADIAL, PHI_STEPS_PER_EPS, WINDOW_SIGMAS, RADIAL_PAD_SIGMAS and PHI_CHUNK
-(the comment on them says why these values suffice).
+N_RADIAL, PHI_STEPS_PER_EPS, WINDOW_SIGMAS, RADIAL_PAD_SIGMAS, PHI_CHUNK and
+ROW_BLOCK (the comment on them says why these values suffice).
 """
 
 import functools
@@ -81,12 +84,14 @@ STAGE_LADDER = (0.05, 0.035, 0.025)
 # Angular integrals use uniform grids of spacing eps / PHI_STEPS_PER_EPS: the
 # integrands are periodic Gaussians, for which the trapezoid rule converges
 # spectrally, and a spacing of eps/4 or finer resolves them. _angular_sum
-# takes PHI_CHUNK angles at a time to bound its temporary array.
+# takes ROW_BLOCK rows by PHI_CHUNK angles at a time, in one 128 KB buffer
+# that stays in cache; these two change the value only by rounding.
 N_RADIAL = 160
 PHI_STEPS_PER_EPS = 6.0
 WINDOW_SIGMAS = 14.0
 RADIAL_PAD_SIGMAS = 10.0
 PHI_CHUNK = 256
+ROW_BLOCK = 64
 
 PUSHFORWARD_SAMPLES = 100_000
 
@@ -192,13 +197,28 @@ def _radial_windows(n_z, eps):
 
 
 def _angular_sum(nx, ny, rho, eps, phi):
-    """Per rho: sum over phi of delta_eps(nx - rho cos phi) delta_eps(ny + rho sin phi)."""
+    """Per rho: sum over phi of delta_eps(nx - rho cos phi) delta_eps(ny + rho sin phi).
+
+    The rows go ROW_BLOCK at a time in ascending rho. A block keeps only the u
+    with min(block rho) u < 55, a prefix of the sorted u, and evaluates its
+    exps PHI_CHUNK angles at a time in one ROW_BLOCK x PHI_CHUNK buffer.
+    """
     q = math.hypot(nx, ny)
-    u = 2.0 * q * np.sin(0.5 * (phi + math.atan2(ny, nx))) ** 2
-    u = u[rho.min() * u < 55.0 * eps * eps] / (eps * eps)
-    total = np.zeros_like(rho)
-    for k0 in range(0, len(u), PHI_CHUNK):
-        total += np.exp(-np.multiply.outer(rho, u[k0 : k0 + PHI_CHUNK])).sum(axis=1)
+    u = np.sort(2.0 * q * np.sin(0.5 * (phi + math.atan2(ny, nx))) ** 2) / (eps * eps)
+    order = np.argsort(rho)
+    total = np.empty_like(rho)
+    buf = np.empty(ROW_BLOCK * PHI_CHUNK)
+    for i0 in range(0, len(rho), ROW_BLOCK):
+        rows = order[i0 : i0 + ROW_BLOCK]
+        block = rho[rows]
+        kept = np.searchsorted(block[0] * u, 55.0)
+        acc = np.zeros(len(rows))
+        for k0 in range(0, kept, PHI_CHUNK):
+            chunk = u[k0 : min(k0 + PHI_CHUNK, kept)]
+            terms = buf[: len(rows) * len(chunk)].reshape(len(rows), len(chunk))
+            np.multiply.outer(-block, chunk, out=terms)
+            acc += np.exp(terms, out=terms).sum(axis=1)
+        total[rows] = acc
     return mollified_delta(rho - q, eps) / (eps * SQRT_2PI) * total
 
 

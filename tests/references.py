@@ -1,12 +1,22 @@
 """Reference constructions that only the tests use, built on the package's API."""
 
 import csv
+import math
 
 import numpy as np
 
 from o3cp1 import mc
-from o3cp1.actions import gauge_term, link_overlaps, pullback_term, reduced_term, spinor_overlap
+from o3cp1.actions import (
+    AnalyticFieldProbe,
+    _FourierScalar,
+    gauge_term,
+    link_overlaps,
+    pullback_term,
+    reduced_term,
+    spinor_overlap,
+)
 from o3cp1.fields import CP1Field, GaugeField, SpinField
+from o3cp1.measure import PHI_CHUNK, SQRT_2PI, mollified_delta
 
 
 def constant_spin_field(lat, vec=(0.0, 0.0, 1.0)):
@@ -58,6 +68,27 @@ def probe_spinor_field(probe, lat):
     return spinor_field(probe.spinor(coords))
 
 
+def random_fourier_scalar(rng, ndim, c0, max_total_amp, n_modes, max_mode=2):
+    """actions._FourierScalar.random as one probe's draw: amps, waves until no row is zero, phases."""
+    amps = rng.uniform(0.2, 1.0, n_modes)
+    amps *= max_total_amp / amps.sum()
+    waves = np.zeros((n_modes, ndim))
+    while np.any(np.all(waves == 0, axis=1)):
+        waves = rng.integers(-max_mode, max_mode + 1, (n_modes, ndim)).astype(float)
+    waves *= 2.0 * np.pi
+    phases = rng.uniform(0.0, 2.0 * np.pi, n_modes)
+    return _FourierScalar(c0, amps, waves, phases)
+
+
+def random_probe(rng, ndim=1, n_modes=2, margin=0.15, max_mode=2, angle_amp=1.0):
+    """AnalyticFieldProbe.random for one probe, drawn scalar by scalar as above."""
+    half_range = np.pi / 4.0 - margin
+    u = random_fourier_scalar(rng, ndim, np.pi / 4.0, 0.9 * half_range, n_modes, max_mode)
+    alpha = random_fourier_scalar(rng, ndim, 0.0, angle_amp, n_modes, max_mode)
+    beta = random_fourier_scalar(rng, ndim, 0.0, angle_amp, n_modes, max_mode)
+    return AnalyticFieldProbe(u, alpha, beta, ndim)
+
+
 def probe_self_check(probe, x, h=1e-5, tol=1e-6):
     """Constraint and derivative consistency of an AnalyticFieldProbe at points x.
 
@@ -84,6 +115,20 @@ def probe_self_check(probe, x, h=1e-5, tol=1e-6):
             worst = max(worst, float(np.abs(fd - grad[:, mu]).max()))
     assert worst <= tol, f"probe derivative mismatch vs central diff: {worst:.3e}"
     return worst
+
+
+# --- measure's angular kernel before row blocking ------------------------------
+
+
+def angular_sum_unblocked(nx, ny, rho, eps, phi):
+    """measure._angular_sum over all rows at once, cut at min(rho) u < 55, in grid order."""
+    q = math.hypot(nx, ny)
+    u = 2.0 * q * np.sin(0.5 * (phi + math.atan2(ny, nx))) ** 2
+    u = u[rho.min() * u < 55.0 * eps * eps] / (eps * eps)
+    total = np.zeros_like(rho)
+    for k0 in range(0, len(u), PHI_CHUNK):
+        total += np.exp(-np.multiply.outer(rho, u[k0 : k0 + PHI_CHUNK])).sum(axis=1)
+    return mollified_delta(rho - q, eps) / (eps * SQRT_2PI) * total
 
 
 # --- the sampler's site kernels through plain fancy indexing ------------------

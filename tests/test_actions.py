@@ -21,6 +21,7 @@ from o3cp1.actions import (
     partition_constants,
     polar_action_density,
     polar_identity_max_violation,
+    _FourierScalar,
 )
 from o3cp1.fields import CP1Field, GaugeField, SpinField, hopf_map
 from o3cp1.lattice import build_lattice
@@ -30,6 +31,7 @@ from references import (
     optimal_gauge,
     probe_self_check,
     probe_spinor_field,
+    random_probe,
     spinor_field,
 )
 
@@ -261,10 +263,45 @@ def test_probe_self_check_and_identity():
         assert polar_identity_max_violation(probe, x, g=0.8) < 1e-10
 
 
+def probe_of_batch(batch, b):
+    """Probe b of a batch drawn with AnalyticFieldProbe.random(..., count=B)."""
+    def scalar(f):
+        return _FourierScalar(f.c0, f.amps[b], f.waves[b], f.phases[b])
+
+    return AnalyticFieldProbe(scalar(batch.u), scalar(batch.alpha), scalar(batch.beta), batch.ndim)
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_probe_batch_violation_is_the_max_over_its_probes(ndim):
+    rng = np.random.default_rng(23)
+    count = 40
+    batch = AnalyticFieldProbe.random(rng, ndim=ndim, count=count)
+    x = rng.uniform(0, 1, (count, 8, ndim))
+    per_probe = [polar_identity_max_violation(probe_of_batch(batch, b), x[b], g=0.8)
+                 for b in range(count)]
+    assert max(per_probe) > 0.0
+    assert abs(polar_identity_max_violation(batch, x, g=0.8) - max(per_probe)) <= 1e-15
+
+
+@pytest.mark.parametrize("ndim, kwargs", [
+    (1, {}), (2, {}), (3, {}), (1, {"max_mode": 1, "angle_amp": 0.7}),  # the last: c08's
+])
+def test_single_probe_draw_is_the_sequential_draw(ndim, kwargs):
+    # seeds 0-19 include draws whose all-zero wave row forces a redraw
+    for seed in range(20):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        probe = AnalyticFieldProbe.random(rng, ndim=ndim, **kwargs)
+        ref = random_probe(ref_rng, ndim=ndim, **kwargs)
+        for name in ("u", "alpha", "beta"):
+            got, want = getattr(probe, name), getattr(ref, name)
+            assert got.c0 == want.c0
+            for attr in ("amps", "waves", "phases"):
+                np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
+        assert rng.random() == ref_rng.random()
+
+
 def test_polar_identity_closed_form_case():
     # r = cos(u), s = sin(u), alpha = beta: density (u')^2 / g both ways
-    from o3cp1.actions import _FourierScalar
-
     u = _FourierScalar(np.pi / 4, [0.3], [[2 * np.pi]], [0.7])
     alpha = _FourierScalar(0.2, [0.5], [[4 * np.pi]], [1.1])
     probe = AnalyticFieldProbe(u, alpha, alpha, ndim=1)

@@ -354,6 +354,18 @@ def test_sample_csv_determinism(tmp_path, cli_env):
     assert (a_dir / "x_summary.json").read_bytes() == (b_dir / "x_summary.json").read_bytes()
 
 
+def test_verify_report_determinism(tmp_path, cli_env):
+    args = ["verify", "--suite", "all", "--seed", "17", "--out", "report.json"]
+    reports = []
+    for sub in ("a", "b"):
+        d = tmp_path / sub
+        d.mkdir()
+        proc = run_cli(args, d, cli_env)
+        assert proc.returncode == 0, proc.stderr
+        reports.append((d / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_compare_two_site_includes_oracle(tmp_path, cli_env):
     proc = run_cli(
         ["compare", "--dims", "2", "--g", "1.0", "--sweeps", "3000",

@@ -23,6 +23,7 @@ from o3cp1.measure import (
     richardson_extrapolate,
     verify_constant_c,
 )
+from references import angular_sum_unblocked
 
 
 # --- references only the tests use -----------------------------------------------
@@ -154,6 +155,24 @@ def test_angular_sum_matches_direct_sum_and_bessel(eps, start, period):
         np.testing.assert_allclose(ang, direct, rtol=1e-12, atol=0)
         closed = angular_pair_integral_bessel(rho, q, eps) * period / (2 * np.pi)
         np.testing.assert_allclose(2 * np.pi * ang * period / n_phi, closed, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.025])
+def test_angular_sum_row_blocks_over_unsorted_rho(eps):
+    # 3 blocks and a partial one, rho spanning a factor 26 in shuffled order; at
+    # eps = 0.025 one cut at min(rho) for every row, as angular_sum_unblocked
+    # makes, keeps terms whose exp argument is below -708
+    rng = np.random.default_rng(22)
+    nx, ny = 0.45, -0.5
+    rho = rng.permutation(np.geomspace(0.05, 1.3, 3 * measure.ROW_BLOCK + 17))
+    n_phi = measure._n_phi(eps, 4 * np.pi)
+    phi = np.linspace(-2 * np.pi, 2 * np.pi, n_phi, endpoint=False)
+    for rows in (rho, np.array([0.8])):  # the after-S stage passes one rho
+        ang = measure._angular_sum(nx, ny, rows, eps, phi)
+        direct = angular_sum_direct(nx, ny, rows, eps, phi)
+        np.testing.assert_allclose(ang, direct, rtol=1e-12, atol=0)
+        unblocked = angular_sum_unblocked(nx, ny, rows, eps, phi)
+        np.testing.assert_allclose(ang, unblocked, rtol=1e-14, atol=0)
 
 
 def test_quadratures_match_the_unfactored_angular_sum(monkeypatch):

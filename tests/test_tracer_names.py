@@ -22,6 +22,13 @@ LAYER_FUNCTIONS = (
     ("mc", "run_chain"),
     ("mc", "two_site_exact"),
     ("mc", "jackknife"),
+    ("actions", "marginalize_gauge_numeric"),
+    ("actions", "polar_identity_max_violation"),
+    ("measure", "verify_constant_c"),
+    ("measure", "reduction_consistency"),
+    ("measure", "pushforward_uniformity"),
+    ("measure", "one_site_ratio_test"),
+    ("measure", "measure_lhs"),
 )
 
 
