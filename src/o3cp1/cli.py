@@ -26,14 +26,12 @@ command's --tol accepts only the tolerances that command reads: the CHECKS
 tolerances for verify, sigma for compare. A bad value, a bad config file and
 argparse's own errors all end in one `error:` line and exit code 2. Every
 output embeds the effective configuration and seed.
-CSV schemas:
+CSV schemas, written by fields.write_csv from one part per chain and observable:
   sample   columns sweep, observable, value
   compare  columns chain, sweep, observable, value
 """
 
 import argparse
-import csv
-import itertools
 import json
 import math
 import sys
@@ -49,7 +47,7 @@ from .actions import (
     polar_identity_max_violation,
 )
 from .errors import O3CP1Error
-from .fields import CP1Field, jacobian_polar, save_field_csv
+from .fields import CP1Field, jacobian_polar, save_field_csv, write_csv
 from .lattice import build_lattice
 from .mc import DELTA_FLOOR, LAW, MODELS, chain_bin_size, count_bins, run_chains, two_site_exact
 
@@ -400,19 +398,15 @@ def run_verify(opts) -> tuple:
 # --- sample / compare --------------------------------------------------------
 
 
-def _write_series_csv(path, rows, header):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_series_csv(path, parts, header):
+    write_csv(path, header, parts)
 
 
 def _series_rows(result, chain_label=None):
-    """Yield the series CSV rows of one chain, led by chain_label if given."""
-    lead = () if chain_label is None else (chain_label,)
+    """Yield one chain's series as write_csv parts, one per observable, led by chain_label."""
+    lead = [] if chain_label is None else [chain_label]
     for name in sorted(result.series):
-        for sweep, value in enumerate(result.series[name].tolist()):
-            yield (*lead, sweep, name, repr(value))
+        yield lead + [0, name, result.series[name]]
 
 
 def _warn_frozen(results):
@@ -533,12 +527,8 @@ def run_compare(opts) -> tuple:
         "two_site_oracle": oracle,
         "passed": passed,
     }
-    csv_rows = itertools.chain.from_iterable(
-        _series_rows(r, chain_label=r.model) for r in results
-    )
-    _write_series_csv(
-        f"{prefix}_series.csv", csv_rows, ["chain", "sweep", "observable", "value"]
-    )
+    parts = [part for r in results for part in _series_rows(r, chain_label=r.model)]
+    _write_series_csv(f"{prefix}_series.csv", parts, ["chain", "sweep", "observable", "value"])
     _write_json(f"{prefix}_report.json", report)
     return report, 0 if passed else 1
 

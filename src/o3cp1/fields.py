@@ -12,8 +12,9 @@ Conventions: standard Pauli matrices, so n = z^dag sigma z has components
   n_z = r^2 - s^2
 for z = (r e^{i alpha}, s e^{i beta}).
 
-save_field_csv formats a snapshot of two or more CSV_CHUNK_ROWS blocks in two
-forked worker processes and writes the blocks in order: the same bytes.
+write_csv, the package's one CSV writer (snapshots and the CLI's series),
+formats a file of more than CSV_CHUNK_ROWS rows on two forked workers and
+writes the blocks in order, with the bytes of the csv module's writer.
 """
 
 from dataclasses import dataclass
@@ -145,48 +146,59 @@ def random_unit(rng, dim, size=None):
     return out[0] if size is None else out
 
 
-# --- snapshot files -------------------------------------------------------
+# --- CSV files --------------------------------------------------------------
 
-# CSV column order is part of the CLI reproducibility contract
-_HEADERS = {
-    "spin": ["site", "nx", "ny", "nz"],
-    "cp1": ["site", "re1", "im1", "re2", "im2"],
-    "gauge": ["site", "mu", "a"],
-}
 CSV_CHUNK_ROWS = 8192
 
 
-def _csv_text(start, block, per_site):
-    """CSV text of the rows of `block`, the first of which is row `start` of its file."""
-    rows = np.arange(start, start + len(block))
-    lead = divmod(rows, per_site) if per_site else (rows,)  # site[, mu]
-    cols = [map(str, c.tolist()) for c in lead] + [map(repr, c) for c in block.T.tolist()]
+def _csv_text(start, columns):
+    """CSV text of a block of rows, the first of which is row `start` of its part.
+
+    A column is a str, written on every row; an int k, the row index (k = 0)
+    or its quotient and remainder by k (site and mu of k links per site); or,
+    last, an array of one or more columns of values, written by repr.
+    """
+    *lead, values = columns
+    index = np.arange(start, start + len(values))
+    cols = []
+    for col in lead:
+        if isinstance(col, str):
+            cols.append([col] * len(values))
+        else:
+            cols += [map(str, c.tolist()) for c in (divmod(index, col) if col else (index,))]
+    cols += [map(repr, c) for c in values.reshape(len(values), -1).T.tolist()]
     return "\r\n".join(map(",".join, zip(*cols))) + "\r\n"
 
 
-def save_field_csv(path, field):
-    """Dump a field to CSV with full float precision, CSV_CHUNK_ROWS rows at a time.
+def write_csv(path, header, parts):
+    """Write the header, then the rows of each part, a list of columns (see _csv_text).
 
-    The bytes are csv.writer's (excel dialect: CRLF line ends, no field quoted).
-    Two or more chunks go to a pool of two forked workers that closes on return.
+    The bytes are the csv module writer's (excel dialect: CRLF line ends, no
+    field quoted). A file of more than CSV_CHUNK_ROWS rows is formatted
+    CSV_CHUNK_ROWS rows at a time by two forked workers, gone on return.
     """
-    if isinstance(field, SpinField):  # per_site: rows per site of a gauge field
-        kind, values, per_site = "spin", field.n, 0
-    elif isinstance(field, CP1Field):
-        kind, values, per_site = "cp1", field.data, 0
-    elif isinstance(field, GaugeField):
-        kind, values, per_site = "gauge", field.a.reshape(-1, 1), field.a.shape[1]
-    else:
-        raise FieldError(f"cannot save field of type {type(field).__name__}")
-    starts = range(0, len(values), CSV_CHUNK_ROWS)
-    args = (starts, [values[s : s + CSV_CHUNK_ROWS] for s in starts], [per_site] * len(starts))
+    blocks = [(s, lead + [values[s : s + CSV_CHUNK_ROWS]])
+              for *lead, values in parts for s in range(0, len(values), CSV_CHUNK_ROWS)]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(_HEADERS[kind]) + "\r\n")
-        if len(starts) < 2:
-            fh.writelines(map(_csv_text, *args))
+        fh.write(",".join(header) + "\r\n")
+        if sum(len(columns[-1]) for _, columns in blocks) <= CSV_CHUNK_ROWS:
+            fh.writelines(_csv_text(*block) for block in blocks)
             return
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
-            fh.writelines(pool.map(_csv_text, *args))
+            fh.writelines(pool.map(_csv_text, *zip(*blocks)))
+
+
+def save_field_csv(path, field):
+    """Dump a field by write_csv; its column order is part of the reproducibility contract."""
+    if isinstance(field, SpinField):  # per_site: rows per site of a gauge field
+        header, values, per_site = ["site", "nx", "ny", "nz"], field.n, 0
+    elif isinstance(field, CP1Field):
+        header, values, per_site = ["site", "re1", "im1", "re2", "im2"], field.data, 0
+    elif isinstance(field, GaugeField):
+        header, values, per_site = ["site", "mu", "a"], field.a.reshape(-1, 1), field.a.shape[1]
+    else:
+        raise FieldError(f"cannot save field of type {type(field).__name__}")
+    write_csv(path, header, [[per_site, values]])

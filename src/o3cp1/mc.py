@@ -477,6 +477,11 @@ def run_chain(
     state = init_chain(lat, model, g, rng, self_check=self_check)
     therm = default_thermalization(sweeps) if thermalization is None else thermalization
     measurer = _Measurer(lat, g, min(4, min(lat.dims) // 2))
+    names = measurer.names()
+    try:  # before thermalization, so that a series too long to hold fails at once
+        data = np.empty((sweeps, len(names)))
+    except (MemoryError, ValueError):
+        raise McError(f"cannot allocate the series of {sweeps} sweeps") from None
 
     window_acc = []
     for i in range(therm):
@@ -484,8 +489,6 @@ def run_chain(
         if (i + 1) % TUNE_WINDOW == 0:
             tune_proposal(state, float(np.mean(window_acc[-TUNE_WINDOW:])))
 
-    names = measurer.names()
-    data = np.empty((sweeps, len(names)))
     acc = 0.0
     for i in range(sweeps):
         acc += chain_sweep(state)

@@ -267,11 +267,6 @@ def identity_rhs_smoothed(n, eps) -> float:
     return float(mollified_delta(rho - 1.0, math.sqrt(2.0) * eps) / (2.0 * rho))
 
 
-def constant_ratio(n, eps) -> float:
-    """Pointwise estimate of the proportionality constant at width eps."""
-    return measure_lhs(n, eps) / identity_rhs_smoothed(n, eps)
-
-
 def richardson_extrapolate(eps_values, values):
     """Extrapolate an eps^2-convergent sequence to eps = 0; needs three or more widths.
 
@@ -327,7 +322,8 @@ def verify_constant_c(points) -> ConstantEstimate:
     off = np.abs(np.linalg.norm(points, axis=1) - 1.0).max()
     if off > 1e-9:
         raise MeasureDomainError(f"test points must lie on the unit sphere ({off:.2e} off)")
-    ratios = np.array([[constant_ratio(p, eps) for eps in EPS_LADDER] for p in points])
+    ratios = np.array([[reduction_stage_value(p, eps, "raw-4d").constant for eps in EPS_LADDER]
+                       for p in points])
 
     per_point = np.empty(points.shape[0])
     residuals = np.empty(points.shape[0])
@@ -401,7 +397,7 @@ def _stage_after_S(n, eps) -> float:
 
 def _stage_after_phi(n, eps) -> float:
     _, ny, _ = n
-    _, fprime = phi_roots(n)  # _require_generic keeps fprime >= 10 eps
+    _, fprime = phi_roots(n)  # stage_reference's _require_generic keeps fprime >= 10 eps
     return float(
         math.pi
         / 4.0
@@ -432,7 +428,8 @@ def stage_reference(n, eps, stage) -> float:
         rho_xy = math.hypot(nx, ny)
         rho_z = math.sqrt(1.0 - nz * nz)
         return float(mollified_delta(rho_xy - rho_z, eps) / (rho_xy + rho_z))
-    if stage == "after-phi":
+    if stage == "after-phi":  # the only stage that divides by |f'(phi0)|
+        _require_generic(n, eps)
         _, q = phi_roots(n)
         return float(
             (mollified_delta(ny + q, eps) + mollified_delta(ny - q, eps)) / (2.0 * q)
@@ -449,17 +446,13 @@ class StageValue:
     constant: float
 
 
-# the raw value of each stage at (n, eps), keyed by STAGES
-_STAGE_VALUES = dict(zip(STAGES, (measure_lhs, _stage_after_R_theta, _stage_after_S,
-                                  _stage_after_phi)))
-
-
 def reduction_stage_value(n, eps, stage) -> StageValue:
     """One reduction stage at one width: raw value, reference, constant estimate."""
     n = _as_point(n)
-    _require_generic(n, eps)
-    ref = stage_reference(n, eps, stage)  # rejects an unknown stage
-    value = _STAGE_VALUES[stage](n, eps)
+    ref = stage_reference(n, eps, stage)  # rejects an unknown stage, and a singular after-phi
+    # looked up per call, so that a rebound module function is the one called
+    values = (measure_lhs, _stage_after_R_theta, _stage_after_S, _stage_after_phi)
+    value = values[STAGES.index(stage)](n, eps)
     return StageValue(stage, eps, value, ref, value / ref)
 
 

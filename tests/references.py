@@ -217,3 +217,18 @@ def save_field_csv(path, field):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_series_csv(path, chains, labelled):
+    """cli's series file as csv.writer writes it, one row at a time.
+
+    chains is a list of (label, series dict); labelled: compare's schema, led
+    by the chain column, else sample's.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["chain"] * labelled + ["sweep", "observable", "value"])
+        for label, series in chains:
+            for name in sorted(series):
+                for sweep, value in enumerate(series[name].tolist()):
+                    writer.writerow([label] * labelled + [sweep, name, repr(value)])

@@ -12,13 +12,14 @@ from o3cp1 import cli
 from o3cp1.mc import two_site_exact
 
 
-def run_cli(args, cwd, env):
+def run_cli(args, cwd, env, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "o3cp1.cli", *args],
         cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -202,6 +203,18 @@ def test_domain_errors_are_one_line(tmp_path, cli_env, args, code, fragment):
             argv.append(arg)
     proc = run_cli(argv, tmp_path, cli_env)
     assert_cli_error(proc, code, fragment)
+
+
+@pytest.mark.parametrize("command", ["sample", "compare"])
+@pytest.mark.parametrize("sweeps", ["1000000000000000", "10000000000000000000"])
+def test_a_series_too_long_to_hold_fails_before_thermalization(tmp_path, cli_env, command,
+                                                               sweeps):
+    # 10^15 sweeps of five observables need more than a 47-bit address space
+    # holds, and numpy refuses 10^19 rows outright. The default thermalization
+    # is sweeps / 10, so the buffer must be allocated before it runs
+    proc = run_cli([command, "--dims", "2", "--seed", "1", "--sweeps", sweeps], tmp_path,
+                   cli_env, timeout=60)
+    assert_cli_error(proc, 1, f"cannot allocate the series of {sweeps} sweeps")
 
 
 # a valid value of every option, not its default: (flag string, config-file JSON value);

@@ -1,12 +1,12 @@
 import csv
-import importlib
-import inspect
 import multiprocessing
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from o3cp1 import cli
 from o3cp1.fields import (
     CSV_CHUNK_ROWS,
     PAULI,
@@ -22,7 +22,7 @@ from o3cp1.fields import (
 from o3cp1.lattice import build_lattice
 import references
 from references import constant_spin_field, constant_spinor_field
-from test_tracer_names import load_tracer
+from test_tracer_names import install_tracer
 
 # phases are undefined on the polar chart when r or s vanishes
 DEGENERATE_TOL = 1e-12
@@ -307,17 +307,7 @@ def test_snapshot_bytes_match_csv_writer(tmp_path, field_type, width, offset):
 def test_pooled_snapshot_bytes_under_the_tracer(tmp_path, monkeypatch):
     # the benchmark's tracer rebinds the functions of o3cp1's modules; the
     # function the pool maps must still pickle by name, with the same bytes
-    tracer = load_tracer()
-    for mod_name in ["o3cp1"] + [f"o3cp1.{short}" for short in tracer.MODULES]:
-        mod = importlib.import_module(mod_name)  # undo every rebinding when the test ends
-        for name, obj in list(vars(mod).items()):
-            if inspect.isfunction(obj) or inspect.ismodule(obj):
-                monkeypatch.setattr(mod, name, obj)
-    for short, cls_name, meth in tracer.EXTRA_METHODS:
-        cls = getattr(importlib.import_module(f"o3cp1.{short}"), cls_name)
-        monkeypatch.setattr(cls, meth, vars(cls)[meth])
-    rec = tracer.Recorder(str(tmp_path))
-    mods = tracer.install(rec, "o3cp1")
+    rec, mods = install_tracer(tmp_path, monkeypatch)
     rng = np.random.default_rng(5)
     values = rng.standard_normal((3 * CSV_CHUNK_ROWS + 7, 4)) * 10.0 ** rng.integers(-300, 300, 4)
     field = CP1Field(values)
@@ -326,3 +316,53 @@ def test_pooled_snapshot_bytes_under_the_tracer(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
     references.save_field_csv(tmp_path / "csv_writer.csv", field)
     assert (tmp_path / "traced.csv").read_bytes() == (tmp_path / "csv_writer.csv").read_bytes()
+
+
+def edge_series(sweeps, observables, seed):
+    """Series of `observables` names with -0.0, 5e-324, 1e308 and 1/3 at each block edge."""
+    rng = np.random.default_rng(seed)
+    series = {}
+    for k in range(observables):
+        values = rng.standard_normal(sweeps) * 10.0 ** rng.integers(-300, 300, sweeps)
+        for at in (0, CSV_CHUNK_ROWS - 2, sweeps - 4):  # start, chunk edge, end
+            at = min(at, sweeps - 4)
+            values[at : at + 4] = [-0.0, 5e-324, 1e308, 1 / 3]
+        series[f"obs_{k}"] = values
+    return series
+
+
+def write_series(tmp_path, cli_module, sweeps, observables, chains):
+    """Bytes of cli's series file and of its csv.writer form; chains None: sample's schema."""
+    labels = [None] if chains is None else [f"chain-{c}" for c in range(chains)]
+    runs = [SimpleNamespace(model=label, series=edge_series(sweeps, observables, seed))
+            for seed, label in enumerate(labels)]
+    header = ["chain"] * (chains is not None) + ["sweep", "observable", "value"]
+    parts = [part for r in runs for part in cli_module._series_rows(r, chain_label=r.model)]
+    cli_module._write_series_csv(tmp_path / "series.csv", parts, header)
+    assert multiprocessing.active_children() == []
+    references.write_series_csv(tmp_path / "csv_writer.csv",
+                                [(r.model, r.series) for r in runs], chains is not None)
+    return (tmp_path / "series.csv").read_bytes(), (tmp_path / "csv_writer.csv").read_bytes()
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, CSV_CHUNK_ROWS + 100])
+@pytest.mark.parametrize("observables", [1, 5])
+@pytest.mark.parametrize("chains", [None, 1, 5])
+def test_series_bytes_match_csv_writer(tmp_path, offset, observables, chains):
+    # sample's schema (chains None) and compare's, with series of just below,
+    # exactly, just above one chunk of sweeps and two chunks and part of a
+    # third; a file of more than one chunk of rows goes through the worker pool
+    sweeps = CSV_CHUNK_ROWS + offset
+    written, expected = write_series(tmp_path, cli, sweeps, observables, chains)
+    assert written == expected
+    for text in (b",-0.0\r\n", b",5e-324\r\n", b",1e+308\r\n", b",0.3333333333333333\r\n"):
+        assert text in expected
+
+
+def test_pooled_series_bytes_under_the_tracer(tmp_path, monkeypatch):
+    # as for snapshots: the pool must still pickle the block formatter by name
+    rec, mods = install_tracer(tmp_path, monkeypatch)
+    written, expected = write_series(tmp_path, mods["cli"], 2 * CSV_CHUNK_ROWS + 100, 5, 5)
+    assert rec.stats["cli._write_series_csv"]["count"] == 1
+    assert rec.stats["fields.write_csv"]["count"] == 1
+    assert written == expected

@@ -10,7 +10,6 @@ from o3cp1.measure import (
     STAGE_LADDER,
     MeasureDomainError,
     _as_point,
-    constant_ratio,
     identity_rhs_smoothed,
     measure_lhs,
     mollified_delta,
@@ -83,12 +82,13 @@ def test_on_sphere_ratio_is_half_pi():
     rng = np.random.default_rng(10)
     for p in random_sphere_points(rng, 3):
         for eps in (0.1, 0.05):
-            assert constant_ratio(p, eps) == pytest.approx(HALF_PI, rel=1e-6)
+            ratio = reduction_stage_value(p, eps, "raw-4d").constant
+            assert ratio == pytest.approx(HALF_PI, rel=1e-6)
 
 
 def test_pole_point_ratio():
     n = np.array([0.0, 0.0, 1.0])
-    assert constant_ratio(n, 0.05) == pytest.approx(HALF_PI, rel=1e-6)
+    assert reduction_stage_value(n, 0.05, "raw-4d").constant == pytest.approx(HALF_PI, rel=1e-6)
 
 
 def test_support_off_sphere():
@@ -320,13 +320,8 @@ def test_raw_vs_after_R_theta_at_example_point():
     extraps = []
     residuals = []
     for stage in ("raw-4d", "after-R-theta"):
-        ladder = STAGE_LADDER
-        consts = [measure_lhs(n, e) / measure.stage_reference(n, e, stage)
-                  if stage == "raw-4d"
-                  else measure._stage_after_R_theta(n, e)
-                  / measure.stage_reference(n, e, stage)
-                  for e in ladder]
-        limit, residual, _ = richardson_extrapolate(ladder, consts)
+        consts = [reduction_stage_value(n, e, stage).constant for e in STAGE_LADDER]
+        limit, residual, _ = richardson_extrapolate(STAGE_LADDER, consts)
         extraps.append(limit)
         residuals.append(residual)
     tol = 5.0 * sum(residuals) + 1e-7 * sum(abs(v) for v in extraps)

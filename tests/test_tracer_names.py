@@ -10,6 +10,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 # the public functions perfbench/run.py's layer_metrics keys on
@@ -39,6 +41,21 @@ def load_tracer():
     return tracer
 
 
+def install_tracer(out_dir, monkeypatch):
+    """(recorder, modules) of the tracer installed on o3cp1, undone when the test ends."""
+    tracer = load_tracer()
+    for mod_name in ["o3cp1"] + [f"o3cp1.{short}" for short in tracer.MODULES]:
+        mod = importlib.import_module(mod_name)  # undo every rebinding when the test ends
+        for name, obj in list(vars(mod).items()):
+            if inspect.isfunction(obj) or inspect.ismodule(obj):
+                monkeypatch.setattr(mod, name, obj)
+    for short, cls_name, meth in tracer.EXTRA_METHODS:
+        cls = getattr(importlib.import_module(f"o3cp1.{short}"), cls_name)
+        monkeypatch.setattr(cls, meth, vars(cls)[meth])
+    rec = tracer.Recorder(str(out_dir))
+    return rec, tracer.install(rec, "o3cp1")
+
+
 def module(short):
     return importlib.import_module(f"o3cp1.{short}")
 
@@ -60,3 +77,44 @@ def test_tracer_extra_names_resolve():
         cls = getattr(module(short), cls_name, None)
         assert inspect.isclass(cls), f"o3cp1.{short}.{cls_name}"
         assert meth in vars(cls), f"o3cp1.{short}.{cls_name}.{meth}"
+
+
+def _held_functions(obj):
+    """The functions inside a dict, list, tuple or set, at any depth (NamedTuples included)."""
+    if inspect.isfunction(obj):
+        yield obj
+    elif isinstance(obj, dict):
+        for item in obj.items():
+            yield from _held_functions(item)
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        for item in obj:
+            yield from _held_functions(item)
+
+
+def test_no_module_table_holds_a_traced_function():
+    # the tracer rebinds the module attributes of the functions it wraps; a
+    # table bound at import keeps the unwrapped function, and the calls made
+    # through it go uncounted
+    tracer = load_tracer()
+    traced = {}
+    for short in tracer.MODULES:
+        mod = module(short)
+        names = [n for n, f in vars(mod).items() if inspect.isfunction(f)
+                 and f.__module__ == mod.__name__ and not n.startswith("_")]
+        names += [n for m, n in tracer.EXTRA_FUNCTIONS if m == short]
+        traced.update({id(getattr(mod, n)): f"{short}.{n}" for n in names})
+    for short in tracer.MODULES:
+        for name, obj in vars(module(short)).items():
+            if isinstance(obj, (dict, list, tuple, set, frozenset)):
+                for func in _held_functions(obj):
+                    assert id(func) not in traced, f"o3cp1.{short}.{name} holds {traced[id(func)]}"
+
+
+def test_traced_checks_count_every_measure_lhs_call(tmp_path, monkeypatch):
+    # ten points at three widths for the constant, five points at three
+    # widths for the raw-4d stage of the reduction check
+    rec, mods = install_tracer(tmp_path, monkeypatch)
+    for name, calls in (("measure-constant", 30), ("reduction-stages", 15)):
+        rec.stats.pop("measure.measure_lhs", None)
+        mods["cli"].run_check(name, np.random.default_rng(0))
+        assert rec.stats["measure.measure_lhs"]["count"] == calls, name
