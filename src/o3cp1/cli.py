@@ -34,6 +34,7 @@ CSV schemas, written by fields.write_csv from one part per chain and observable:
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Callable, NamedTuple, Optional
 
@@ -160,6 +161,19 @@ def _strict(obj):
     if isinstance(obj, (list, tuple)):
         return [_strict(v) for v in obj]
     return obj
+
+
+def _require_output_dir(path):
+    """O3CP1Error unless the directory that is to hold `path` is a writable directory.
+
+    Run before any work, so that a bad location costs no sampling; creates nothing.
+    """
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        reason = "is not a directory" if os.path.exists(directory) else "does not exist"
+        raise O3CP1Error(f"output directory {directory} {reason}")
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise O3CP1Error(f"output directory {directory} is not writable")
 
 
 def _write_json(path, obj):
@@ -506,9 +520,14 @@ def run_compare(opts) -> tuple:
     n_sigma = dict(COMPARE_TOLERANCES, **opts["tol"])["sigma"]
 
     lat = build_lattice(opts["dims"])
-    count_bins(opts["sweeps"], chain_bin_size(opts["sweeps"]))  # refuse before sampling
+    models = REGIMES[opts["regime"]]
+    # refuse before sampling: too few bins, or a two-site reference that does not resolve g
+    count_bins(opts["sweeps"], chain_bin_size(opts["sweeps"]))
+    if lat.volume == 2:  # the reference depends on the law alone: one model per law
+        for model in {LAW[m]: m for m in models}.values():
+            two_site_exact(model, g)
     results = run_chains(
-        lat, REGIMES[opts["regime"]], g, opts["sweeps"], master_seed=opts["seed"],
+        lat, models, g, opts["sweeps"], master_seed=opts["seed"],
         thermalization=opts["thermalization"], processes=opts["threads"],
     )
     rows = comparison_rows(results, n_sigma)
@@ -662,6 +681,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         opts = _options(args)
+        _require_output_dir(opts["out" if args.command == "verify" else "out-prefix"])
         if args.command == "verify":
             report, code = run_verify(opts)
             _write_json(opts["out"], report)

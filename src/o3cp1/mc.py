@@ -532,9 +532,24 @@ def run_chains(lat, models, g, sweeps, master_seed, processes=1, **kwargs):
 # --- small-system quadrature references ---------------------------------------
 #
 # On the two-site chain every model's <n(0) . n(1)> reduces to one integral of
-# its own Boltzmann weight over the unit disk of w, on one 96 x 96
-# Gauss-Legendre grid. Both links join the same two sites, so the action is
-# twice one per-link kernel of actions.py over g, evaluated on the whole grid.
+# its own Boltzmann weight over the unit disk of w, on an n x n Gauss-Legendre
+# grid. Both links join the same two sites, so the action is twice one per-link
+# kernel of actions.py over g, evaluated on the whole grid. The weight narrows
+# as g falls: the 96-node grid resolves g >= 0.0035 and is the one used;
+# the 192-node grid only checks it.
+
+
+def _two_site_quadrature(term, g, n):
+    x, wq = _leggauss(n)
+    rho = 0.5 * (x + 1.0)  # |w| in [0, 1]
+    psi = 0.5 * (x + 1.0) * 2.0 * math.pi
+    w = np.multiply.outer(rho, np.cos(psi) + 1j * np.sin(psi))
+    with np.errstate(all="ignore"):  # a g too small to resolve ends in the check below
+        s_vals = 2.0 * term(w) / g
+        wgt = np.outer(0.5 * wq * rho, 0.5 * 2.0 * math.pi * wq)
+        weight = wgt * np.exp(-(s_vals - s_vals.min()))
+        obs = 2.0 * rho[:, None] ** 2 - 1.0
+        return float(np.sum(weight * obs) / np.sum(weight))
 
 
 def two_site_exact(model: str, g: float) -> float:
@@ -545,16 +560,15 @@ def two_site_exact(model: str, g: float) -> float:
     of one unit spinor component). S = 2 term(w) / g with the per-link
     pullback_term for the o3 law and reduced_term for the reduced law, and
     n(0).n(1) = 2|w|^2 - 1. Gauged flavors share their matter marginal's
-    value exactly.
+    value exactly. McError when the 96- and 192-node rules differ by more
+    than 1e-12 or either is not finite: the rule does not resolve g.
     """
     if model not in LAW:
         raise McError(f"no two-site reference for model {model!r}")
-    x, wq = _leggauss(96)
-    rho = 0.5 * (x + 1.0)  # |w| in [0, 1]
-    psi = 0.5 * (x + 1.0) * 2.0 * math.pi
-    w = np.multiply.outer(rho, np.cos(psi) + 1j * np.sin(psi))
-    s_vals = 2.0 * (pullback_term if LAW[model] == "o3" else reduced_term)(w) / g
-    wgt = np.outer(0.5 * wq * rho, 0.5 * 2.0 * math.pi * wq)
-    weight = wgt * np.exp(-(s_vals - s_vals.min()))
-    obs = 2.0 * rho[:, None] ** 2 - 1.0
-    return float(np.sum(weight * obs) / np.sum(weight))
+    term = pullback_term if LAW[model] == "o3" else reduced_term
+    value, check = (_two_site_quadrature(term, g, n) for n in (96, 192))
+    gap = abs(value - check)
+    if not gap <= 1e-12:  # also catches a nan
+        raise McError(f"the two-site reference does not resolve g = {float(g)!r}: its 96- and "
+                      f"192-node rules differ by {gap:.1e} (more than 1e-12)")
+    return value

@@ -53,6 +53,17 @@ skipped term is below e^-55 of its row's largest. The cut per block, not per
 call, also keeps the exps of the large rho out of numpy's slow subnormal range
 (arguments below -708).
 
+The angle grid has spacing h = eps / PHI_STEPS_PER_EPS = eps / 2. Per row the
+kernel sums exp(kappa (cos(phi + psi) - 1)) with kappa = rho q / eps^2, a
+periodic Gaussian of angular width eps / sqrt(rho q). By Poisson summation the
+trapezoid rule's relative error on it is about 2 exp(-2 pi^2 eps^2 / (h^2 rho q))
+(Trefethen & Weideman 2014, SIAM Rev. 56:385), 2 exp(-8 pi^2 / (rho q)) at
+h = eps / 2. measure_lhs's 1e-24 mask keeps the rows with R^2 + S^2 - 1 below
+about sqrt(2 ln 1e24) eps = 10.5 eps, so at a point with |n| <= 1,
+rho q = 2 R S q <= R^2 + S^2 <= 1 + 10.5 eps: 2.05 at eps = 0.1 and 1.26 at
+eps = 0.025, an error below 4e-17. The later stages have rho q <= 1. At h = eps
+the same bound reaches 1e-4 on the outer rows.
+
 Every quadrature runs at one fixed resolution, set by the module constants
 N_RADIAL, PHI_STEPS_PER_EPS, WINDOW_SIGMAS, RADIAL_PAD_SIGMAS, PHI_CHUNK and
 ROW_BLOCK (the comment on them says why these values suffice).
@@ -82,16 +93,18 @@ STAGE_LADDER = (0.05, 0.035, 0.025)
 # around the delta supports, truncated at r, s <= 1 + RADIAL_PAD_SIGMAS * eps,
 # with at least N_RADIAL nodes and more if they would sit over eps/4 apart.
 # Angular integrals use uniform grids of spacing eps / PHI_STEPS_PER_EPS: the
-# integrands are periodic Gaussians, for which the trapezoid rule converges
-# spectrally, and a spacing of eps/4 or finer resolves them. _angular_sum
+# integrands are periodic Gaussians, whose trapezoid-rule aliasing error at
+# spacing eps/2 is 2 exp(-8 pi^2 / (rho q)), below 4e-17 on every row the
+# quadratures keep (rho q <= 2.05; the module docstring derives both). _angular_sum
 # takes ROW_BLOCK rows by PHI_CHUNK angles at a time, in one 128 KB buffer
-# that stays in cache; these two change the value only by rounding.
+# that stays in cache; these two change the value only by rounding. At eps/2 a
+# row keeps a few dozen angles, so a block of 256 rows takes about two chunks.
 N_RADIAL = 160
-PHI_STEPS_PER_EPS = 6.0
+PHI_STEPS_PER_EPS = 2.0
 WINDOW_SIGMAS = 14.0
 RADIAL_PAD_SIGMAS = 10.0
-PHI_CHUNK = 256
-ROW_BLOCK = 64
+PHI_CHUNK = 64
+ROW_BLOCK = 256
 
 PUSHFORWARD_SAMPLES = 100_000
 
@@ -229,6 +242,12 @@ def measure_lhs(n, eps) -> float:
     over phi = alpha - beta (the integrand depends on the angles only through
     their difference); phi is integrated on a uniform grid, (r, s) on
     Gauss-Legendre windows around the delta supports.
+
+    In a = r^2 and b = s^2 the cross terms of the two radial deltas cancel:
+    delta_eps(a + b - 1) delta_eps(n_z - (a - b)) equals
+    exp(-(a - (1 + n_z)/2)^2 / eps^2) exp(-(b - (1 - n_z)/2)^2 / eps^2) / (2 pi eps^2),
+    so with the Jacobian r s the radial weight is the outer product of an r
+    factor and an s factor.
     """
     n = _as_point(n)
     nx, ny, nz = n
@@ -237,15 +256,14 @@ def measure_lhs(n, eps) -> float:
         return 0.0
     r, wr = _radial_nodes(math.sqrt(max(r2lo, 0.0)), math.sqrt(r2hi), eps)
     s, ws = _radial_nodes(math.sqrt(max(s2lo, 0.0)), math.sqrt(s2hi), eps)
-    R, S = np.meshgrid(r, s, indexing="ij")
-    WT = np.outer(wr, ws) * R * S
-    base = WT * mollified_delta(R * R + S * S - 1.0, eps)
-    base *= mollified_delta(nz - (R * R - S * S), eps)
+    fr = wr * r * np.exp(-(((r * r - 0.5 * (1.0 + nz)) / eps) ** 2))
+    fs = ws * s * np.exp(-(((s * s - 0.5 * (1.0 - nz)) / eps) ** 2))
+    base = np.outer(fr / (2.0 * math.pi * eps * eps), fs)
     peak = base.max(initial=0.0)
     if peak <= 0.0:
         return 0.0
     mask = base > peak * 1e-24
-    rho = (2.0 * R * S)[mask]
+    rho = 2.0 * np.outer(r, s)[mask]
     base = base[mask]
     n_phi = _n_phi(eps)
     phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)

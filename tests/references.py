@@ -16,7 +16,15 @@ from o3cp1.actions import (
     spinor_overlap,
 )
 from o3cp1.fields import CP1Field, GaugeField, SpinField
-from o3cp1.measure import PHI_CHUNK, SQRT_2PI, mollified_delta
+from o3cp1.measure import (
+    PHI_CHUNK,
+    SQRT_2PI,
+    _angular_sum,
+    _n_phi,
+    _radial_nodes,
+    _radial_windows,
+    mollified_delta,
+)
 
 
 def constant_spin_field(lat, vec=(0.0, 0.0, 1.0)):
@@ -129,6 +137,25 @@ def angular_sum_unblocked(nx, ny, rho, eps, phi):
     for k0 in range(0, len(u), PHI_CHUNK):
         total += np.exp(-np.multiply.outer(rho, u[k0 : k0 + PHI_CHUNK])).sum(axis=1)
     return mollified_delta(rho - q, eps) / (eps * SQRT_2PI) * total
+
+
+# --- measure's raw-4d quadrature with its radial deltas on the whole grid -----
+
+
+def measure_lhs_unfactored(n, eps):
+    """measure.measure_lhs with the two radial deltas evaluated as written, on the (r, s) grid."""
+    nx, ny, nz = n
+    (r2lo, r2hi), (s2lo, s2hi) = _radial_windows(nz, eps)
+    r, wr = _radial_nodes(math.sqrt(max(r2lo, 0.0)), math.sqrt(r2hi), eps)
+    s, ws = _radial_nodes(math.sqrt(max(s2lo, 0.0)), math.sqrt(s2hi), eps)
+    R, S = np.meshgrid(r, s, indexing="ij")
+    base = np.outer(wr, ws) * R * S * mollified_delta(R * R + S * S - 1.0, eps)
+    base *= mollified_delta(nz - (R * R - S * S), eps)
+    mask = base > base.max() * 1e-24
+    n_phi = _n_phi(eps)
+    phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    ang = _angular_sum(nx, ny, (2.0 * R * S)[mask], eps, phi)
+    return float((base[mask] * ang).sum() * 2.0 * math.pi * 2.0 * math.pi / n_phi)
 
 
 # --- the sampler's site kernels through plain fancy indexing ------------------

@@ -217,6 +217,31 @@ def test_a_series_too_long_to_hold_fails_before_thermalization(tmp_path, cli_env
     assert_cli_error(proc, 1, f"cannot allocate the series of {sweeps} sweeps")
 
 
+@pytest.mark.parametrize("parent, reason", [("missing", "does not exist"),
+                                            ("file", "is not a directory")])
+@pytest.mark.parametrize("args, out", [
+    (["verify"], "--out"),
+    # a million sweeps on 8x8 take minutes, past the timeout
+    (["sample", "--dims", "8x8", "--sweeps", "1000000", "--seed", "1"], "--out-prefix"),
+    (["compare", "--dims", "8x8", "--sweeps", "1000000", "--seed", "1"], "--out-prefix"),
+])
+def test_an_unusable_output_directory_fails_before_any_work(tmp_path, cli_env, parent, reason,
+                                                           args, out):
+    (tmp_path / "file").write_text("")
+    proc = run_cli(args + [out, f"{parent}/run"], tmp_path, cli_env, timeout=60)
+    assert_cli_error(proc, 1, f"output directory {parent} {reason}")
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+@pytest.mark.parametrize("g", ["0.002", "0.001", "1e-4", "5e-324"])
+def test_compare_refuses_an_unresolved_two_site_reference_before_sampling(tmp_path, cli_env, g):
+    # five chains of a million two-site sweeps take minutes, past the timeout
+    proc = run_cli(["compare", "--dims", "2", "--g", g, "--regime", "both", "--sweeps",
+                    "1000000", "--seed", "1"], tmp_path, cli_env, timeout=60)
+    assert_cli_error(proc, 1, f"does not resolve g = {float(g)!r}")
+    assert list(tmp_path.iterdir()) == []
+
+
 # a valid value of every option, not its default: (flag string, config-file JSON value);
 # a None flag string is a flag that takes no value. A (command, name) key gives
 # the value for one command.
@@ -397,9 +422,10 @@ def test_compare_two_site_includes_oracle(tmp_path, cli_env):
 
 
 def test_compare_names_chains_pinned_at_the_delta_floor(tmp_path, cli_env):
-    # at tiny g every proposal is rejected until tuning clips delta to its floor
+    # at tiny g every proposal is rejected until tuning clips delta to its floor;
+    # three sites, as the two-site reference does not resolve such a g
     proc = run_cli(
-        ["compare", "--dims", "2", "--g", "1e-12", "--sweeps", "1000",
+        ["compare", "--dims", "3", "--g", "1e-12", "--sweeps", "1000",
          "--thermalization", "1000", "--seed", "1", "--out-prefix", "frozen"],
         tmp_path,
         cli_env,
@@ -579,15 +605,17 @@ def load_strict_json(path):
 
 
 def test_reports_are_strict_json(tmp_path, cli_env):
-    # measured_order is NaN at the noise floor of the ladder differences,
-    # and a chain frozen at tiny g has zero error bars, so n_sigma = inf
+    # measured_order is NaN at the noise floor of the ladder differences. At
+    # g = 5e-324 the energy, ndim (1 - corr_r1) / 2g, overflows to inf, so its
+    # means and n_sigma (inf - inf) are not finite; three sites, as the
+    # two-site reference does not resolve such a g
     proc = run_cli(["verify", "--suite", "measure-constant", "--out", "r.json"],
                    tmp_path, cli_env)
     assert proc.returncode == 0, proc.stderr
     row = load_strict_json(tmp_path / "r.json")["checks"][0]
     assert "measured_order" in row["diagnostics"]
     proc = run_cli(
-        ["compare", "--dims", "2", "--g", "1e-12", "--sweeps", "1000",
+        ["compare", "--dims", "3", "--g", "5e-324", "--sweeps", "1000",
          "--thermalization", "1000", "--seed", "1", "--out-prefix", "c"],
         tmp_path,
         cli_env,

@@ -412,6 +412,17 @@ def test_two_site_exact_o3_closed_form():
             ), (model, g)
 
 
+@pytest.mark.parametrize("g", [0.002, 0.001, 1e-4, 5e-324])
+def test_two_site_exact_refuses_a_coupling_its_rule_does_not_resolve(g):
+    # the 96-node rule is off coth(1/g) - g by 4.9e-9 at g = 0.002 and by 5.2e-4
+    # at 1e-4; at 5e-324 the weight overflows to nan
+    for model in mc.MODELS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(McError, match=f"does not resolve g = {g!r}"):
+                two_site_exact(model, g)
+
+
 def test_two_site_exact_reduced_independent_oracle():
     # independent oracle: w = P + iQ uniform on the unit disk, weight
     # exp(-2 (2 - 2P - Q^2)/g) per the reduced per-link form on two links

@@ -22,7 +22,7 @@ from o3cp1.measure import (
     richardson_extrapolate,
     verify_constant_c,
 )
-from references import angular_sum_unblocked
+from references import angular_sum_unblocked, measure_lhs_unfactored
 
 
 # --- references only the tests use -----------------------------------------------
@@ -187,6 +187,36 @@ def test_quadratures_match_the_unfactored_angular_sum(monkeypatch):
     factored = evaluate()
     monkeypatch.setattr(measure, "_angular_sum", angular_sum_direct)
     np.testing.assert_allclose(factored, evaluate(), rtol=1e-12, atol=0)
+
+
+def test_factored_radial_weight_matches_the_two_deltas():
+    # measure_lhs multiplies an r factor by an s factor. Per node the two forms
+    # differ by rounding, up to 1e-13 relative in the far tails where the
+    # deltas' arguments cancel; the sums, set by the bulk, agree to 1e-14
+    rng = np.random.default_rng(24)
+    for p in random_sphere_points(rng, 4):
+        for eps in (0.15,) + measure.EPS_LADDER + STAGE_LADDER:
+            assert measure_lhs(p, eps) == pytest.approx(measure_lhs_unfactored(p, eps),
+                                                        rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("steps, resolved", [(measure.PHI_STEPS_PER_EPS, True), (1.0, False)])
+def test_angular_spacing_meets_its_aliasing_bound(monkeypatch, steps, resolved):
+    # the grid the quadratures use against one 3x finer: within 1e-13 at the
+    # module's spacing; at spacing eps the aliasing error shows (about 1e-8)
+    rng = np.random.default_rng(23)
+    points = random_sphere_points(rng, 3, min_q=0.55, max_abs_nz=0.8)
+
+    def evaluate(steps_per_eps):
+        monkeypatch.setattr(measure, "PHI_STEPS_PER_EPS", steps_per_eps)
+        lhs = [measure_lhs(p, e) for p in points for e in measure.EPS_LADDER]
+        return np.array(lhs + [reduction_stage_value(p, e, s).value for p in points
+                               for e in STAGE_LADDER for s in measure.STAGES[:3]])
+
+    coarse, fine = evaluate(steps), evaluate(3.0 * steps)
+    gap = np.abs(coarse / fine - 1.0).max()
+    assert (gap <= 1e-13) == resolved, gap
+    assert resolved or gap > 1e-10, gap
 
 
 def test_cached_gauss_legendre_rule_is_read_only():
