@@ -51,7 +51,9 @@ action_cp1_gauged where they apply).
 A chain keeps its matter field in one slot, ChainState.matter: a SpinField
 for o3, else a CP1Field whose one buffer, CP1Field.data, is read and written
 through its complex view CP1Field.z. Both expose the rows the sampler moves
-as .rows. Spinor observables use hopf(z), computed once per measurement.
+as .rows. run_chain copies each measured sweep's rows into a snapshot buffer
+of at most MEASURE_BLOCK_BYTES and measures the buffer a block at a time:
+spinor observables use hopf(z), computed once per block.
 
 ChainResult.estimates holds each observable's jackknife (mean, error),
 computed once on first use: the one place error bars are computed.
@@ -101,6 +103,7 @@ TUNE_WINDOW = 50  # thermalization sweeps per proposal-width adjustment
 DELTA_START = 0.5  # proposal width of a new chain, until the first tuning window
 DELTA_FLOOR = 1e-4  # tuning keeps the proposal width in [DELTA_FLOOR, DELTA_CAP]
 DELTA_CAP = 4.0
+MEASURE_BLOCK_BYTES = 65536  # a chain's snapshot buffer: max(1, this // row bytes) sweeps
 
 
 class McError(O3CP1Error, RuntimeError):
@@ -357,11 +360,6 @@ def tune_proposal(state: ChainState, acceptance):
 # --- observables -------------------------------------------------------------
 
 
-def spin_view(state: ChainState) -> np.ndarray:
-    """The unit-vector field the chain induces: n itself or hopf(z)."""
-    return state.matter.n if state.model == "o3" else hopf_map(state.matter)
-
-
 class _Measurer:
     """Per-sweep scalar observables: energy density and axis-averaged correlators."""
 
@@ -382,19 +380,24 @@ class _Measurer:
         return ["energy"] + [f"corr_r{r}" for r in self.r_values]
 
     def measure(self, n):
-        lat = self.lat
+        """One row of names() per snapshot of the block n, shape (B, volume, 3).
+
+        Each snapshot's sums run in the order of a single-snapshot measurement,
+        so a row has the bits it would have if measured alone.
+        """
+        lat, b = self.lat, len(n)
         energy, corr1 = 0.0, 0.0
         for mu in range(lat.ndim):
-            n_fwd = n.take(lat.fwd(mu), axis=0)
+            n_fwd = n.take(lat.fwd(mu), axis=1)
             d = n_fwd - n
-            energy += float((d * d).sum())
-            corr1 += float((n * n_fwd).sum())
-        row = [energy / (4.0 * self.g * lat.volume)]
+            energy += (d * d).reshape(b, -1).sum(axis=1)
+            corr1 += (n * n_fwd).reshape(b, -1).sum(axis=1)
+        cols = [energy / (4.0 * self.g * lat.volume)]
         for r in self.r_values:
-            c = corr1 if r == 1 else sum(float((n * n.take(idx, axis=0)).sum())
+            c = corr1 if r == 1 else sum((n * n.take(idx, axis=1)).reshape(b, -1).sum(axis=1)
                                           for idx in self.shifts[r])
-            row.append(c / (lat.ndim * lat.volume))
-        return row
+            cols.append(c / (lat.ndim * lat.volume))
+        return np.stack(cols, axis=1)
 
 
 @dataclass
@@ -471,7 +474,10 @@ def run_chain(
     The proposal width starts at DELTA_START and is frozen at the end of
     thermalization, before any measurement. Observables: o3-pullback energy
     density and direction-averaged correlators at integer separations
-    r = 1..min(dims)//2, capped at 4.
+    r = 1..min(dims)//2, capped at 4. Measured sweeps are snapshotted into a
+    buffer of MEASURE_BLOCK_BYTES and measured when it is full and after the
+    last sweep. Overflow is silent: at a subnormal g an infinite action change
+    still decides the step, and the energy reads inf.
     """
     rng = np.random.Generator(np.random.PCG64(seed_seq))
     state = init_chain(lat, model, g, rng, self_check=self_check)
@@ -483,16 +489,25 @@ def run_chain(
     except (MemoryError, ValueError):
         raise McError(f"cannot allocate the series of {sweeps} sweeps") from None
 
-    window_acc = []
-    for i in range(therm):
-        window_acc.append(chain_sweep(state))
-        if (i + 1) % TUNE_WINDOW == 0:
-            tune_proposal(state, float(np.mean(window_acc[-TUNE_WINDOW:])))
+    rows = state.matter.rows
+    snaps = np.empty((max(1, MEASURE_BLOCK_BYTES // rows.nbytes),) + rows.shape, rows.dtype)
+    with np.errstate(over="ignore"):
+        window_acc = []
+        for i in range(therm):
+            window_acc.append(chain_sweep(state))
+            if (i + 1) % TUNE_WINDOW == 0:
+                tune_proposal(state, float(np.mean(window_acc[-TUNE_WINDOW:])))
 
-    acc = 0.0
-    for i in range(sweeps):
-        acc += chain_sweep(state)
-        data[i] = measurer.measure(spin_view(state))
+        acc = 0.0
+        for i in range(sweeps):
+            acc += chain_sweep(state)
+            k = i % len(snaps)
+            snaps[k] = rows
+            if k == len(snaps) - 1 or i == sweeps - 1:
+                block = snaps[: k + 1]
+                if model != "o3":
+                    block = hopf_map(block.reshape(-1, 2)).reshape(k + 1, lat.volume, 3)
+                data[i - k : i + 1] = measurer.measure(block)
     return ChainResult(
         model=model,
         dims=lat.dims,

@@ -15,7 +15,7 @@ from o3cp1.actions import (
     reduced_term,
     spinor_overlap,
 )
-from o3cp1.fields import CP1Field, GaugeField, SpinField
+from o3cp1.fields import CP1Field, GaugeField, SpinField, hopf_map
 from o3cp1.measure import (
     PHI_CHUNK,
     SQRT_2PI,
@@ -204,7 +204,7 @@ def update_batch(state, table):
 
 
 def measure(measurer, n):
-    """mc._Measurer.measure with fancy-index gathers."""
+    """mc._Measurer.measure of one snapshot n, with fancy-index gathers and Python-float sums."""
     lat = measurer.lat
     energy, corr1 = 0.0, 0.0
     for mu in range(lat.ndim):
@@ -217,6 +217,23 @@ def measure(measurer, n):
         c = corr1 if r == 1 else sum(float((n * n[idx]).sum()) for idx in measurer.shifts[r])
         row.append(c / (lat.ndim * lat.volume))
     return row
+
+
+def run_chain_series(lat, model, g, sweeps, seed_seq, thermalization):
+    """mc.run_chain's series, each sweep measured alone: hopf_map and measure per sweep."""
+    state = mc.init_chain(lat, model, g, np.random.Generator(np.random.PCG64(seed_seq)))
+    measurer = mc._Measurer(lat, g, min(4, min(lat.dims) // 2))
+    rates = []
+    for i in range(thermalization):
+        rates.append(mc.chain_sweep(state))
+        if (i + 1) % mc.TUNE_WINDOW == 0:
+            mc.tune_proposal(state, float(np.mean(rates[-mc.TUNE_WINDOW:])))
+    rows = []
+    for _ in range(sweeps):
+        mc.chain_sweep(state)
+        rows.append(measure(measurer, state.matter.n if model == "o3" else hopf_map(state.matter)))
+    data = np.array(rows)
+    return {name: data[:, j] for j, name in enumerate(measurer.names())}
 
 
 def link_overlaps_fancy(lat, zf):

@@ -604,6 +604,16 @@ def load_strict_json(path):
     return json.loads(path.read_text(), parse_constant=refuse)
 
 
+def test_a_subnormal_coupling_prints_no_numpy_warning(tmp_path, cli_env):
+    # at g = 5e-324 the action changes and the energy overflow to inf: the
+    # infinite change still decides each step, and the energy is reported null
+    proc = run_cli(["compare", "--dims", "3", "--g", "5e-324", "--sweeps", "1000",
+                    "--thermalization", "1000", "--seed", "1"], tmp_path, cli_env)
+    assert proc.returncode in (0, 1), proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: proposal width pinned"), proc.stderr
+
+
 def test_reports_are_strict_json(tmp_path, cli_env):
     # measured_order is NaN at the noise floor of the ladder differences. At
     # g = 5e-324 the energy, ndim (1 - corr_r1) / 2g, overflows to inf, so its

@@ -7,7 +7,7 @@ import pytest
 
 from o3cp1 import mc
 from o3cp1.actions import link_overlaps
-from o3cp1.fields import SpinField
+from o3cp1.fields import SpinField, hopf_map
 from o3cp1.lattice import Lattice, build_lattice
 from o3cp1.mc import (
     MODELS,
@@ -247,8 +247,8 @@ def test_sweeps_keep_the_bits_of_the_fancy_index_reference(dims, model, monkeypa
         assert (link_overlaps(lat, new.matter).tobytes()
                 == references.link_overlaps_fancy(lat, new.matter).tobytes())
     measurer = mc._Measurer(lat, 0.7, min(4, min(dims) // 2))
-    n = mc.spin_view(new)
-    assert measurer.measure(n) == references.measure(measurer, n)
+    n = new.matter.n if model == "o3" else hopf_map(new.matter)
+    assert measurer.measure(n[None])[0].tolist() == references.measure(measurer, n)
 
 
 # --- gauge sector ---------------------------------------------------------------
@@ -353,8 +353,78 @@ def test_correlator_matches_measurer_on_snapshots():
     s_axis0 = correlator(lat, snaps, [1, 0])
     s_axis1 = correlator(lat, snaps, [0, 1])
     meas = mc._Measurer(lat, 1.0, 2)
-    rows = np.array([meas.measure(n) for n in snaps])
+    rows = meas.measure(np.array(snaps))
     assert np.allclose(rows[:, 1], (s_axis0 + s_axis1) / 2, atol=1e-12)
+
+
+# --- block measurement -----------------------------------------------------------------
+
+
+def block_sweeps(lat, model):
+    """Sweeps per measured block of run_chain: 64 KB of o3 rows (3 reals) or spinor rows (4)."""
+    return max(1, 65536 // (lat.volume * 8 * (3 if model == "o3" else 4)))
+
+
+def spy_blocks(monkeypatch):
+    """The lengths of the blocks _Measurer.measure is called with, in call order."""
+    lengths, original = [], mc._Measurer.measure
+
+    def measure(self, n):
+        lengths.append(len(n))
+        return original(self, n)
+
+    monkeypatch.setattr(mc._Measurer, "measure", measure)
+    return lengths
+
+
+@pytest.mark.parametrize("dims", [[2], [5], [3, 4], [8, 8], [2, 2, 2]])
+@pytest.mark.parametrize("model", MODELS)
+def test_block_rows_keep_the_bits_of_single_snapshots(dims, model):
+    lat = build_lattice(dims)
+    state = init_chain(lat, model, 0.7, rng_of(41), delta=1.0)
+    snaps = []
+    for _ in range(block_sweeps(lat, model) + 3):
+        chain_sweep(state)
+        snaps.append(state.matter.rows.copy())
+    snaps = np.array(snaps)
+    n = snaps if model == "o3" else hopf_map(snaps.reshape(-1, 2)).reshape(len(snaps), -1, 3)
+    measurer = mc._Measurer(lat, 0.7, min(4, min(dims) // 2))
+    rows = measurer.measure(n)
+    assert rows.shape == (len(n), len(measurer.names()))
+    for row, snapshot in zip(rows, n):
+        assert row.tobytes() == np.array(references.measure(measurer, snapshot)).tobytes()
+
+
+@pytest.mark.parametrize("dims", [[2], [8, 8]])
+@pytest.mark.parametrize("model", MODELS)
+def test_run_chain_series_keep_the_bits_of_per_sweep_measurement(dims, model, monkeypatch):
+    # a partial last block, one block short, full, one over, and two and a bit
+    lat = build_lattice(dims)
+    b = block_sweeps(lat, model)
+    for sweeps in (1, b - 1, b, b + 1, 2 * b + 3):
+        with monkeypatch.context() as m:
+            lengths = spy_blocks(m)
+            res = run_chain(lat, model, 0.7, sweeps, np.random.SeedSequence(9), thermalization=60)
+        assert lengths == [b] * (sweeps // b) + [sweeps % b] * (sweeps % b > 0), sweeps
+        ref = references.run_chain_series(lat, model, 0.7, sweeps, np.random.SeedSequence(9), 60)
+        assert list(res.series) == list(ref)
+        for name in ref:
+            assert res.series[name].tobytes() == ref[name].tobytes(), (sweeps, name)
+
+
+@pytest.mark.parametrize("dims, model, b", [
+    ([8, 8], "cp1-reduced", 32), ([8, 8], "o3", 42), ([2], "o3", 1365),
+    ([256, 256], "o3", 1), ([256, 256], "cp1-gauged-reduced", 1),
+])
+def test_snapshot_buffer_holds_at_most_64_kb(dims, model, b, monkeypatch):
+    # as many snapshots as fit in 64 KB, and one where a single snapshot is larger
+    lat = build_lattice(dims)
+    lengths = spy_blocks(monkeypatch)
+    run_chain(lat, model, 0.7, b + 1, np.random.SeedSequence(4), thermalization=0)
+    assert lengths == [b, 1]
+    snapshot_bytes = lat.volume * 8 * (3 if model == "o3" else 4)
+    assert b * snapshot_bytes <= 65536 or b == 1
+    assert (b + 1) * snapshot_bytes > 65536
 
 
 # --- proposal tuning ---------------------------------------------------------------

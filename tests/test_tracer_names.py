@@ -8,6 +8,7 @@ rename in src/ must fail here instead.
 import importlib
 import importlib.util
 import inspect
+import math
 from pathlib import Path
 
 import numpy as np
@@ -118,3 +119,19 @@ def test_traced_checks_count_every_measure_lhs_call(tmp_path, monkeypatch):
         rec.stats.pop("measure.measure_lhs", None)
         mods["cli"].run_check(name, np.random.default_rng(0))
         assert rec.stats["measure.measure_lhs"]["count"] == calls, name
+
+
+def test_traced_run_chain_measures_once_per_block(tmp_path, monkeypatch):
+    # mc.measure_us is the time of one block of up to 32 sweeps of a spinor
+    # chain on 8x8, not of one sweep; hopf_map still counts sites, one call a block
+    rec, mods = install_tracer(tmp_path, monkeypatch)
+    lat = mods["lattice"].build_lattice([8, 8])
+    for sweeps in (1, 31, 32, 33, 67):
+        for key in ("mc._Measurer.measure", "fields.hopf_map"):
+            rec.stats.pop(key, None)
+        mods["mc"].run_chain(lat, "cp1-pullback", 0.7, sweeps, np.random.SeedSequence(2),
+                             thermalization=0)
+        blocks = math.ceil(sweeps / 32)
+        assert rec.stats["mc._Measurer.measure"]["count"] == blocks, sweeps
+        hopf = rec.stats["fields.hopf_map"]
+        assert (hopf["count"], hopf["items"]) == (blocks, sweeps * lat.volume), sweeps
