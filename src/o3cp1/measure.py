@@ -42,31 +42,16 @@ Reduction chain (the four stages):
                  phi0 = +/- arccos(n_x / sqrt(1 - n_z^2)) with
                  |f'(phi0)| = sqrt(1 - n_x^2 - n_z^2).
 
-The first three stages share one angular kernel, _angular_sum. With
-q = hypot(n_x, n_y), psi = atan2(n_y, n_x) and u = 2 q sin^2((phi + psi)/2),
+The first three stages share one angle integral, _angular_integral. With
+q = hypot(n_x, n_y), psi = atan2(n_y, n_x) and kappa = rho q / eps^2,
 delta_eps(n_x - rho cos phi) delta_eps(n_y + rho sin phi) factors exactly into
-delta_eps(rho - q) exp(-rho u / eps^2) / (eps sqrt(2 pi)): one exp per grid
-point. The sin^2 form avoids the cancellation in q - (n_x cos phi - n_y sin phi).
-The kernel sorts the rho values and walks them in blocks of ROW_BLOCK rows;
-each block skips the nodes with min(block rho) u / eps^2 >= 55, so every
-skipped term is below e^-55 of its row's largest. The cut per block, not per
-call, also keeps the exps of the large rho out of numpy's slow subnormal range
-(arguments below -708).
-
-The angle grid has spacing h = eps / PHI_STEPS_PER_EPS = eps / 2. Per row the
-kernel sums exp(kappa (cos(phi + psi) - 1)) with kappa = rho q / eps^2, a
-periodic Gaussian of angular width eps / sqrt(rho q). By Poisson summation the
-trapezoid rule's relative error on it is about 2 exp(-2 pi^2 eps^2 / (h^2 rho q))
-(Trefethen & Weideman 2014, SIAM Rev. 56:385), 2 exp(-8 pi^2 / (rho q)) at
-h = eps / 2. measure_lhs's 1e-24 mask keeps the rows with R^2 + S^2 - 1 below
-about sqrt(2 ln 1e24) eps = 10.5 eps, so at a point with |n| <= 1,
-rho q = 2 R S q <= R^2 + S^2 <= 1 + 10.5 eps: 2.05 at eps = 0.1 and 1.26 at
-eps = 0.025, an error below 4e-17. The later stages have rho q <= 1. At h = eps
-the same bound reaches 1e-4 on the outer rows.
+delta_eps(rho - q) exp(kappa (cos(phi + psi) - 1)) / (eps sqrt(2 pi)), and a
+whole turn of the exp integrates to 2 pi e^-kappa I_0(kappa) (DLMF 10.32.1).
+So each row costs one closed form, _i0e, and no angle grid.
 
 Every quadrature runs at one fixed resolution, set by the module constants
-N_RADIAL, PHI_STEPS_PER_EPS, WINDOW_SIGMAS, RADIAL_PAD_SIGMAS, PHI_CHUNK and
-ROW_BLOCK (the comment on them says why these values suffice).
+N_RADIAL, WINDOW_SIGMAS and RADIAL_PAD_SIGMAS (the comment on them says why
+these values suffice).
 """
 
 import functools
@@ -92,19 +77,9 @@ STAGE_LADDER = (0.05, 0.035, 0.025)
 # Radial integrals use Gauss-Legendre nodes on windows of WINDOW_SIGMAS * eps
 # around the delta supports, truncated at r, s <= 1 + RADIAL_PAD_SIGMAS * eps,
 # with at least N_RADIAL nodes and more if they would sit over eps/4 apart.
-# Angular integrals use uniform grids of spacing eps / PHI_STEPS_PER_EPS: the
-# integrands are periodic Gaussians, whose trapezoid-rule aliasing error at
-# spacing eps/2 is 2 exp(-8 pi^2 / (rho q)), below 4e-17 on every row the
-# quadratures keep (rho q <= 2.05; the module docstring derives both). _angular_sum
-# takes ROW_BLOCK rows by PHI_CHUNK angles at a time, in one 128 KB buffer
-# that stays in cache; these two change the value only by rounding. At eps/2 a
-# row keeps a few dozen angles, so a block of 256 rows takes about two chunks.
 N_RADIAL = 160
-PHI_STEPS_PER_EPS = 2.0
 WINDOW_SIGMAS = 14.0
 RADIAL_PAD_SIGMAS = 10.0
-PHI_CHUNK = 64
-ROW_BLOCK = 256
 
 PUSHFORWARD_SAMPLES = 100_000
 
@@ -182,10 +157,6 @@ def gauss_legendre_quad(f, lo, hi, rel_tol):
         panels += [panel(a, 0.5 * (a + b)), panel(0.5 * (a + b), b)]
 
 
-def _n_phi(eps, period=2.0 * math.pi):
-    return int(math.ceil(period / (eps / PHI_STEPS_PER_EPS)))
-
-
 def _radial_nodes(lo, hi, eps):
     # bump the node count if the window would be under-resolved
     n = max(N_RADIAL, int(math.ceil(4.0 * (hi - lo) / eps)))
@@ -209,30 +180,34 @@ def _radial_windows(n_z, eps):
     return r2, s2
 
 
-def _angular_sum(nx, ny, rho, eps, phi):
-    """Per rho: sum over phi of delta_eps(nx - rho cos phi) delta_eps(ny + rho sin phi).
+def _i0e(x):
+    """e^-x I_0(x) for x >= 0, the exponentially scaled Bessel function, numpy only.
 
-    The rows go ROW_BLOCK at a time in ascending rho. A block keeps only the u
-    with min(block rho) u < 55, a prefix of the sorted u, and evaluates its
-    exps PHI_CHUNK angles at a time in one ROW_BLOCK x PHI_CHUNK buffer.
+    Below x = 700 it is np.i0(x) e^-x. From there on, since np.i0 overflows
+    past x = 709.78 with e^x, it is the asymptotic series (DLMF 10.40.1)
+    (2 pi x)^-1/2 sum_k ((2k-1)!!)^2 / (k! (8x)^k) up to k = 6. At x >= 700
+    term k + 1 is (2k+1)^2 / (8x (k+1)) < 0.005 of term k, so the first term
+    left out, k = 7, is below 3e-20 of the sum, and the e^-2x part that the
+    series omits is below e^-1400: both far under rounding.
+    """
+    x = np.asarray(x, dtype=float)
+    small = np.minimum(x, 700.0)
+    large = np.maximum(x, 700.0)
+    total = np.ones_like(large)
+    for k in range(6, 0, -1):  # Horner: term k is (2k-1)^2 / (8kx) times term k - 1
+        total = 1.0 + total * ((2 * k - 1) ** 2 / (8.0 * k)) / large
+    return np.where(x < 700.0, np.i0(small) * np.exp(-small),
+                    total / np.sqrt(2.0 * math.pi * large))
+
+
+def _angular_integral(nx, ny, rho, eps, period):
+    """Per rho: the phi integral of delta_eps(nx - rho cos phi) delta_eps(ny + rho sin phi).
+
+    The phi range has length period, a whole number of turns; the module
+    docstring gives the closed form.
     """
     q = math.hypot(nx, ny)
-    u = np.sort(2.0 * q * np.sin(0.5 * (phi + math.atan2(ny, nx))) ** 2) / (eps * eps)
-    order = np.argsort(rho)
-    total = np.empty_like(rho)
-    buf = np.empty(ROW_BLOCK * PHI_CHUNK)
-    for i0 in range(0, len(rho), ROW_BLOCK):
-        rows = order[i0 : i0 + ROW_BLOCK]
-        block = rho[rows]
-        kept = np.searchsorted(block[0] * u, 55.0)
-        acc = np.zeros(len(rows))
-        for k0 in range(0, kept, PHI_CHUNK):
-            chunk = u[k0 : min(k0 + PHI_CHUNK, kept)]
-            terms = buf[: len(rows) * len(chunk)].reshape(len(rows), len(chunk))
-            np.multiply.outer(-block, chunk, out=terms)
-            acc += np.exp(terms, out=terms).sum(axis=1)
-        total[rows] = acc
-    return mollified_delta(rho - q, eps) / (eps * SQRT_2PI) * total
+    return mollified_delta(rho - q, eps) / (eps * SQRT_2PI) * period * _i0e(rho * q / (eps * eps))
 
 
 def measure_lhs(n, eps) -> float:
@@ -240,7 +215,7 @@ def measure_lhs(n, eps) -> float:
 
     The two angle integrals reduce exactly to 2*pi times a single integral
     over phi = alpha - beta (the integrand depends on the angles only through
-    their difference); phi is integrated on a uniform grid, (r, s) on
+    their difference); phi is integrated in closed form, (r, s) on
     Gauss-Legendre windows around the delta supports.
 
     In a = r^2 and b = s^2 the cross terms of the two radial deltas cancel:
@@ -262,27 +237,11 @@ def measure_lhs(n, eps) -> float:
     peak = base.max(initial=0.0)
     if peak <= 0.0:
         return 0.0
+    # (r, s) rows below 1e-24 of the peak weight cannot move the sum
     mask = base > peak * 1e-24
     rho = 2.0 * np.outer(r, s)[mask]
-    base = base[mask]
-    n_phi = _n_phi(eps)
-    phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    dphi = 2.0 * math.pi / n_phi
-    ang = _angular_sum(nx, ny, rho, eps, phi) * (2.0 * math.pi * dphi)
-    return float((base * ang).sum())
-
-
-def identity_rhs_smoothed(n, eps) -> float:
-    """The consistently smoothed unit-norm delta realized by the raw integral.
-
-    delta_{sqrt(2) eps}(|n| - 1) / (2 |n|); see the module docstring for the
-    derivation of the sqrt(2) width.
-    """
-    n = _as_point(n)
-    rho = float(np.linalg.norm(n))
-    if rho == 0.0:
-        raise MeasureDomainError("reference undefined at n = 0")
-    return float(mollified_delta(rho - 1.0, math.sqrt(2.0) * eps) / (2.0 * rho))
+    ang = 2.0 * math.pi * _angular_integral(nx, ny, rho, eps, 2.0 * math.pi)
+    return float((base[mask] * ang).sum())
 
 
 def richardson_extrapolate(eps_values, values):
@@ -396,21 +355,14 @@ def _stage_after_R_theta(n, eps) -> float:
         return 0.0
     S, wS = _radial_nodes(s_lo, s_hi, eps)
     rho = 2.0 * np.sqrt((1.0 - S) * S)
-    n_phi = _n_phi(eps, period=4.0 * math.pi)
-    phi = np.linspace(-2.0 * math.pi, 2.0 * math.pi, n_phi, endpoint=False)
-    dphi = 4.0 * math.pi / n_phi
-    ang = _angular_sum(nx, ny, rho, eps, phi) * dphi
+    ang = _angular_integral(nx, ny, rho, eps, 4.0 * math.pi)
     return float(math.pi / 4.0 * (wS * mollified_delta(nz - (1.0 - 2.0 * S), eps) * ang).sum())
 
 
 def _stage_after_S(n, eps) -> float:
     nx, ny, nz = n
     rho_z = math.sqrt(1.0 - nz * nz)
-    n_phi = _n_phi(eps)
-    phi = np.linspace(-math.pi, math.pi, n_phi, endpoint=False)
-    dphi = 2.0 * math.pi / n_phi
-    val = _angular_sum(nx, ny, np.array([rho_z]), eps, phi)[0] * dphi
-    return float(math.pi / 4.0 * val)
+    return float(math.pi / 4.0 * _angular_integral(nx, ny, rho_z, eps, 2.0 * math.pi))
 
 
 def _stage_after_phi(n, eps) -> float:
@@ -438,8 +390,10 @@ def stage_reference(n, eps, stage) -> float:
     n = _as_point(n)
     nx, ny, nz = n
     rho = float(np.linalg.norm(n))
-    if stage == "raw-4d":
-        return identity_rhs_smoothed(n, eps)
+    if stage == "raw-4d":  # see the module docstring for the sqrt(2) eps width
+        if rho == 0.0:
+            raise MeasureDomainError("reference undefined at n = 0")
+        return float(mollified_delta(rho - 1.0, math.sqrt(2.0) * eps) / (2.0 * rho))
     if stage == "after-R-theta":
         return float(mollified_delta(rho - 1.0, eps) / (2.0 * rho))
     if stage == "after-S":

@@ -16,15 +16,7 @@ from o3cp1.actions import (
     spinor_overlap,
 )
 from o3cp1.fields import CP1Field, GaugeField, SpinField, hopf_map
-from o3cp1.measure import (
-    PHI_CHUNK,
-    SQRT_2PI,
-    _angular_sum,
-    _n_phi,
-    _radial_nodes,
-    _radial_windows,
-    mollified_delta,
-)
+from o3cp1.measure import _angular_integral, _radial_nodes, _radial_windows, mollified_delta
 
 
 def constant_spin_field(lat, vec=(0.0, 0.0, 1.0)):
@@ -125,20 +117,6 @@ def probe_self_check(probe, x, h=1e-5, tol=1e-6):
     return worst
 
 
-# --- measure's angular kernel before row blocking ------------------------------
-
-
-def angular_sum_unblocked(nx, ny, rho, eps, phi):
-    """measure._angular_sum over all rows at once, cut at min(rho) u < 55, in grid order."""
-    q = math.hypot(nx, ny)
-    u = 2.0 * q * np.sin(0.5 * (phi + math.atan2(ny, nx))) ** 2
-    u = u[rho.min() * u < 55.0 * eps * eps] / (eps * eps)
-    total = np.zeros_like(rho)
-    for k0 in range(0, len(u), PHI_CHUNK):
-        total += np.exp(-np.multiply.outer(rho, u[k0 : k0 + PHI_CHUNK])).sum(axis=1)
-    return mollified_delta(rho - q, eps) / (eps * SQRT_2PI) * total
-
-
 # --- measure's raw-4d quadrature with its radial deltas on the whole grid -----
 
 
@@ -152,10 +130,8 @@ def measure_lhs_unfactored(n, eps):
     base = np.outer(wr, ws) * R * S * mollified_delta(R * R + S * S - 1.0, eps)
     base *= mollified_delta(nz - (R * R - S * S), eps)
     mask = base > base.max() * 1e-24
-    n_phi = _n_phi(eps)
-    phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    ang = _angular_sum(nx, ny, (2.0 * R * S)[mask], eps, phi)
-    return float((base[mask] * ang).sum() * 2.0 * math.pi * 2.0 * math.pi / n_phi)
+    ang = _angular_integral(nx, ny, (2.0 * R * S)[mask], eps, 2.0 * math.pi)
+    return float((base[mask] * ang).sum() * 2.0 * math.pi)
 
 
 # --- the sampler's site kernels through plain fancy indexing ------------------

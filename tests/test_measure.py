@@ -10,7 +10,6 @@ from o3cp1.measure import (
     STAGE_LADDER,
     MeasureDomainError,
     _as_point,
-    identity_rhs_smoothed,
     measure_lhs,
     mollified_delta,
     one_site_ratio_test,
@@ -20,9 +19,10 @@ from o3cp1.measure import (
     reduction_consistency,
     reduction_stage_value,
     richardson_extrapolate,
+    stage_reference,
     verify_constant_c,
 )
-from references import angular_sum_unblocked, measure_lhs_unfactored
+from references import measure_lhs_unfactored
 
 
 # --- references only the tests use -----------------------------------------------
@@ -34,8 +34,8 @@ def angular_pair_integral_bessel(rho, rho_xy, eps):
     2*pi * int_0^{2pi} dphi delta_eps(n_x - rho cos phi) delta_eps(n_y + rho sin phi)
       = (2*pi / eps^2) * exp(-(rho - rho_xy)^2 / (2 eps^2)) * I0e(rho rho_xy / eps^2)
 
-    with rho_xy = hypot(n_x, n_y); used as an independent cross-check of the
-    uniform-grid angular quadrature.
+    with rho_xy = hypot(n_x, n_y); scipy's i0e, an independent cross-check of
+    measure._angular_integral and its numpy-only _i0e.
     """
     from scipy import special
 
@@ -129,50 +129,53 @@ def test_angular_integral_bessel_matches_trapezoid():
 
 
 def angular_sum_direct(nx, ny, rho, eps, phi):
-    """The angular sum as two Gaussians per grid point, without factoring or skipping.
-
-    Takes the kernel's arguments so that it can stand in for it.
-    """
+    """The angular sum as two Gaussians per grid point, without factoring or skipping."""
     rho = np.asarray(rho, dtype=float)[:, None]
     return (
         mollified_delta(nx - rho * np.cos(phi), eps) * mollified_delta(ny + rho * np.sin(phi), eps)
     ).sum(axis=1)
 
 
+def angular_integral_direct(nx, ny, rho, eps, period, start=0.0):
+    """The angle integral by angular_sum_direct on a grid of spacing eps/8 from start.
+
+    Takes measure._angular_integral's arguments so that it can stand in for it.
+    Rows go 512 at a time, to bound the (rows, angles) temporaries.
+    """
+    n_phi = int(math.ceil(8.0 * period / eps))
+    phi = np.linspace(start, start + period, n_phi, endpoint=False)
+    rho = np.asarray(rho, dtype=float)
+    rows = rho.reshape(-1)
+    total = np.concatenate(
+        [angular_sum_direct(nx, ny, rows[i : i + 512], eps, phi) for i in range(0, len(rows), 512)]
+    )
+    return (total * (period / n_phi)).reshape(rho.shape)
+
+
+def test_i0e_matches_scipy_to_rounding():
+    from scipy import special
+
+    # both sides of the switch to the series, and the largest kappa = rho q / eps^2
+    # the quadratures reach: rho q <= 2.05 at eps = 0.025
+    x = np.concatenate([np.linspace(0.0, 1e5, 6000), [699.9, 700.0, 700.1, 2.05 / 0.025**2]])
+    np.testing.assert_allclose(measure._i0e(x), special.i0e(x), rtol=1e-15, atol=0)
+
+
 @pytest.mark.parametrize("eps", [0.1, 0.05, 0.025])
 @pytest.mark.parametrize("start, period", [(0.0, 2 * np.pi), (-2 * np.pi, 4 * np.pi)])
 def test_angular_sum_matches_direct_sum_and_bessel(eps, start, period):
+    # rho q / eps^2 reaches 748 at eps = 0.025, past _i0e's switch at 700
     rng = np.random.default_rng(20)
     for _ in range(3):
         nx, ny = rng.uniform(-0.7, 0.7, 2)
         q = math.hypot(nx, ny)
         rho = q + eps * np.linspace(-6.0, 6.0, 25)
         rho = rho[rho > 0]
-        n_phi = measure._n_phi(eps, period)
-        phi = np.linspace(start, start + period, n_phi, endpoint=False)
-        ang = measure._angular_sum(nx, ny, rho, eps, phi)
-        direct = angular_sum_direct(nx, ny, rho, eps, phi)
-        np.testing.assert_allclose(ang, direct, rtol=1e-12, atol=0)
+        ang = measure._angular_integral(nx, ny, rho, eps, period)
+        direct = angular_integral_direct(nx, ny, rho, eps, period, start)
+        np.testing.assert_allclose(ang, direct, rtol=1e-13, atol=0)
         closed = angular_pair_integral_bessel(rho, q, eps) * period / (2 * np.pi)
-        np.testing.assert_allclose(2 * np.pi * ang * period / n_phi, closed, rtol=1e-10, atol=0)
-
-
-@pytest.mark.parametrize("eps", [0.1, 0.025])
-def test_angular_sum_row_blocks_over_unsorted_rho(eps):
-    # 3 blocks and a partial one, rho spanning a factor 26 in shuffled order; at
-    # eps = 0.025 one cut at min(rho) for every row, as angular_sum_unblocked
-    # makes, keeps terms whose exp argument is below -708
-    rng = np.random.default_rng(22)
-    nx, ny = 0.45, -0.5
-    rho = rng.permutation(np.geomspace(0.05, 1.3, 3 * measure.ROW_BLOCK + 17))
-    n_phi = measure._n_phi(eps, 4 * np.pi)
-    phi = np.linspace(-2 * np.pi, 2 * np.pi, n_phi, endpoint=False)
-    for rows in (rho, np.array([0.8])):  # the after-S stage passes one rho
-        ang = measure._angular_sum(nx, ny, rows, eps, phi)
-        direct = angular_sum_direct(nx, ny, rows, eps, phi)
-        np.testing.assert_allclose(ang, direct, rtol=1e-12, atol=0)
-        unblocked = angular_sum_unblocked(nx, ny, rows, eps, phi)
-        np.testing.assert_allclose(ang, unblocked, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(2 * np.pi * ang, closed, rtol=1e-13, atol=0)
 
 
 def test_quadratures_match_the_unfactored_angular_sum(monkeypatch):
@@ -184,9 +187,9 @@ def test_quadratures_match_the_unfactored_angular_sum(monkeypatch):
         lhs = [measure_lhs(p, 0.1) for p in points]
         return lhs + [reduction_stage_value(p, e, s).value for p, e, s in stage_points]
 
-    factored = evaluate()
-    monkeypatch.setattr(measure, "_angular_sum", angular_sum_direct)
-    np.testing.assert_allclose(factored, evaluate(), rtol=1e-12, atol=0)
+    closed = evaluate()
+    monkeypatch.setattr(measure, "_angular_integral", angular_integral_direct)
+    np.testing.assert_allclose(closed, evaluate(), rtol=1e-12, atol=0)
 
 
 def test_factored_radial_weight_matches_the_two_deltas():
@@ -198,25 +201,6 @@ def test_factored_radial_weight_matches_the_two_deltas():
         for eps in (0.15,) + measure.EPS_LADDER + STAGE_LADDER:
             assert measure_lhs(p, eps) == pytest.approx(measure_lhs_unfactored(p, eps),
                                                         rel=1e-14, abs=0)
-
-
-@pytest.mark.parametrize("steps, resolved", [(measure.PHI_STEPS_PER_EPS, True), (1.0, False)])
-def test_angular_spacing_meets_its_aliasing_bound(monkeypatch, steps, resolved):
-    # the grid the quadratures use against one 3x finer: within 1e-13 at the
-    # module's spacing; at spacing eps the aliasing error shows (about 1e-8)
-    rng = np.random.default_rng(23)
-    points = random_sphere_points(rng, 3, min_q=0.55, max_abs_nz=0.8)
-
-    def evaluate(steps_per_eps):
-        monkeypatch.setattr(measure, "PHI_STEPS_PER_EPS", steps_per_eps)
-        lhs = [measure_lhs(p, e) for p in points for e in measure.EPS_LADDER]
-        return np.array(lhs + [reduction_stage_value(p, e, s).value for p in points
-                               for e in STAGE_LADDER for s in measure.STAGES[:3]])
-
-    coarse, fine = evaluate(steps), evaluate(3.0 * steps)
-    gap = np.abs(coarse / fine - 1.0).max()
-    assert (gap <= 1e-13) == resolved, gap
-    assert resolved or gap > 1e-10, gap
 
 
 def test_cached_gauss_legendre_rule_is_read_only():
@@ -465,4 +449,6 @@ def test_ks_statistic_equals_scipy_kstest(n):
 
 def test_identity_reference_positive_and_peaked():
     n = np.array([0.0, 1.0, 0.0])
-    assert identity_rhs_smoothed(n, 0.05) > identity_rhs_smoothed(1.2 * n, 0.05)
+    assert stage_reference(n, 0.05, "raw-4d") > stage_reference(1.2 * n, 0.05, "raw-4d") > 0.0
+    with pytest.raises(MeasureDomainError, match="n = 0"):
+        stage_reference(np.zeros(3), 0.05, "raw-4d")
