@@ -1,7 +1,6 @@
 """Lattice O(3) sigma model and CP1 gauge model: identities and sampling."""
 
 from .actions import (
-    AnalyticFieldProbe,
     action_cp1_gauged,
     action_cp1_reduced,
     action_o3,

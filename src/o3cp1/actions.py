@@ -146,7 +146,8 @@ def marginalize_gauge_numeric(lat: Lattice, zf: CP1Field, site, mu, g) -> Margin
 
     The infinite range is truncated to cover both [-K sqrt(g), K sqrt(g)] and
     the same window centered on the Gaussian mean b, with K = GAUGE_HALF_WIDTH;
-    the neglected tail is bounded by sqrt(pi g) erfc(K) exp(b^2/g) and reported.
+    the neglected tail is bounded by sqrt(pi g) erfc(K) exp(b^2/g), returned as
+    tail_bound (verify's marginalization row reports the worst tail_bound / value).
     """
     g = _check_g(g)
     z = zf.z
@@ -189,120 +190,34 @@ def partition_constants(lat: Lattice, g) -> dict:
     }
 
 
-# --- smooth analytic test fields -------------------------------------------
+# --- the continuum kinetic identity on 1-jets --------------------------------
 #
-# A probe supplies closed-form (r, s, alpha, beta) with exact first
-# derivatives and r^2 + s^2 = 1 built in via r = cos(u), s = sin(u). It lets
-# the continuum kinetic identity be checked pointwise, where it is exact,
-# rather than through finite differences.
+# With r = cos(u), s = sin(u) the constraint r^2 + s^2 = 1 holds identically,
+# and both kinetic densities at a point are algebra in the field's 1-jet there:
+# u, phi = alpha - beta and the first derivatives du, dalpha, dbeta. Every jet
+# is the 1-jet of some smooth field, so the identity is checked pointwise on
+# jets drawn directly. u and phi have shape (N,); du, dalpha and dbeta have
+# shape (N, ndim), one column per direction.
 
 
-class _FourierScalar:
-    """f(x) = c0 + sum_j a_j cos(k_j . x + p_j) with exact gradient.
-
-    amps and phases have shape (modes,) and waves (modes, ndim); a batch of B
-    scalars puts a leading axis B on all three and takes x of shape
-    (B, N, ndim), scalar b at points x[b].
-    """
-
-    def __init__(self, c0, amps, waves, phases):
-        self.c0 = float(c0)
-        self.amps = np.asarray(amps, dtype=float)
-        self.waves = np.asarray(waves, dtype=float)  # (..., modes, ndim)
-        self.phases = np.asarray(phases, dtype=float)
-
-    def _arg(self, x):
-        """k_j . x + p_j, shape (..., N, modes)."""
-        return np.atleast_2d(x) @ np.swapaxes(self.waves, -1, -2) + self.phases[..., None, :]
-
-    def value(self, x):
-        return self.c0 + (np.cos(self._arg(x)) @ self.amps[..., None])[..., 0]
-
-    def grad(self, x):
-        """Shape (..., N, ndim)."""
-        return -(np.sin(self._arg(x)) * self.amps[..., None, :]) @ self.waves
-
-    @classmethod
-    def random(cls, rng, ndim, c0, max_total_amp, n_modes, max_mode=2, count=None):
-        """One random scalar, or a batch of `count`; each redraws its waves until no row is zero."""
-        size = (n_modes,) if count is None else (count, n_modes)
-        amps = rng.uniform(0.2, 1.0, size)
-        amps *= max_total_amp / amps.sum(axis=-1, keepdims=True)
-        waves = np.zeros(size + (ndim,))
-        redraw = np.ones(size[:-1], dtype=bool)
-        while redraw.any():
-            waves[redraw] = rng.integers(-max_mode, max_mode + 1,
-                                         (np.count_nonzero(redraw), n_modes, ndim))
-            redraw = np.all(waves == 0, axis=-1).any(axis=-1)
-        waves *= 2.0 * np.pi
-        phases = rng.uniform(0.0, 2.0 * np.pi, size)
-        return cls(c0, amps, waves, phases)
-
-
-@dataclass
-class AnalyticFieldProbe:
-    """Smooth field (r, s, alpha, beta)(x) on the unit torus with exact derivatives.
-
-    r = cos(u), s = sin(u) with u kept inside (margin, pi/2 - margin), so
-    r^2 + s^2 = 1 holds identically and its derivative vanishes exactly.
-    A batch of probes (random(..., count=B)) takes points x of shape
-    (B, N, ndim), probe b at x[b], and every result gains the leading axis B.
-    """
-
-    u: _FourierScalar
-    alpha: _FourierScalar
-    beta: _FourierScalar
-    ndim: int
-
-    @classmethod
-    def random(cls, rng, ndim=1, n_modes=2, margin=0.15, max_mode=2, angle_amp=1.0,
-               count=None):
-        """One random probe, or a batch of `count` (u, alpha, beta each drawn for all at once)."""
-        half_range = np.pi / 4.0 - margin
-        u = _FourierScalar.random(rng, ndim, np.pi / 4.0, 0.9 * half_range, n_modes, max_mode,
-                                  count)
-        alpha = _FourierScalar.random(rng, ndim, 0.0, angle_amp, n_modes, max_mode, count)
-        beta = _FourierScalar.random(rng, ndim, 0.0, angle_amp, n_modes, max_mode, count)
-        return cls(u, alpha, beta, ndim)
-
-    def polar(self, x):
-        """(r, s, alpha, beta) at points x, each shape (..., N)."""
-        u = self.u.value(x)
-        return np.cos(u), np.sin(u), self.alpha.value(x), self.beta.value(x)
-
-    def polar_grad(self, x):
-        """(dr, ds, dalpha, dbeta) at points x, each shape (..., N, ndim)."""
-        u = self.u.value(x)
-        du = self.u.grad(x)
-        dr = -np.sin(u)[..., None] * du
-        ds = np.cos(u)[..., None] * du
-        return dr, ds, self.alpha.grad(x), self.beta.grad(x)
-
-    def spinor(self, x):
-        """Unit spinors at points x, shape (..., N, 2) complex."""
-        r, s, a, b = self.polar(x)
-        return np.stack([r * np.exp(1j * a), s * np.exp(1j * b)], axis=-1)
-
-
-def polar_action_density(probe: AnalyticFieldProbe, x, g):
-    """(1/g) sum_mu [ r^2 s^2 (da - db)^2 + dr^2 + ds^2 ] at points x."""
+def polar_action_density(u, du, dalpha, dbeta, g):
+    """(1/g) sum_mu [ r^2 s^2 (da - db)^2 + dr^2 + ds^2 ] with r = cos(u), s = sin(u)."""
     g = _check_g(g)
-    r, s, _, _ = probe.polar(x)
-    dr, ds, da, db = probe.polar_grad(x)
-    rs2 = (r * s) ** 2
-    return (rs2[..., None] * (da - db) ** 2 + dr**2 + ds**2).sum(axis=-1) / g
+    r, s = np.cos(u)[:, None], np.sin(u)[:, None]
+    dr, ds = -s * du, r * du
+    return ((r * s) ** 2 * (dalpha - dbeta) ** 2 + dr**2 + ds**2).sum(axis=-1) / g
 
 
-def o3_action_density_from_polar(probe: AnalyticFieldProbe, x, g):
+def o3_action_density_from_polar(u, phi, du, dalpha, dbeta, g):
     """(1/4g) sum_mu |d_mu n|^2 with d_mu n obtained by the chain rule.
 
-    Uses the Jacobian of n(r, s, alpha, beta) so the comparison against
-    polar_action_density is exact, not a finite-difference approximation.
+    n = (2rs cos(phi), -2rs sin(phi), r^2 - s^2) for z = (r e^{i alpha},
+    s e^{i beta}); its Jacobian in (r, s, alpha, beta) is written out, so the
+    comparison against polar_action_density is exact, not a finite-difference
+    approximation.
     """
     g = _check_g(g)
-    r, s, a, b = probe.polar(x)
-    dr, ds, da, db = probe.polar_grad(x)
-    phi = a - b
+    r, s = np.cos(u), np.sin(u)
     c, si = np.cos(phi), np.sin(phi)
     # rows: n_x, n_y, n_z; columns: d/dr, d/ds, d/dalpha, d/dbeta
     jac = np.empty(r.shape + (3, 4))
@@ -318,18 +233,13 @@ def o3_action_density_from_polar(probe: AnalyticFieldProbe, x, g):
     jac[..., 2, 1] = -2 * s
     jac[..., 2, 2] = 0.0
     jac[..., 2, 3] = 0.0
-    grads = np.stack([dr, ds, da, db], axis=-1)  # (..., N, ndim, 4)
-    dn = np.einsum("...ab,...mb->...ma", jac, grads)  # (..., N, ndim, 3)
+    grads = np.stack([-s[:, None] * du, r[:, None] * du, dalpha, dbeta], axis=-1)  # (N, ndim, 4)
+    dn = np.einsum("...ab,...mb->...ma", jac, grads)  # (N, ndim, 3)
     return (dn**2).sum(axis=(-2, -1)) / (4.0 * g)
 
 
-def polar_identity_max_violation(probe: AnalyticFieldProbe, x, g=1.0) -> float:
-    """Max pointwise gap between the two kinetic densities at points x.
-
-    x has shape (N, ndim), or (B, N, ndim) for a batch of B probes: then the
-    max runs over every probe's points.
-    """
-    lhs = o3_action_density_from_polar(probe, x, g)
-    rhs = polar_action_density(probe, x, g)
+def polar_identity_max_violation(u, phi, du, dalpha, dbeta, g=1.0) -> float:
+    """Max gap between the two kinetic densities over the N jets."""
+    lhs = o3_action_density_from_polar(u, phi, du, dalpha, dbeta, g)
+    rhs = polar_action_density(u, du, dalpha, dbeta, g)
     return float(np.abs(lhs - rhs).max())
-

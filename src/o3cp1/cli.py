@@ -42,7 +42,6 @@ import numpy as np
 
 from . import measure
 from .actions import (
-    AnalyticFieldProbe,
     marginalize_gauge_numeric,
     partition_constants,
     polar_identity_max_violation,
@@ -201,17 +200,13 @@ def _check_row(inputs, value, reference, tolerance, passed, diagnostics=None):
 
 
 def _check_polar_identity(rng, tol):
-    n_probes, pts_per_probe = 1000, 8
-    probes = AnalyticFieldProbe.random(rng, ndim=2, count=n_probes)
-    x = rng.uniform(0.0, 1.0, (n_probes, pts_per_probe, 2))
-    worst = polar_identity_max_violation(probes, x, g=1.0)
-    return _check_row(
-        {"probes": n_probes, "points_per_probe": pts_per_probe, "g": 1.0},
-        worst,
-        0.0,
-        tol,
-        worst <= tol,
-    )
+    n_jets, ndim, g = 8000, 2, 1.0
+    u = rng.uniform(0.0, math.pi / 2, n_jets)  # r = cos(u), s = sin(u): the whole sphere
+    phi = rng.uniform(0.0, 2 * math.pi, n_jets)
+    du = rng.normal(0.0, 3.0, (n_jets, ndim))
+    dalpha, dbeta = rng.normal(0.0, 6.0, (2, n_jets, ndim))
+    worst = polar_identity_max_violation(u, phi, du, dalpha, dbeta, g)
+    return _check_row({"jets": n_jets, "ndim": ndim, "g": g}, worst, 0.0, tol, worst <= tol)
 
 
 def _fd_determinant(r, alpha, s, beta, h=1e-5):
@@ -245,7 +240,7 @@ def _check_jacobian(rng, tol):
 
 def _check_marginalization(rng, tol):
     lat = build_lattice([4, 4])
-    worst = 0.0
+    worst, worst_tail = 0.0, 0.0
     couplings = (0.5, 1.0, 2.0)
     n_links = 100
     for g in couplings:
@@ -255,12 +250,14 @@ def _check_marginalization(rng, tol):
             mu = int(rng.integers(lat.ndim))
             res = marginalize_gauge_numeric(lat, zf, site, mu, g)
             worst = max(worst, abs(res.value - res.closed_form) / res.closed_form)
+            worst_tail = max(worst_tail, res.tail_bound / res.value)
     return _check_row(
         {"links_per_g": n_links, "couplings": list(couplings)},
         worst,
         0.0,
         tol,
         worst <= tol,
+        {"max_tail_bound_rel": worst_tail},
     )
 
 

@@ -176,11 +176,23 @@ class ChainState:
         return self.model.startswith("cp1-gauged")
 
 
-def init_chain(lat, model, g, rng, delta=DELTA_START, self_check=False) -> ChainState:
+def _check_chain(model, g):
+    """McError unless `model` is a flavour whose chain can sample at coupling g."""
     if model not in MODELS:
         raise McError(f"unknown model {model!r}; expected one of {MODELS}")
     if not (g > 0):
         raise McError(f"coupling must be positive, got {g}")
+    # cp1-gauged-pullback's action change sums 2 ndim squares (A - Im w)^2 =
+    # (g/2) z^2, z standard normal (gibbs_gauge_update), for the new spinor and
+    # for the old. Near g = 1e307 both overflow to inf and inf - inf = nan
+    # rejects the move; up to 1e300 they stay finite while ndim z^2 < 1e8.
+    if model == "cp1-gauged-pullback" and g > 1e300:
+        raise McError(f"coupling {g} is too large for cp1-gauged-pullback (at most 1e300): "
+                      f"its squared gauge terms overflow")
+
+
+def init_chain(lat, model, g, rng, delta=DELTA_START, self_check=False) -> ChainState:
+    _check_chain(model, g)
     matter = (SpinField if model == "o3" else CP1Field).random(lat, rng)
     state = ChainState(lat=lat, model=model, g=float(g), delta=float(delta), rng=rng,
                        matter=matter, self_check=self_check)
@@ -534,6 +546,8 @@ def run_chains(lat, models, g, sweeps, master_seed, processes=1, **kwargs):
     regardless of execution order, so results are reproducible and identical
     between serial and parallel runs.
     """
+    for model in models:  # refuse a bad chain before any chain samples
+        _check_chain(model, g)
     seqs = np.random.SeedSequence(master_seed).spawn(len(models))
     tasks = [(lat, m, g, sweeps, seqs[i], kwargs) for i, m in enumerate(models)]
     if processes <= 1 or len(models) == 1:

@@ -7,8 +7,6 @@ import numpy as np
 
 from o3cp1 import mc
 from o3cp1.actions import (
-    AnalyticFieldProbe,
-    _FourierScalar,
     gauge_term,
     link_overlaps,
     pullback_term,
@@ -65,11 +63,14 @@ def probe_spinor_field(probe, lat):
     """Sample the probe on a lattice, mapping site coords to the unit torus."""
     coords = lat.site_coords(np.arange(lat.volume)).astype(float)
     coords /= np.asarray(lat.dims, dtype=float)
-    return spinor_field(probe.spinor(coords))
+    return spinor_field(probe(coords))
 
 
 def random_fourier_scalar(rng, ndim, c0, max_total_amp, n_modes, max_mode=2):
-    """actions._FourierScalar.random as one probe's draw: amps, waves until no row is zero, phases."""
+    """f(x) = c0 + sum_j a_j cos(k_j . x + p_j) at points x of shape (N, ndim).
+
+    Draws the amplitudes, then integer waves until no wave is zero, then the phases.
+    """
     amps = rng.uniform(0.2, 1.0, n_modes)
     amps *= max_total_amp / amps.sum()
     waves = np.zeros((n_modes, ndim))
@@ -77,44 +78,27 @@ def random_fourier_scalar(rng, ndim, c0, max_total_amp, n_modes, max_mode=2):
         waves = rng.integers(-max_mode, max_mode + 1, (n_modes, ndim)).astype(float)
     waves *= 2.0 * np.pi
     phases = rng.uniform(0.0, 2.0 * np.pi, n_modes)
-    return _FourierScalar(c0, amps, waves, phases)
+    return lambda x: c0 + (np.cos(x @ waves.T + phases) @ amps[:, None])[:, 0]
 
 
 def random_probe(rng, ndim=1, n_modes=2, margin=0.15, max_mode=2, angle_amp=1.0):
-    """AnalyticFieldProbe.random for one probe, drawn scalar by scalar as above."""
+    """Smooth unit-spinor field z(x) = (cos(u) e^{i alpha}, sin(u) e^{i beta}) on the unit torus.
+
+    u, alpha and beta are random Fourier scalars, drawn in that order, with u
+    inside (margin, pi/2 - margin). Returns z at points x of shape (N, ndim),
+    shape (N, 2) complex.
+    """
     half_range = np.pi / 4.0 - margin
     u = random_fourier_scalar(rng, ndim, np.pi / 4.0, 0.9 * half_range, n_modes, max_mode)
     alpha = random_fourier_scalar(rng, ndim, 0.0, angle_amp, n_modes, max_mode)
     beta = random_fourier_scalar(rng, ndim, 0.0, angle_amp, n_modes, max_mode)
-    return AnalyticFieldProbe(u, alpha, beta, ndim)
 
+    def spinor(x):
+        ux = u(x)
+        return np.stack([np.cos(ux) * np.exp(1j * alpha(x)), np.sin(ux) * np.exp(1j * beta(x))],
+                        axis=-1)
 
-def probe_self_check(probe, x, h=1e-5, tol=1e-6):
-    """Constraint and derivative consistency of an AnalyticFieldProbe at points x.
-
-    The supplied derivative of r^2 + s^2 must vanish; every analytic
-    derivative must match a central finite difference within O(h^2).
-    Returns the worst derivative mismatch.
-    """
-    x = np.atleast_2d(x)
-    r, s, _, _ = probe.polar(x)
-    dr, ds, da, db = probe.polar_grad(x)
-    constraint = np.abs(2 * r[:, None] * dr + 2 * s[:, None] * ds).max()
-    assert constraint <= 1e-12, f"probe violates d(r^2+s^2) = 0: {constraint:.3e}"
-    worst = 0.0
-    for mu in range(probe.ndim):
-        e = np.zeros(probe.ndim)
-        e[mu] = h
-        for fun, grad in (
-            (lambda p: np.cos(probe.u.value(p)), dr),
-            (lambda p: np.sin(probe.u.value(p)), ds),
-            (probe.alpha.value, da),
-            (probe.beta.value, db),
-        ):
-            fd = (fun(x + e) - fun(x - e)) / (2 * h)
-            worst = max(worst, float(np.abs(fd - grad[:, mu]).max()))
-    assert worst <= tol, f"probe derivative mismatch vs central diff: {worst:.3e}"
-    return worst
+    return spinor
 
 
 # --- measure's raw-4d quadrature with its radial deltas on the whole grid -----

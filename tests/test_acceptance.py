@@ -17,15 +17,11 @@ import pytest
 from scipy import optimize
 
 from o3cp1 import measure
-from o3cp1.actions import (
-    AnalyticFieldProbe,
-    action_cp1_reduced,
-    action_o3_pullback,
-)
+from o3cp1.actions import action_cp1_reduced, action_o3_pullback
 from o3cp1.cli import comparison_rows, oracle_rows, run_check
 from o3cp1.lattice import build_lattice
 from o3cp1.mc import run_chains
-from references import probe_spinor_field
+from references import probe_spinor_field, random_probe
 
 
 def report(number, name, passed, detail):
@@ -135,7 +131,7 @@ def test_c08_continuum_matching_order():
     rng = np.random.default_rng(108)
     slopes = []
     for _ in range(8):
-        probe = AnalyticFieldProbe.random(rng, ndim=1, max_mode=1, angle_amp=0.7)
+        probe = random_probe(rng, ndim=1, max_mode=1, angle_amp=0.7)
         sizes = [8, 16, 32, 64]
         gaps = []
         for size in sizes:

@@ -9,7 +9,6 @@ from o3cp1 import actions, measure
 from o3cp1.actions import (
     ActionError,
     QuadratureError,
-    AnalyticFieldProbe,
     action_cp1_gauged,
     action_cp1_reduced,
     action_o3,
@@ -21,7 +20,6 @@ from o3cp1.actions import (
     partition_constants,
     polar_action_density,
     polar_identity_max_violation,
-    _FourierScalar,
 )
 from o3cp1.fields import CP1Field, GaugeField, SpinField, hopf_map
 from o3cp1.lattice import build_lattice
@@ -29,7 +27,6 @@ from references import (
     constant_spin_field,
     constant_spinor_field,
     optimal_gauge,
-    probe_self_check,
     probe_spinor_field,
     random_probe,
     spinor_field,
@@ -254,63 +251,30 @@ def test_marginalization_raises_when_the_rule_does_not_converge(monkeypatch):
         marginalize_gauge_numeric(lat, constant_spinor_field(lat), 0, 0, 1.0)
 
 
-def test_probe_self_check_and_identity():
-    rng = np.random.default_rng(6)
-    for ndim in (1, 2, 3):
-        probe = AnalyticFieldProbe.random(rng, ndim=ndim)
-        x = rng.uniform(0, 1, (40, ndim))
-        probe_self_check(probe, x)
-        assert polar_identity_max_violation(probe, x, g=0.8) < 1e-10
-
-
-def probe_of_batch(batch, b):
-    """Probe b of a batch drawn with AnalyticFieldProbe.random(..., count=B)."""
-    def scalar(f):
-        return _FourierScalar(f.c0, f.amps[b], f.waves[b], f.phases[b])
-
-    return AnalyticFieldProbe(scalar(batch.u), scalar(batch.alpha), scalar(batch.beta), batch.ndim)
+def random_jets(rng, n, ndim):
+    """n random 1-jets (u, phi, du, dalpha, dbeta) over the whole sphere."""
+    u = rng.uniform(0.0, math.pi / 2, n)
+    phi = rng.uniform(0.0, 2 * math.pi, n)
+    du, dalpha, dbeta = rng.normal(0.0, 4.0, (3, n, ndim))
+    return u, phi, du, dalpha, dbeta
 
 
 @pytest.mark.parametrize("ndim", [1, 2, 3])
-def test_probe_batch_violation_is_the_max_over_its_probes(ndim):
-    rng = np.random.default_rng(23)
-    count = 40
-    batch = AnalyticFieldProbe.random(rng, ndim=ndim, count=count)
-    x = rng.uniform(0, 1, (count, 8, ndim))
-    per_probe = [polar_identity_max_violation(probe_of_batch(batch, b), x[b], g=0.8)
-                 for b in range(count)]
-    assert max(per_probe) > 0.0
-    assert abs(polar_identity_max_violation(batch, x, g=0.8) - max(per_probe)) <= 1e-15
-
-
-@pytest.mark.parametrize("ndim, kwargs", [
-    (1, {}), (2, {}), (3, {}), (1, {"max_mode": 1, "angle_amp": 0.7}),  # the last: c08's
-])
-def test_single_probe_draw_is_the_sequential_draw(ndim, kwargs):
-    # seeds 0-19 include draws whose all-zero wave row forces a redraw
-    for seed in range(20):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        probe = AnalyticFieldProbe.random(rng, ndim=ndim, **kwargs)
-        ref = random_probe(ref_rng, ndim=ndim, **kwargs)
-        for name in ("u", "alpha", "beta"):
-            got, want = getattr(probe, name), getattr(ref, name)
-            assert got.c0 == want.c0
-            for attr in ("amps", "waves", "phases"):
-                np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
-        assert rng.random() == ref_rng.random()
+def test_polar_identity_on_random_jets(ndim):
+    u, phi, du, dalpha, dbeta = random_jets(np.random.default_rng(6), 2000, ndim)
+    assert np.median(polar_action_density(u, du, dalpha, dbeta, 0.8)) > 1.0
+    assert polar_identity_max_violation(u, phi, du, dalpha, dbeta, g=0.8) < 1e-10
 
 
 def test_polar_identity_closed_form_case():
-    # r = cos(u), s = sin(u), alpha = beta: density (u')^2 / g both ways
-    u = _FourierScalar(np.pi / 4, [0.3], [[2 * np.pi]], [0.7])
-    alpha = _FourierScalar(0.2, [0.5], [[4 * np.pi]], [1.1])
-    probe = AnalyticFieldProbe(u, alpha, alpha, ndim=1)
-    x = np.linspace(0, 1, 17)[:, None]
+    # dalpha = dbeta: n moves only through u, and both densities are |du|^2 / g
+    u, phi, du, dalpha, _ = random_jets(np.random.default_rng(10), 50, 2)
     g = 1.4
-    du = u.grad(x)[:, 0]
-    expected = du**2 / g
-    assert np.allclose(polar_action_density(probe, x, g), expected, atol=1e-12)
-    assert np.allclose(o3_action_density_from_polar(probe, x, g), expected, atol=1e-12)
+    expected = (du**2).sum(axis=1) / g
+    np.testing.assert_allclose(polar_action_density(u, du, dalpha, dalpha, g), expected,
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(o3_action_density_from_polar(u, phi, du, dalpha, dalpha, g),
+                               expected, rtol=1e-12, atol=0)
 
 
 def test_pullback_action_equals_o3_of_hopf():
@@ -352,7 +316,7 @@ def test_partition_constants_bookkeeping():
 
 def test_probe_spinor_field_is_normalized():
     rng = np.random.default_rng(9)
-    probe = AnalyticFieldProbe.random(rng, ndim=2)
+    probe = random_probe(rng, ndim=2)
     lat = build_lattice([6, 6])
     zf = probe_spinor_field(probe, lat)
     zf.check(tol=1e-12)

@@ -614,6 +614,19 @@ def test_a_subnormal_coupling_prints_no_numpy_warning(tmp_path, cli_env):
     assert len(lines) == 1 and lines[0].startswith("warning: proposal width pinned"), proc.stderr
 
 
+def test_a_huge_coupling_prints_no_numpy_warning(tmp_path, cli_env):
+    # at g = 1e308 the squared gauge terms of cp1-gauged-pullback overflow and
+    # inf - inf = nan rejected its moves: compare refuses the coupling in one
+    # line, and the chains without those squares still sample it
+    proc = run_cli(["compare", "--dims", "2", "--g", "1e308", "--sweeps", "30", "--seed", "1"],
+                   tmp_path, cli_env)
+    assert_cli_error(proc, 1, "cp1-gauged-pullback", "1e+308")
+    assert not list(tmp_path.iterdir())
+    proc = run_cli(["sample", "--model", "cp1-gauged", "--dims", "2", "--g", "1e308",
+                    "--sweeps", "30", "--seed", "1"], tmp_path, cli_env)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+
+
 def test_reports_are_strict_json(tmp_path, cli_env):
     # measured_order is NaN at the noise floor of the ladder differences. At
     # g = 5e-324 the energy, ndim (1 - corr_r1) / 2g, overflows to inf, so its

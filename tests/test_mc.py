@@ -560,3 +560,19 @@ def test_unknown_model_rejected():
         init_chain(lat, "ising", 1.0, rng_of(14))
     with pytest.raises(McError):
         init_chain(lat, "o3", -1.0, rng_of(14))
+
+
+def test_gauged_pullback_refuses_a_coupling_its_gauge_squares_overflow(monkeypatch):
+    # at g = 1e308 (A - Im w)^2 overflows and inf - inf = nan rejected moves;
+    # up to 1e300 every model accepts all moves of a wide proposal, warning-free
+    lat = build_lattice([4, 4])
+    with pytest.raises(McError, match="cp1-gauged-pullback"):
+        init_chain(lat, "cp1-gauged-pullback", 1e308, rng_of(15), delta=4.0)
+    monkeypatch.setattr(mc, "run_chain", None)  # refused before any chain runs
+    with pytest.raises(McError, match="cp1-gauged-pullback"):
+        run_chains(lat, ["o3", "cp1-gauged-pullback"], 1e308, 10, master_seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model, g in [(m, 1e300) for m in MODELS] + [("cp1-gauged-reduced", 1e308)]:
+            state = init_chain(lat, model, g, rng_of(15), delta=4.0)
+            assert all(chain_sweep(state) == 1.0 for _ in range(50)), (model, g)
