@@ -141,17 +141,17 @@ def gauge_marginal_closed_form(b, g) -> float:
     return math.sqrt(math.pi * g) * math.exp(b * b / g)
 
 
-def marginalize_gauge_numeric(lat: Lattice, zf: CP1Field, site, mu, g) -> MarginalResult:
+def marginalize_gauge_numeric(b, g) -> MarginalResult:
     """Numerically integrate the gauge link weight exp(-(A^2 - 2Ab)/g) over A.
 
-    The infinite range is truncated to cover both [-K sqrt(g), K sqrt(g)] and
-    the same window centered on the Gaussian mean b, with K = GAUGE_HALF_WIDTH;
-    the neglected tail is bounded by sqrt(pi g) erfc(K) exp(b^2/g), returned as
+    b = Im z(x)^dag z(x+mu) is all that the link contributes. The infinite
+    range is truncated to cover both [-K sqrt(g), K sqrt(g)] and the same
+    window centered on the Gaussian mean b, with K = GAUGE_HALF_WIDTH; the
+    neglected tail is bounded by sqrt(pi g) erfc(K) exp(b^2/g), returned as
     tail_bound (verify's marginalization row reports the worst tail_bound / value).
     """
     g = _check_g(g)
-    z = zf.z
-    b = float(spinor_overlap(z[site], z[lat.neighbor(site, mu, +1)]).imag)
+    b = float(b)
     span = GAUGE_HALF_WIDTH * math.sqrt(g)
     lo, hi = min(-span, b - span), max(span, b + span)
     value, err = gauss_legendre_quad(lambda a: np.exp(-(a * a - 2.0 * a * b) / g), lo, hi, 1e-12)

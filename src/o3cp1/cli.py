@@ -2,13 +2,14 @@
 
 verify   runs the numerical identity suite (kinetic-term identity, polar
          Jacobian, per-link gauge marginalization, one-site sphere-integral
-         ratio, measure-constant extrapolation, reduction-stage consistency,
-         pushforward uniformity, prefactor bookkeeping) and writes a JSON
-         report; exit code 0 iff every executed check passed. The checks
-         live in one registry, CHECKS, which maps each name to its function
-         and default tolerance. verify runs each on a generator seeded from
-         (seed, the check's stream index); acceptance tests c01-c07 run the
-         same functions through run_check with their own pinned generators.
+         ratio, measure constant at each mollifier width, reduction-stage
+         consistency, pushforward uniformity, prefactor bookkeeping) and
+         writes a JSON report; exit code 0 iff every executed check
+         passed. The checks live in one registry, CHECKS, which maps each
+         name to its function and default tolerance. verify runs each on a
+         generator seeded from (seed, the check's stream index); acceptance
+         tests c01-c07 run the same functions through run_check with their
+         own pinned generators.
 sample   runs one Monte Carlo chain and writes the observable series as CSV
          plus a JSON summary.
 compare  runs chains of different models at the same coupling and gates the
@@ -45,9 +46,10 @@ from .actions import (
     marginalize_gauge_numeric,
     partition_constants,
     polar_identity_max_violation,
+    spinor_overlap,
 )
 from .errors import O3CP1Error
-from .fields import CP1Field, jacobian_polar, save_field_csv, write_csv
+from .fields import jacobian_polar, random_unit, save_field_csv, write_csv
 from .lattice import build_lattice
 from .mc import DELTA_FLOOR, LAW, MODELS, chain_bin_size, count_bins, run_chains, two_site_exact
 
@@ -239,16 +241,13 @@ def _check_jacobian(rng, tol):
 
 
 def _check_marginalization(rng, tol):
-    lat = build_lattice([4, 4])
     worst, worst_tail = 0.0, 0.0
     couplings = (0.5, 1.0, 2.0)
     n_links = 100
     for g in couplings:
-        for _ in range(n_links):
-            zf = CP1Field.random(lat, rng)
-            site = int(rng.integers(lat.volume))
-            mu = int(rng.integers(lat.ndim))
-            res = marginalize_gauge_numeric(lat, zf, site, mu, g)
+        z = random_unit(rng, 4, 2 * n_links).view(np.complex128)  # the two ends of each link
+        for b in spinor_overlap(z[:n_links], z[n_links:]).imag:
+            res = marginalize_gauge_numeric(b, g)
             worst = max(worst, abs(res.value - res.closed_form) / res.closed_form)
             worst_tail = max(worst_tail, res.tail_bound / res.value)
     return _check_row(
@@ -275,23 +274,18 @@ def _check_one_site_ratio(rng, tol):
 
 
 def _check_measure_constant(rng, tol):
+    """Passes iff the ratio at every point and every width is within tol * pi/2 of pi/2."""
     points = measure.random_sphere_points(rng, 10)
-    est = measure.verify_constant_c(points)
-    diagnostics = {
-        "spread": est.spread,
-        "measured_order": est.measured_order,
-        "residual": est.residual,
-        "converged": est.converged,
-        "notes": est.notes,
-        "ladder": list(measure.EPS_LADDER),
-    }
+    ratios = measure.verify_constant_c(points)
+    mean = float(ratios.mean())
+    max_rel_gap = float(np.abs(ratios / measure.HALF_PI - 1.0).max())
     return _check_row(
         {"points": len(points), "eps_ladder": list(measure.EPS_LADDER)},
-        est.constant,
+        mean,
         measure.HALF_PI,
         tol,
-        est.passes(tol),
-        diagnostics,
+        max_rel_gap <= tol,
+        {"spread": float(np.abs(ratios - mean).max()), "max_rel_gap": max_rel_gap},
     )
 
 

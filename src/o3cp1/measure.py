@@ -23,11 +23,16 @@ Gaussians, so the raw integral realizes delta(n^2 - 1) as
     ref(n, eps) = delta_{sqrt(2) eps}(|n| - 1) / (2 |n|),
 
 with only exponentially small (exp(-1/(2 eps^2))-scale) corrections; this is
-purely radial bookkeeping and does not presuppose the value of c. The
-reduction stages below pin some variables exactly and therefore realize the
-same distribution with stage-specific widths; each stage carries its own
-reference, derived the same way, so every stage yields an independent
-estimate of the constant c which should agree with the others.
+purely radial bookkeeping and does not presuppose the value of c. So the
+raw ratio on the sphere is c at every width of EPS_LADDER, and verify's
+measure-constant check reads each width (verify_constant_c), with nothing
+to extrapolate. The reduction stages below pin some variables exactly and
+therefore realize the same distribution with stage-specific widths; each
+stage carries its own reference, derived the same way, so every stage
+yields an independent estimate of the constant c which should agree with
+the others. after-S keeps an eps^2 term, the Hankel series of
+e^-kappa I_0(kappa): c (1 + eps^2 / (8 (1 - n_z^2)) + ...). So
+reduction_consistency alone extrapolates in eps^2.
 
 Reduction chain (the four stages):
   raw-4d:        4D polar quadrature of I_eps as written above.
@@ -83,8 +88,8 @@ RADIAL_PAD_SIGMAS = 10.0
 
 PUSHFORWARD_SAMPLES = 100_000
 
-# The mollifier ladder of verify_constant_c: three widths for an eps^2
-# extrapolation and its residual. The reference's corrections are
+# The mollifier ladder of verify_constant_c: the ratio is checked at each of
+# the three widths, not extrapolated. The reference's corrections are
 # exponentially small in 1/eps^2, so one ladder serves every run.
 EPS_LADDER = (0.1, 0.05, 0.025)
 
@@ -247,11 +252,9 @@ def measure_lhs(n, eps) -> float:
 def richardson_extrapolate(eps_values, values):
     """Extrapolate an eps^2-convergent sequence to eps = 0; needs three or more widths.
 
-    Returns (limit, residual_estimate, measured_order). The limit comes from
-    the two finest widths; the residual estimate is the difference between
-    that and the extrapolation from the next-coarser pair. The measured order
-    uses the successive differences of the three finest widths and is nan
-    when they sit at the numerical noise floor.
+    Returns (limit, residual_estimate). The limit comes from the two finest
+    widths; the residual estimate is the difference between that and the
+    extrapolation from the next-coarser pair.
     """
     eps_values = np.asarray(eps_values, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -261,37 +264,15 @@ def richardson_extrapolate(eps_values, values):
         return (values[j] * e2i - values[i] * e2j) / (e2i - e2j)
 
     limit = pair_limit(-2, -1)
-    residual = abs(limit - pair_limit(-3, -2))
-    order = float("nan")
-    d1 = abs(values[-2] - values[-3])
-    d2 = abs(values[-1] - values[-2])
-    scale = max(abs(values[-1]), 1.0)
-    if d1 > 1e-11 * scale and d2 > 1e-11 * scale:
-        order = math.log(d1 / d2) / math.log(eps_values[-3] / eps_values[-2])
-    return float(limit), float(residual), order
+    return float(limit), float(abs(limit - pair_limit(-3, -2)))
 
 
-@dataclass
-class ConstantEstimate:
-    """Ladder-extrapolated estimate of the measure constant across test points."""
+def verify_constant_c(points):
+    """Raw-4d ratios I_eps(n) / ref(n, eps), shape (points, len(EPS_LADDER)).
 
-    constant: float
-    spread: float
-    measured_order: float
-    residual: float
-    converged: bool
-    notes: str = ""
-
-    def passes(self, tol=0.01):
-        return bool(abs(self.constant - HALF_PI) <= tol * HALF_PI and self.converged)
-
-
-def verify_constant_c(points) -> ConstantEstimate:
-    """Extract the measure constant from pointwise ratios over EPS_LADDER.
-
-    Requires at least 10 on-sphere test points. Each point's ratios are
-    extrapolated in eps^2; non-monotone ladder convergence is flagged as not
-    converged.
+    Requires at least 10 on-sphere test points. The reference is smoothed
+    the same way as the integral, so every ratio is the constant itself at
+    every width, with no eps^2 term to extrapolate away.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] < 10 or points.shape[1] != 3:
@@ -299,31 +280,8 @@ def verify_constant_c(points) -> ConstantEstimate:
     off = np.abs(np.linalg.norm(points, axis=1) - 1.0).max()
     if off > 1e-9:
         raise MeasureDomainError(f"test points must lie on the unit sphere ({off:.2e} off)")
-    ratios = np.array([[reduction_stage_value(p, eps, "raw-4d").constant for eps in EPS_LADDER]
-                       for p in points])
-
-    per_point = np.empty(points.shape[0])
-    residuals = np.empty(points.shape[0])
-    orders = []
-    for i in range(points.shape[0]):
-        per_point[i], residuals[i], o = richardson_extrapolate(EPS_LADDER, ratios[i])
-        if not math.isnan(o):
-            orders.append(o)
-
-    diffs = np.abs(np.diff(ratios, axis=1))
-    noise = 1e-9 * np.abs(ratios[:, -1:])
-    shrinking = (diffs[:, 1:] <= diffs[:, :-1] + noise) | (diffs[:, 1:] < noise)
-    bad = int(np.sum(~shrinking.all(axis=1)))
-
-    constant = float(np.mean(per_point))
-    return ConstantEstimate(
-        constant=constant,
-        spread=float(np.max(np.abs(per_point - constant))),
-        measured_order=float(np.median(orders)) if orders else float("nan"),
-        residual=float(residuals.max()),
-        converged=bad == 0,
-        notes=f"non-monotone ladder convergence at {bad} point(s)" if bad else "",
-    )
+    return np.array([[reduction_stage_value(p, eps, "raw-4d").constant for eps in EPS_LADDER]
+                     for p in points])
 
 
 # --- reduction stages -------------------------------------------------------
@@ -460,7 +418,7 @@ def reduction_consistency(n) -> StageConsistency:
     residuals = {}
     for stage in STAGES:
         cs = [reduction_stage_value(n, eps, stage).constant for eps in STAGE_LADDER]
-        limit, residual, _ = richardson_extrapolate(STAGE_LADDER, cs)
+        limit, residual = richardson_extrapolate(STAGE_LADDER, cs)
         constants[stage] = limit
         residuals[stage] = residual
 

@@ -6,9 +6,10 @@ import sys
 import time
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from o3cp1 import cli
+from o3cp1 import cli, measure
 from o3cp1.mc import two_site_exact
 
 
@@ -341,6 +342,18 @@ def test_verify_fails_but_writes_report(tmp_path, cli_env):
     assert report["checks"][0]["tolerance"] == 1e-30
 
 
+@pytest.mark.parametrize("factor", [lambda eps: 1.0 + 3.0 * eps**2, lambda eps: 1.02],
+                         ids=["eps-squared", "uniform"])
+def test_measure_constant_fails_a_wrong_integral_at_any_width(monkeypatch, factor):
+    # an extrapolation in eps^2 would remove the first mutant exactly; the
+    # check compares each width's ratio with pi/2, and 1 + 3 eps^2 is 3 % off at eps = 0.1
+    measure_lhs = measure.measure_lhs
+    monkeypatch.setattr(measure, "measure_lhs", lambda n, eps: measure_lhs(n, eps) * factor(eps))
+    row = cli.run_check("measure-constant", np.random.default_rng(0))
+    assert not row["pass"]
+    assert row["diagnostics"]["max_rel_gap"] > row["tolerance"]
+
+
 def test_report_schema_golden(tmp_path, cli_env):
     proc = run_cli(
         ["verify", "--suite", "prefactor", "--out", "r.json"], tmp_path, cli_env
@@ -628,15 +641,13 @@ def test_a_huge_coupling_prints_no_numpy_warning(tmp_path, cli_env):
 
 
 def test_reports_are_strict_json(tmp_path, cli_env):
-    # measured_order is NaN at the noise floor of the ladder differences. At
-    # g = 5e-324 the energy, ndim (1 - corr_r1) / 2g, overflows to inf, so its
-    # means and n_sigma (inf - inf) are not finite; three sites, as the
+    # At g = 5e-324 the energy, ndim (1 - corr_r1) / 2g, overflows to inf, so
+    # its means and n_sigma (inf - inf) are not finite; three sites, as the
     # two-site reference does not resolve such a g
     proc = run_cli(["verify", "--suite", "measure-constant", "--out", "r.json"],
                    tmp_path, cli_env)
     assert proc.returncode == 0, proc.stderr
-    row = load_strict_json(tmp_path / "r.json")["checks"][0]
-    assert "measured_order" in row["diagnostics"]
+    load_strict_json(tmp_path / "r.json")
     proc = run_cli(
         ["compare", "--dims", "3", "--g", "5e-324", "--sweeps", "1000",
          "--thermalization", "1000", "--seed", "1", "--out-prefix", "c"],
