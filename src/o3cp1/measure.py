@@ -25,14 +25,20 @@ Gaussians, so the raw integral realizes delta(n^2 - 1) as
 with only exponentially small (exp(-1/(2 eps^2))-scale) corrections; this is
 purely radial bookkeeping and does not presuppose the value of c. So the
 raw ratio on the sphere is c at every width of EPS_LADDER, and verify's
-measure-constant check reads each width (verify_constant_c), with nothing
-to extrapolate. The reduction stages below pin some variables exactly and
-therefore realize the same distribution with stage-specific widths; each
-stage carries its own reference, derived the same way, so every stage
-yields an independent estimate of the constant c which should agree with
-the others. after-S keeps an eps^2 term, the Hankel series of
-e^-kappa I_0(kappa): c (1 + eps^2 / (8 (1 - n_z^2)) + ...). So
-reduction_consistency alone extrapolates in eps^2.
+measure-constant check compares each width's ratio with pi/2
+(verify_constant_c). The reduction stages below pin some variables exactly,
+and each stage's reference is delta(n^2 - 1) smoothed by the mollifiers
+that stage keeps (stage_reference), so reduction_consistency's ratios are c
+at every width too. after-S keeps the two in-plane ones, a 2D Gaussian.
+With rho_z^2 = 1 - n_z^2, m = rho (cos phi, -sin phi), d^2m = rho drho dphi
+and delta(rho^2 - rho_z^2) = delta(rho - rho_z) / (2 rho), its reference is
+
+    int d^2m delta(|m|^2 - rho_z^2) delta_eps(n_x - m_x) delta_eps(n_y - m_y)
+      = (1/2) int_0^{2 pi} dphi delta_eps(n_x - rho_z cos phi) delta_eps(n_y + rho_z sin phi),
+
+that is _angular_integral(n_x, n_y, rho_z, eps, pi). Its leading Hankel term
+alone, delta_eps(q - rho_z) / (q + rho_z), would leave eps^2 / (8 rho_z^2)
+in the ratio.
 
 Reduction chain (the four stages):
   raw-4d:        4D polar quadrature of I_eps as written above.
@@ -89,8 +95,8 @@ RADIAL_PAD_SIGMAS = 10.0
 PUSHFORWARD_SAMPLES = 100_000
 
 # The mollifier ladder of verify_constant_c: the ratio is checked at each of
-# the three widths, not extrapolated. The reference's corrections are
-# exponentially small in 1/eps^2, so one ladder serves every run.
+# the three widths. The reference's corrections are exponentially small in
+# 1/eps^2, so one ladder serves every run.
 EPS_LADDER = (0.1, 0.05, 0.025)
 
 # gauss_legendre_quad compares QUAD_NODES- and 2*QUAD_NODES-point rules per
@@ -249,30 +255,12 @@ def measure_lhs(n, eps) -> float:
     return float((base[mask] * ang).sum())
 
 
-def richardson_extrapolate(eps_values, values):
-    """Extrapolate an eps^2-convergent sequence to eps = 0; needs three or more widths.
-
-    Returns (limit, residual_estimate). The limit comes from the two finest
-    widths; the residual estimate is the difference between that and the
-    extrapolation from the next-coarser pair.
-    """
-    eps_values = np.asarray(eps_values, dtype=float)
-    values = np.asarray(values, dtype=float)
-
-    def pair_limit(i, j):
-        e2i, e2j = eps_values[i] ** 2, eps_values[j] ** 2
-        return (values[j] * e2i - values[i] * e2j) / (e2i - e2j)
-
-    limit = pair_limit(-2, -1)
-    return float(limit), float(abs(limit - pair_limit(-3, -2)))
-
-
 def verify_constant_c(points):
     """Raw-4d ratios I_eps(n) / ref(n, eps), shape (points, len(EPS_LADDER)).
 
     Requires at least 10 on-sphere test points. The reference is smoothed
     the same way as the integral, so every ratio is the constant itself at
-    every width, with no eps^2 term to extrapolate away.
+    every width.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] < 10 or points.shape[1] != 3:
@@ -342,8 +330,13 @@ def stage_reference(n, eps, stage) -> float:
       raw-4d:        radial width sqrt(2) eps (two radial deltas convolved),
       after-R-theta: radial width eps (constraint eliminated exactly),
       after-S:       in-plane circle delta, delta(rho_xy^2 - (1 - n_z^2)),
+                     under the 2D Gaussian of the two in-plane mollifiers,
       after-phi:     delta in n_y alone, delta(n_y^2 - (1 - n_x^2 - n_z^2)).
-    The quadratic arguments are expanded about their positive roots.
+    The module docstring derives raw-4d's and after-S's smoothing. The
+    other quadratic arguments are expanded about their positive roots.
+    after-S and after-phi share the angle closed form or the roots with
+    their stage values, so their ratios are pi/2 by algebra: they test the
+    stage's pi/4 prefactor and its phi period.
     """
     n = _as_point(n)
     nx, ny, nz = n
@@ -355,9 +348,7 @@ def stage_reference(n, eps, stage) -> float:
     if stage == "after-R-theta":
         return float(mollified_delta(rho - 1.0, eps) / (2.0 * rho))
     if stage == "after-S":
-        rho_xy = math.hypot(nx, ny)
-        rho_z = math.sqrt(1.0 - nz * nz)
-        return float(mollified_delta(rho_xy - rho_z, eps) / (rho_xy + rho_z))
+        return float(_angular_integral(nx, ny, math.sqrt(1.0 - nz * nz), eps, math.pi))
     if stage == "after-phi":  # the only stage that divides by |f'(phi0)|
         _require_generic(n, eps)
         _, q = phi_roots(n)
@@ -395,46 +386,17 @@ def _require_generic(n, eps):
         )
 
 
-@dataclass
-class StageConsistency:
-    """Extrapolated per-stage constants and their pairwise agreement."""
+def reduction_consistency(n):
+    """Ratios value / stage_reference at n, shape (len(STAGES), len(STAGE_LADDER)).
 
-    constants: dict  # stage -> extrapolated constant
-    max_pair_gap: float
-    combined_tolerance: float
-    passed: bool
-
-
-def reduction_consistency(n) -> StageConsistency:
-    """Check that all four reduction stages estimate the same constant.
-
-    Every stage's constants on STAGE_LADDER are extrapolated in eps^2; the combined
-    tolerance for a pairwise comparison is five times the summed extrapolation
-    residual estimates plus a 1e-7 relative quadrature floor.
+    Every stage's reference is smoothed as that stage's integral is, so each
+    ratio is the constant itself at every width, as in verify_constant_c.
+    Rejects points within 10 max(STAGE_LADDER) of the singular locus.
     """
     n = _as_point(n)
     _require_generic(n, max(STAGE_LADDER))
-    constants = {}
-    residuals = {}
-    for stage in STAGES:
-        cs = [reduction_stage_value(n, eps, stage).constant for eps in STAGE_LADDER]
-        limit, residual = richardson_extrapolate(STAGE_LADDER, cs)
-        constants[stage] = limit
-        residuals[stage] = residual
-
-    max_gap = 0.0
-    tol = 0.0
-    for i, si in enumerate(STAGES):
-        for sj in STAGES[i + 1 :]:
-            gap = abs(constants[si] - constants[sj])
-            pair_tol = 5.0 * (residuals[si] + residuals[sj]) + 1e-7 * (
-                abs(constants[si]) + abs(constants[sj])
-            )
-            max_gap = max(max_gap, gap)
-            tol = max(tol, pair_tol)
-            if gap > pair_tol:
-                return StageConsistency(constants, gap, pair_tol, False)
-    return StageConsistency(constants, max_gap, tol, True)
+    return np.array([[reduction_stage_value(n, eps, stage).constant for eps in STAGE_LADDER]
+                     for stage in STAGES])
 
 
 # --- one-site partition-function ratio --------------------------------------

@@ -122,7 +122,8 @@ def test_c07_reduction_stage_consistency():
     report(
         7, "reduction-stages",
         row["pass"] and root_ok,
-        f"max stage gap {row['value']:.2e} within combined tol {row['tolerance']:.2e}; "
+        f"mean stage ratio {row['value']:.10f}, worst rel gap to pi/2 "
+        f"{row['diagnostics']['max_rel_gap']:.1e} (tol {row['tolerance']:.0e}); "
         f"root formula vs brentq {worst_root:.2e} (tol 1e-10)",
     )
 

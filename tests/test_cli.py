@@ -342,16 +342,33 @@ def test_verify_fails_but_writes_report(tmp_path, cli_env):
     assert report["checks"][0]["tolerance"] == 1e-30
 
 
-@pytest.mark.parametrize("factor", [lambda eps: 1.0 + 3.0 * eps**2, lambda eps: 1.02],
-                         ids=["eps-squared", "uniform"])
+@pytest.mark.parametrize("factor", [lambda eps: 1.0 + 3.0 * eps**2, lambda eps: 1.02,
+                                    lambda eps: 1.005],
+                         ids=["eps-squared", "uniform", "half-percent"])
 def test_measure_constant_fails_a_wrong_integral_at_any_width(monkeypatch, factor):
     # an extrapolation in eps^2 would remove the first mutant exactly; the
-    # check compares each width's ratio with pi/2, and 1 + 3 eps^2 is 3 % off at eps = 0.1
+    # check compares each width's ratio with pi/2, and 1 + 3 eps^2 is 3 % off at
+    # eps = 0.1. The third passed the former 1 % tolerance
     measure_lhs = measure.measure_lhs
     monkeypatch.setattr(measure, "measure_lhs", lambda n, eps: measure_lhs(n, eps) * factor(eps))
     row = cli.run_check("measure-constant", np.random.default_rng(0))
     assert not row["pass"]
     assert row["diagnostics"]["max_rel_gap"] > row["tolerance"]
+
+
+@pytest.mark.parametrize("stage, function", zip(measure.STAGES, (
+    "measure_lhs", "_stage_after_R_theta", "_stage_after_S", "_stage_after_phi")))
+@pytest.mark.parametrize("factor", [lambda eps: 1.0 + 3.0 * eps**2, lambda eps: 1.0 + 1e-9],
+                         ids=["eps-squared", "1e-9"])
+def test_reduction_stages_fail_a_wrong_stage_at_any_width(monkeypatch, stage, function, factor):
+    # both mutants passed the former check, which extrapolated each stage in
+    # eps^2 and compared the limits pairwise within ~2e-6; each width's
+    # ratio is now compared with pi/2
+    value = getattr(measure, function)
+    monkeypatch.setattr(measure, function, lambda n, eps: value(n, eps) * factor(eps))
+    row = cli.run_check("reduction-stages", np.random.default_rng(0))
+    assert not row["pass"]
+    assert row["diagnostics"]["stage_max_rel_gap"][stage] > row["tolerance"]
 
 
 def test_report_schema_golden(tmp_path, cli_env):

@@ -18,7 +18,6 @@ from o3cp1.measure import (
     random_sphere_points,
     reduction_consistency,
     reduction_stage_value,
-    richardson_extrapolate,
     stage_reference,
     verify_constant_c,
 )
@@ -232,14 +231,6 @@ def test_cartesian_cross_check():
     assert cart == pytest.approx(polar, rel=1e-6)
 
 
-def test_richardson_on_synthetic_data():
-    eps = np.array([0.1, 0.05, 0.025])
-    values = 1.7 + 3.2 * eps**2
-    limit, residual = richardson_extrapolate(eps, values)
-    assert limit == pytest.approx(1.7, abs=1e-12)
-    assert residual < 1e-12
-
-
 def test_verify_constant_default_ladder():
     rng = np.random.default_rng(13)
     points = random_sphere_points(rng, 10)
@@ -317,46 +308,50 @@ def test_stage_values_estimate_constant():
 
 
 def test_stage_consistency_pairwise():
+    # every pair of stages agrees at every width, nothing extrapolated
     rng = np.random.default_rng(19)
     for p in random_sphere_points(rng, 2, min_q=0.55, max_abs_nz=0.8):
-        sc = reduction_consistency(p)
-        assert sc.passed
-        assert sc.max_pair_gap <= sc.combined_tolerance
-        for stage in measure.STAGES:
-            assert sc.constants[stage] == pytest.approx(HALF_PI, rel=1e-3)
+        ratios = reduction_consistency(p)
+        assert ratios.shape == (len(measure.STAGES), len(STAGE_LADDER))
+        assert np.ptp(ratios, axis=0).max() <= 1e-13
+        np.testing.assert_allclose(ratios, HALF_PI, rtol=1e-13, atol=0)
 
 
 def test_raw_vs_after_R_theta_at_example_point():
     # n_y = 0 sits on the singular locus of the later stages, but the first
-    # two stages are regular there and must agree after extrapolation
+    # two stages are regular there and must agree at every width
     n = np.array([0.6, 0.0, 0.8])
-    extraps = []
-    residuals = []
-    for stage in ("raw-4d", "after-R-theta"):
-        consts = [reduction_stage_value(n, e, stage).constant for e in STAGE_LADDER]
-        limit, residual = richardson_extrapolate(STAGE_LADDER, consts)
-        extraps.append(limit)
-        residuals.append(residual)
-    tol = 5.0 * sum(residuals) + 1e-7 * sum(abs(v) for v in extraps)
-    assert abs(extraps[0] - extraps[1]) <= tol
-    assert extraps[0] == pytest.approx(HALF_PI, rel=1e-4)
+    for eps in STAGE_LADDER:
+        raw, after = (reduction_stage_value(n, eps, s).constant
+                      for s in ("raw-4d", "after-R-theta"))
+        assert abs(raw - after) <= 1e-13, eps
+        assert raw == pytest.approx(HALF_PI, rel=1e-13, abs=0.0)
 
 
 def test_stage_ratios_width_by_width():
-    # raw-4d, after-R-theta and after-phi are pi/2 at every width; after-S
-    # carries the eps^2 term of the Hankel series of e^-kappa I_0(kappa),
-    # kappa = (1 - n_z^2) / eps^2, which reduction_consistency extrapolates away.
-    # The first term left out, 9 / (128 kappa^2), stays below 8e-7 at |n_z| <= 0.5
+    # each stage's reference is smoothed by the mollifiers that stage keeps,
+    # so every ratio is pi/2 to rounding at every width
     rng = np.random.default_rng(20)
-    for p in random_sphere_points(rng, 3, min_q=0.55, max_abs_nz=0.5):
+    for p in random_sphere_points(rng, 3, min_q=0.55, max_abs_nz=0.8):
         for eps in STAGE_LADDER:
-            for stage in ("raw-4d", "after-R-theta", "after-phi"):
+            for stage in measure.STAGES:
                 ratio = reduction_stage_value(p, eps, stage).constant
                 assert abs(ratio - HALF_PI) <= 1e-13, (stage, eps, ratio)
-            hankel = HALF_PI * (1.0 + eps**2 / (8.0 * (1.0 - p[2] ** 2)))
-            ratio = reduction_stage_value(p, eps, "after-S").constant
-            assert ratio == pytest.approx(hankel, rel=1e-6, abs=0.0)
-            assert abs(ratio - HALF_PI) > 1e-4
+
+
+def test_after_S_reference_is_the_smoothed_circle():
+    # delta(|m|^2 - rho_z^2) under the 2D Gaussian of width eps: with
+    # m = rho_z (cos t, sin t) the circle delta leaves dt / 2, and the
+    # periodic trapezoid rule in t converges exponentially
+    rng = np.random.default_rng(25)
+    t = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+    for p in random_sphere_points(rng, 3, min_q=0.55, max_abs_nz=0.8):
+        rho_z = math.sqrt(1.0 - p[2] ** 2)
+        for eps in STAGE_LADDER:
+            direct = 0.5 * (2.0 * np.pi / t.size) * np.sum(
+                mollified_delta(p[0] - rho_z * np.cos(t), eps)
+                * mollified_delta(p[1] - rho_z * np.sin(t), eps))
+            assert stage_reference(p, eps, "after-S") == pytest.approx(direct, rel=1e-13)
 
 
 def test_stage_rejects_singular_locus():
