@@ -70,6 +70,10 @@ class UsageError(ValueError):
     pass
 
 
+class FixedToleranceError(O3CP1Error, ValueError):
+    """An explicit tolerance for a check whose tolerance is fixed."""
+
+
 # --- option parsers ------------------------------------------------------------
 #
 # Each takes one value, a flag's string or a config file's JSON value, and
@@ -294,7 +298,7 @@ def _check_measure_constant(rng, tol):
 
 
 def _check_reduction_stages(rng, tol):
-    """Reads RATIO_TOL, which --tol cannot name, so `tol` is unused."""
+    """Reads RATIO_TOL, which --tol cannot name; run_check refuses an explicit `tol`."""
     points = measure.random_sphere_points(rng, 5, min_q=0.55, max_abs_nz=0.8)
     ratios = np.array([measure.reduction_consistency(p) for p in points])  # point, stage, width
     gaps = np.abs(ratios / measure.HALF_PI - 1.0).max(axis=(0, 2)).tolist()
@@ -355,8 +359,13 @@ COMPARE_TOLERANCES = {"sigma": 3.0}  # in combined standard errors
 
 
 def run_check(name, rng, tol=None) -> dict:
-    """Report row of check `name` on inputs drawn from `rng`; tol None: its default."""
+    """Report row of check `name` on inputs drawn from `rng`; tol None: its default.
+
+    FixedToleranceError for an explicit tol when the check's tolerance is fixed.
+    """
     check = CHECKS[name]
+    if tol is not None and check.tolerance is None:
+        raise FixedToleranceError(f"check {name} has a fixed tolerance; it takes no tol")
     return {"name": name, **check.run(rng, check.tolerance if tol is None else tol)}
 
 
@@ -583,7 +592,8 @@ OPTIONS = {
         "seed": _SEED,
         "regime": Option(_typed("regime", str, tuple(REGIMES)), "pullback",
                          "pullback (default), reduced, or both"),
-        "threads": Option(_number("threads", int, 1), 1, "chains run in parallel (default 1)"),
+        "threads": Option(_number("threads", int, 1), 1,
+                          "processes for the o3 and spinor chain batches (default 1)"),
         "tol": _tol(COMPARE_TOLERANCES),
         "out-prefix": _OUT_PREFIX._replace(default="compare"),
     },

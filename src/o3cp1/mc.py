@@ -25,42 +25,54 @@ others. The law of x' given x depends only on the angle between them, so the
 proposal is symmetric on both spheres. Tuning keeps delta in
 [DELTA_FLOOR, DELTA_CAP] = [1e-4, 4].
 
-A sweep updates the colour classes of the lattice in turn, each class
-vectorized: no two sites of a class are neighbours, so their simultaneous
-updates are independent. On lattices with every extent even the classes are
-the two checkerboard parities; with an odd extent there are three (see
+Chains are swept in batches (ChainBatch): chains of one row type on one
+lattice at one coupling, held as the disjoint copies of one union lattice.
+Their rows share one buffer and each chain's fields are views of its copy's
+slice; run_chains runs its o3 chains as one batch and its spinor chains as
+another, and a single chain is a batch of one. A sweep updates the colour
+classes of the lattice in turn, each class of every copy at once: no two
+sites of a class are neighbours, so their simultaneous updates are
+independent. On lattices with every extent even the classes are the two
+checkerboard parities; with an odd extent there are three (see
 _colour_classes).
 
 Each class has an index table of its sites' neighbours and, for gauged
-chains, of the links joining them, built once per chain. Every per-site
-gather is ndarray.take over a contiguous index table, and the accept
-write-back goes through compress: the values of fancy indexing, with less
-memory traffic. One kernel, _delta_s, gathers the neighbours once and takes
-the action change of the proposed and the current value from that gather.
-Where the action is affine in the site's row it is -c (x' - x).h / g with a
-local field h: the neighbour sum for o3 (c = 1/2) and, for cp1-gauged-reduced
-(c = 2; see actions), the staple sum_j (1 - i s_j A_j) z_j with s_j = -1 on
-backward links, whose direction and 2|h|/g are the mean and concentration of
-the site's von Mises-Fisher conditional on S^3. The other spinor chains apply
-the per-link kernels of actions.py to the overlaps with the neighbours.
-Self-check mode runs the same path and, after every class, compares the sum
-of the accepted action changes with the change of the full action
-(total_action, which uses the independent references action_o3 and
-action_cp1_gauged where they apply).
+chains, of the links joining them, over the union with copy c's entries
+offset by c copies, built once per batch. Every per-site gather is
+ndarray.take over a contiguous index table, and the accept write-back goes
+through compress: the values of fancy indexing, with less memory traffic. A
+class costs one gather, one proposal, one overlap evaluation and one accept
+and write-back for the whole batch; only the action change is taken per
+flavour, on the contiguous rows of its copies (_delta_s). Where the action is
+affine in the site's row it is -c (x' - x).h / g with a local field h: the
+neighbour sum for o3 (c = 1/2) and, for cp1-gauged-reduced (c = 2; see
+actions), the staple sum_j (1 - i s_j A_j) z_j with s_j = -1 on backward
+links, whose direction and 2|h|/g are the mean and concentration of the
+site's von Mises-Fisher conditional on S^3. The other spinor chains apply the
+per-link kernels of actions.py to the overlaps with the neighbours. One Gibbs
+refresh serves every gauged copy. Self-check mode runs the same path and,
+after every class, compares each checked chain's sum of accepted action
+changes with the change of its full action (total_action, which uses the
+independent references action_o3 and action_cp1_gauged where they apply).
 
 A chain keeps its matter field in one slot, ChainState.matter: a SpinField
 for o3, else a CP1Field whose one buffer, CP1Field.data, is read and written
 through its complex view CP1Field.z. Both expose the rows the sampler moves
-as .rows. run_chain copies each measured sweep's rows into a snapshot buffer
-of at most MEASURE_BLOCK_BYTES and measures the buffer a block at a time:
-spinor observables use hopf(z), computed once per block.
+as .rows. The batch runner copies each measured sweep's rows into a snapshot
+buffer of at most MEASURE_BLOCK_BYTES per chain and measures the buffer a
+block at a time: spinor observables use hopf(z), computed once per block.
 
 ChainResult.estimates holds each observable's jackknife (mean, error),
 computed once on first use: the one place error bars are computed.
 
 Reproducibility: a chain's generator is PCG64 seeded from
-SeedSequence(master_seed).spawn(n_chains)[chain_index]; identical
-configuration and master seed reproduce identical series bit for bit.
+SeedSequence(master_seed).spawn(n_chains)[chain_index], and every chain of a
+batch draws from its own generator, in the order a batch of one draws: per
+class its proposal normals (Generator.standard_normal into its block) and then
+its accept uniforms (Generator.random into its block), per sweep then its
+gauge noise. So a chain's draws and bytes do not depend on the chains it
+shares a batch with, and identical configuration and master seed reproduce
+identical series bit for bit, serial or parallel.
 """
 
 import math
@@ -169,7 +181,6 @@ class ChainState:
     matter: SpinField | CP1Field  # SpinField for o3, else CP1Field
     gauge: GaugeField = None
     self_check: bool = False
-    _classes: tuple = field(default=None, repr=False)  # one _SiteTable per colour class
 
     @property
     def is_gauged(self):
@@ -192,13 +203,14 @@ def _check_chain(model, g):
 
 
 def init_chain(lat, model, g, rng, delta=DELTA_START, self_check=False) -> ChainState:
+    """A chain with a uniformly random field; a gauged chain's links come from a Gibbs refresh."""
     _check_chain(model, g)
     matter = (SpinField if model == "o3" else CP1Field).random(lat, rng)
     state = ChainState(lat=lat, model=model, g=float(g), delta=float(delta), rng=rng,
                        matter=matter, self_check=self_check)
     if state.is_gauged:
         state.gauge = GaugeField.zeros(lat)
-        gibbs_gauge_update(state)
+        gibbs_gauge_update(ChainBatch([state]))
     return state
 
 
@@ -219,15 +231,72 @@ def total_action(state: ChainState) -> float:
     return gauss + action_o3_pullback(lat, matter, g)
 
 
+# --- batches -----------------------------------------------------------------
+
+
+def _tile(idx, copies, step):
+    """Index array (..., k) -> (..., copies * k): block c is idx + c * step."""
+    return (idx[..., None, :] + step * np.arange(copies)[:, None]).reshape(idx.shape[:-1] + (-1,))
+
+
+class ChainBatch:
+    """Chains of one row type on one lattice at one coupling, swept as one union lattice.
+
+    Copy c of the union holds chain states[c]. The chains' rows share one
+    buffer, `rows`, the gauged chains' links another, `gauge`, and each
+    ChainState's fields become views of its copy's slices. `states` is in
+    layout order: plain chains, then gauged ones, cp1-gauged-reduced last, so
+    that each flavour's copies, the gauged copies and the copies whose action
+    change reads the overlaps are contiguous.
+    """
+
+    def __init__(self, states):
+        states = sorted(states, key=lambda s: (s.is_gauged, s.model == "cp1-gauged-reduced",
+                                               s.model))
+        lat, g = states[0].lat, states[0].g
+        if len({(s.lat, s.g, s.model == "o3") for s in states}) > 1:
+            raise McError("a batch holds chains of one row type on one lattice at one coupling")
+        self.states, self.lat, self.g = states, lat, g
+        self.spinor = states[0].model != "o3"
+        self.n_plain = sum(not s.is_gauged for s in states)  # the first gauged copy
+        self.n_overlap = sum(s.model != "cp1-gauged-reduced" for s in states) if self.spinor else 0
+        self.kernels = []  # [model, first copy, end copy] of each flavour that reads overlaps
+        for c, s in enumerate(states[: self.n_overlap]):
+            if self.kernels and self.kernels[-1][0] == s.model:
+                self.kernels[-1][2] = c + 1
+            else:
+                self.kernels.append([s.model, c, c + 1])
+        self.rows = np.concatenate([s.matter.rows for s in states])
+        for s, view in zip(states, np.split(self.rows, len(states))):
+            s.matter = CP1Field(view.view(np.float64)) if self.spinor else SpinField(view)
+        self.gauge = None  # (gauged copies * volume, ndim)
+        gauged = states[self.n_plain :]
+        if gauged:
+            self.gauge = np.concatenate([s.gauge.a for s in gauged])
+            for s, view in zip(gauged, np.split(self.gauge, len(gauged))):
+                s.gauge = GaugeField(view)
+            # per direction, the forward neighbour of each row of the gauged copies
+            self.gauged_fwd = _tile(lat.neighbors[0], len(gauged), lat.volume)
+        self.classes = None  # one _SiteTable per colour class, built by the first sweep
+
+    @property
+    def model(self):
+        """The chains' model tag, or None when they differ (timing spans key on it)."""
+        models = {s.model for s in self.states}
+        return models.pop() if len(models) == 1 else None
+
+
 # --- local updates -----------------------------------------------------------
 
 
 class _SiteTable(NamedTuple):
-    """Index table of one batch of mutually non-interacting sites.
+    """Index table of one colour class on a batch's union lattice.
 
-    nbr[j, i] is the neighbour of sites[i] forward along direction j for
-    j < ndim, backward along j - ndim after that; for gauged chains links[j, i]
-    is the flat gauge-field index of the link joining them, and sign[j] the
+    sites holds the class's k sites in each copy, copy by copy, as union
+    indices. nbr[j, i] is the neighbour of sites[i] forward along direction j
+    for j < ndim, backward along j - ndim after that. For the gauged copies,
+    the last ones, links[j, i] is the flat index into the batch's gauge buffer
+    of the link joining the i-th gauged row to its neighbour, and sign[j] the
     sign of Im w on it (-1 on backward links, whose overlap is conjugated).
     """
 
@@ -237,77 +306,119 @@ class _SiteTable(NamedTuple):
     sign: np.ndarray = None
 
 
-def _site_table(state, sites):
-    lat = state.lat
+def _site_table(batch, sites):
+    """The _SiteTable of the lattice sites `sites` in every copy of the batch."""
+    lat, copies = batch.lat, len(batch.states)
     nbr = lat.neighbors.take(sites, axis=2).reshape(2 * lat.ndim, len(sites))
-    if not state.is_gauged:
-        return _SiteTable(sites, nbr)
+    union = _SiteTable(_tile(sites, copies, lat.volume), _tile(nbr, copies, lat.volume))
+    if batch.gauge is None:
+        return union
     mu = np.arange(lat.ndim)[:, None]
     links = np.concatenate([sites * lat.ndim + mu, nbr[lat.ndim :] * lat.ndim + mu])
-    return _SiteTable(sites, nbr, links, np.repeat([1.0, -1.0], lat.ndim)[:, None])
+    return union._replace(links=_tile(links, copies - batch.n_plain, lat.n_links),
+                          sign=np.repeat([1.0, -1.0], lat.ndim)[:, None])
 
 
-def _delta_s(state, table, old, new):
-    """Action change of moving each site of `table` from `old` to `new`.
+def _delta_s(batch, table, old, new):
+    """Action change of moving each row of `table` from `old` to `new`.
 
-    One gather of the neighbours serves both values: the affine branch
-    -c (x' - x).h / g for o3 and cp1-gauged-reduced (see the module notes),
-    the per-link kernels of the overlaps w = z(x)^dag z(y) for the others.
+    One gather of the neighbours serves every chain and both values. The
+    first rows, those of the spinor chains other than cp1-gauged-reduced,
+    take the overlaps w = z(x)^dag z(y) together, and each flavour applies
+    its per-link kernel to its rows of them. The other rows, o3 or
+    cp1-gauged-reduced, take the affine branch -c (x' - x).h / g (see the
+    module notes).
     """
-    if state.model == "o3":
-        c, h = 0.5, state.matter.n.take(table.nbr, axis=0).sum(axis=0)
-    elif state.model == "cp1-gauged-reduced":
-        nbr = state.matter.data.take(table.nbr, axis=0)  # (2 ndim, k, 4) reals
-        ha = np.einsum("jk,jkd->kd", state.gauge.a.take(table.links) * table.sign, nbr)
-        c, h = 2.0, nbr.sum(axis=0) + ha[:, [1, 0, 3, 2]] * [1.0, -1.0, 1.0, -1.0]  # -i ha
-        old, new = old.view(np.float64), new.view(np.float64)
-    else:
-        nbr = state.matter.z.take(table.nbr, axis=0)
-        pair = np.concatenate((new, old)).reshape(2, 1, len(new), 2)
-        w = spinor_overlap(pair, nbr)  # (2, 2 ndim, k): new, old
-        terms = (pullback_term if LAW[state.model] == "o3" else reduced_term)(w)
-        if state.is_gauged:
-            terms += gauge_term(state.gauge.a.take(table.links) * table.sign, w)
+    k = len(table.sites) // len(batch.states)
+    m = batch.n_overlap * k
+    nbr = batch.rows.take(table.nbr, axis=0)
+    if batch.gauge is not None:
+        a = batch.gauge.take(table.links) * table.sign  # the gauged copies' rows
+    if m:
+        pair = np.concatenate((new[:m], old[:m])).reshape(2, 1, m, 2)
+        w = spinor_overlap(pair, nbr[:, :m])  # (2, 2 ndim, m): new, old
+    if m < len(new):
+        nb = nbr[:, m:].view(np.float64)  # (2 ndim, rows, 3 or 4) reals
+        h = nb.sum(axis=0)
+        if batch.spinor:  # cp1-gauged-reduced: h += -i sum_j s_j A_j z_j
+            ha = np.einsum("jk,jkd->kd", a[:, m - batch.n_plain * k :], nb)
+            h += (ha.view(np.complex128) * -1j).view(np.float64)
+        del nb
+    # the gather is the largest array here; held through the arithmetic below,
+    # it made malloc return and refault about 6 MB per colour class on 256x256
+    del nbr
+    ds = np.empty(len(new))
+    if m < len(new):
+        c = 2.0 if batch.spinor else 0.5
+        ds[m:] = -c * ((new[m:] - old[m:]).view(np.float64) * h).sum(axis=1) / batch.g
+    if m:
+        terms = np.empty(w.shape)
+        for model, first, end in batch.kernels:
+            rows = slice(first * k, end * k)
+            terms[:, :, rows] = (pullback_term if LAW[model] == "o3" else reduced_term)(w[:, :, rows])
+            if model == "cp1-gauged-pullback":
+                links = slice((first - batch.n_plain) * k, (end - batch.n_plain) * k)
+                terms[:, :, rows] += gauge_term(a[:, links], w[:, :, rows])
         s_new, s_old = terms.sum(axis=1)
-        return (s_new - s_old) / state.g
-    return -c * ((new - old) * h).sum(axis=1) / state.g
+        ds[:m] = (s_new - s_old) / batch.g
+    return ds
 
 
-def _propose(state, old):
+def _propose(states, old):
     """Gaussian kick, renormalized: x' = normalize(x + delta * eta), row by row.
 
     Rows are real unit 3-vectors (S^2) or complex unit spinors (S^3, eta with
-    independent standard normal real and imaginary parts). The law of x'
-    given x depends only on the angle between them: the proposal is symmetric.
+    independent standard normal real and imaginary parts). The rows come in
+    len(states) equal blocks, one per chain, each drawing eta from its own
+    stream at its own delta; a chain at delta = 0 draws nothing. The law of
+    x' given x depends only on the angle between them: the proposal is
+    symmetric.
     """
-    eta = state.rng.standard_normal(old.view(np.float64).shape).view(old.dtype)
-    new = old + state.delta * eta
+    k = len(old) // len(states)
+    eta = np.zeros(old.view(np.float64).shape)
+    for c, s in enumerate(states):
+        if s.delta:
+            block = eta[c * k : c * k + k]
+            s.rng.standard_normal(out=block)
+            block *= s.delta
+    new = old + eta.view(old.dtype)
     new /= np.sqrt((np.abs(new) ** 2).sum(axis=1, keepdims=True))
     return new
 
 
-def _update_batch(state, table):
-    """Metropolis-update the sites of one table; returns the accept count.
+def _update_class(batch, table):
+    """Metropolis-update one colour class of every copy; returns the accept count per copy.
 
-    In self-check mode the sum of the accepted action changes must match the
-    full-action difference across the batch.
+    Each chain draws its proposals and then its accept uniforms from its own
+    stream, so its draws and bytes do not depend on its batch-mates. A chain
+    at delta = 0 draws nothing and accepts nothing. In self-check mode the sum
+    of a chain's accepted action changes must match its full-action difference
+    across the class.
     """
-    before = total_action(state) if state.self_check else None
-    buf = state.matter.rows
+    states, buf = batch.states, batch.rows
+    k = len(table.sites) // len(states)
+    before = {c: total_action(s) for c, s in enumerate(states) if s.self_check}
     old = buf.take(table.sites, axis=0)
-    new = _propose(state, old)
-    ds = _delta_s(state, table, old, new)
-    accept = state.rng.uniform(size=len(ds)) < np.exp(np.minimum(-ds, 0.0))
+    new = _propose(states, old)
+    ds = _delta_s(batch, table, old, new)
+    u = np.empty(len(ds))
+    for c, s in enumerate(states):
+        if s.delta:
+            s.rng.random(out=u[c * k : c * k + k])
+        else:
+            u[c * k : c * k + k] = 1.0
+    accept = u < np.exp(np.minimum(-ds, 0.0))
     buf[table.sites.compress(accept)] = new.compress(accept, axis=0)
-    if state.self_check:
-        gap = abs((total_action(state) - before) - float(ds[accept].sum()))
+    for c, action in before.items():
+        rows = slice(c * k, c * k + k)
+        gap = abs((total_action(states[c]) - action) - float(ds[rows][accept[rows]].sum()))
         if gap > SELF_CHECK_TOL:
             raise McError(
                 f"local action change disagrees with full recomputation by "
-                f"{gap:.3e} in the batch of {len(table.sites)} site(s) from site "
-                f"{table.sites[0]} (model {state.model})"
+                f"{gap:.3e} in the colour class of {k} site(s) from site "
+                f"{table.sites[c * k] - c * batch.lat.volume} (model {states[c].model})"
             )
-    return int(np.count_nonzero(accept))
+    return accept.reshape(len(states), k).sum(axis=1)
 
 
 def _colour_classes(lat: Lattice):
@@ -328,34 +439,42 @@ def _colour_classes(lat: Lattice):
     return [np.flatnonzero(colour == c) for c in range(n_classes)]
 
 
-def metropolis_sweep(state: ChainState) -> float:
-    """One full-lattice sweep of single-site proposals; returns acceptance rate.
+def metropolis_sweep(batch: ChainBatch) -> list:
+    """One full-lattice sweep of single-site proposals of every chain of the batch.
 
-    With delta = 0 proposals are identities and the rate is exactly 1.
+    Returns each chain's acceptance rate, in batch.states order. A chain at
+    delta = 0 proposes identities: it draws nothing and its rate is exactly 1.
     """
-    if state.delta == 0.0:
-        return 1.0
-    if state._classes is None:
-        state._classes = tuple(_site_table(state, s) for s in _colour_classes(state.lat))
-    accepted = sum(_update_batch(state, table) for table in state._classes)
-    return accepted / state.lat.volume
+    if batch.classes is None:
+        batch.classes = tuple(_site_table(batch, s) for s in _colour_classes(batch.lat))
+    accepted = sum(_update_class(batch, table) for table in batch.classes)
+    return [1.0 if s.delta == 0.0 else int(a) / batch.lat.volume
+            for s, a in zip(batch.states, accepted)]
 
 
-def gibbs_gauge_update(state: ChainState):
-    """Resample every link exactly from its Gaussian conditional N(A*, g/2)."""
-    if not state.is_gauged:
-        raise McError(f"gauge update requires a gauged model, got {state.model}")
-    astar = link_overlaps(state.lat, state.matter).imag
-    noise = state.rng.standard_normal(astar.shape)
-    state.gauge.a[:] = astar + math.sqrt(state.g / 2.0) * noise
+def gibbs_gauge_update(batch: ChainBatch):
+    """Resample every link of the batch's gauged chains from its Gaussian conditional N(A*, g/2)."""
+    if batch.gauge is None:
+        raise McError(f"gauge update requires a gauged model, got {batch.states[0].model}")
+    z = batch.rows[batch.n_plain * batch.lat.volume :]
+    astar = np.empty(batch.gauge.shape)
+    for mu, fwd in enumerate(batch.gauged_fwd):
+        astar[:, mu] = spinor_overlap(z, z.take(fwd, axis=0)).imag
+    noise = np.empty(astar.shape)
+    volume, scale = batch.lat.volume, math.sqrt(batch.g / 2.0)
+    for c, s in enumerate(batch.states[batch.n_plain :]):
+        block = noise[c * volume : (c + 1) * volume]
+        s.rng.standard_normal(out=block)
+        block *= scale
+    batch.gauge[:] = astar + noise
 
 
-def chain_sweep(state: ChainState) -> float:
-    """Matter sweep plus, for gauged chains, an exact gauge refresh."""
-    rate = metropolis_sweep(state)
-    if state.is_gauged:
-        gibbs_gauge_update(state)
-    return rate
+def chain_sweep(batch: ChainBatch) -> list:
+    """Matter sweep plus, for the gauged chains, an exact gauge refresh; returns the rates."""
+    rates = metropolis_sweep(batch)
+    if batch.gauge is not None:
+        gibbs_gauge_update(batch)
+    return rates
 
 
 def tune_proposal(state: ChainState, acceptance):
@@ -483,79 +602,109 @@ def run_chain(
 ) -> ChainResult:
     """Thermalize (tuning the proposal), then sweep and measure every sweep.
 
-    The proposal width starts at DELTA_START and is frozen at the end of
+    A batch of one chain; see _run_batch.
+    """
+    return _run_batch(lat, [model], g, sweeps, [seed_seq], thermalization, self_check)[0]
+
+
+def _run_batch(lat, models, g, sweeps, seed_seqs, thermalization=None, self_check=False):
+    """One ChainResult per model, the chains swept together as one ChainBatch.
+
+    Chain i's generator is PCG64(seed_seqs[i]). The proposal width starts at
+    DELTA_START and is tuned per chain; it is frozen at the end of
     thermalization, before any measurement. Observables: o3-pullback energy
     density and direction-averaged correlators at integer separations
     r = 1..min(dims)//2, capped at 4. Measured sweeps are snapshotted into a
-    buffer of MEASURE_BLOCK_BYTES and measured when it is full and after the
-    last sweep. Overflow is silent: at a subnormal g an infinite action change
-    still decides the step, and the energy reads inf.
+    buffer of MEASURE_BLOCK_BYTES per chain and measured when it is full and
+    after the last sweep. Overflow is silent: at a subnormal g an infinite
+    action change still decides the step, and the energy reads inf.
     """
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
-    state = init_chain(lat, model, g, rng, self_check=self_check)
+    states = [init_chain(lat, m, g, np.random.Generator(np.random.PCG64(seq)),
+                         self_check=self_check) for m, seq in zip(models, seed_seqs)]
     therm = default_thermalization(sweeps) if thermalization is None else thermalization
     measurer = _Measurer(lat, g, min(4, min(lat.dims) // 2))
     names = measurer.names()
     try:  # before thermalization, so that a series too long to hold fails at once
-        data = np.empty((sweeps, len(names)))
+        data = [np.empty((sweeps, len(names))) for _ in states]
     except (MemoryError, ValueError):
         raise McError(f"cannot allocate the series of {sweeps} sweeps") from None
 
-    rows = state.matter.rows
-    snaps = np.empty((max(1, MEASURE_BLOCK_BYTES // rows.nbytes),) + rows.shape, rows.dtype)
+    batch = ChainBatch(states)
+    rows, copies, volume = batch.rows, len(states), lat.volume
+    per_copy = rows.nbytes // copies
+    snaps = np.empty((max(1, MEASURE_BLOCK_BYTES // per_copy),) + rows.shape, rows.dtype)
     with np.errstate(over="ignore"):
-        window_acc = []
+        window_acc = [[] for _ in batch.states]
         for i in range(therm):
-            window_acc.append(chain_sweep(state))
+            for window, rate in zip(window_acc, chain_sweep(batch)):
+                window.append(rate)
             if (i + 1) % TUNE_WINDOW == 0:
-                tune_proposal(state, float(np.mean(window_acc[-TUNE_WINDOW:])))
+                for state, window in zip(batch.states, window_acc):
+                    tune_proposal(state, float(np.mean(window[-TUNE_WINDOW:])))
 
-        acc = 0.0
+        acc = [0.0] * copies
         for i in range(sweeps):
-            acc += chain_sweep(state)
+            for c, rate in enumerate(chain_sweep(batch)):
+                acc[c] += rate
             k = i % len(snaps)
             snaps[k] = rows
             if k == len(snaps) - 1 or i == sweeps - 1:
                 block = snaps[: k + 1]
-                if model != "o3":
-                    block = hopf_map(block.reshape(-1, 2)).reshape(k + 1, lat.volume, 3)
-                data[i - k : i + 1] = measurer.measure(block)
-    return ChainResult(
-        model=model,
-        dims=lat.dims,
-        g=g,
-        sweeps=sweeps,
-        thermalization=therm,
-        delta=state.delta,
-        acceptance=acc / sweeps,
-        series={name: data[:, j].copy() for j, name in enumerate(names)},
-        bin_size=chain_bin_size(sweeps),
-        state=state,
-    )
+                if batch.spinor:
+                    block = hopf_map(block.reshape(-1, 2)).reshape(k + 1, copies * volume, 3)
+                for c, series in enumerate(data):
+                    series[i - k : i + 1] = measurer.measure(block[:, c * volume : (c + 1) * volume])
+    results = {
+        id(state): ChainResult(
+            model=state.model,
+            dims=lat.dims,
+            g=g,
+            sweeps=sweeps,
+            thermalization=therm,
+            delta=state.delta,
+            acceptance=acc[c] / sweeps,
+            series={name: series[:, j].copy() for j, name in enumerate(names)},
+            bin_size=chain_bin_size(sweeps),
+            state=state,
+        )
+        for c, (state, series) in enumerate(zip(batch.states, data))
+    }
+    return [results[id(state)] for state in states]
 
 
-def _run_chain_task(args):
-    lat, model, g, sweeps, seed_seq, kwargs = args
-    return run_chain(lat, model, g, sweeps, seed_seq, **kwargs)
+def _run_batch_task(args):
+    lat, models, g, sweeps, seed_seqs, kwargs = args
+    return _run_batch(lat, models, g, sweeps, seed_seqs, **kwargs)
 
 
 def run_chains(lat, models, g, sweeps, master_seed, processes=1, **kwargs):
-    """Run one chain per model tag, optionally in parallel processes.
+    """Run one chain per model tag: the o3 chains as one batch, the spinor chains as another.
 
-    Chain i draws its generator from SeedSequence(master_seed).spawn(len(models))[i]
-    regardless of execution order, so results are reproducible and identical
-    between serial and parallel runs.
+    Chain i draws its generator from SeedSequence(master_seed).spawn(len(models))[i],
+    and its draws and bytes do not depend on the chains it shares a batch
+    with, so results are reproducible and identical between serial runs,
+    parallel runs (one process per batch, up to `processes`) and run_chain.
     """
     for model in models:  # refuse a bad chain before any chain samples
         _check_chain(model, g)
     seqs = np.random.SeedSequence(master_seed).spawn(len(models))
-    tasks = [(lat, m, g, sweeps, seqs[i], kwargs) for i, m in enumerate(models)]
-    if processes <= 1 or len(models) == 1:
-        return [_run_chain_task(t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor
+    batches = {}  # row type -> indices of its chains
+    for i, model in enumerate(models):
+        batches.setdefault(model == "o3", []).append(i)
+    tasks = [(lat, [models[i] for i in idx], g, sweeps, [seqs[i] for i in idx], kwargs)
+             for idx in batches.values()]
+    if processes <= 1 or len(tasks) == 1:
+        done = [_run_batch_task(t) for t in tasks]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(processes, len(models))) as pool:
-        return list(pool.map(_run_chain_task, tasks))
+        with ProcessPoolExecutor(max_workers=min(processes, len(tasks))) as pool:
+            done = list(pool.map(_run_batch_task, tasks))
+    results = [None] * len(models)
+    for idx, batch_results in zip(batches.values(), done):
+        for i, result in zip(idx, batch_results):
+            results[i] = result
+    return results
 
 
 # --- small-system quadrature references ---------------------------------------

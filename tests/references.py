@@ -125,12 +125,12 @@ def measure_lhs_unfactored(n, eps):
 # that require the two to keep the same bits.
 
 
-def site_table(state, sites):
-    """mc._SiteTable of `sites`, built site by site from Lattice.neighbor."""
-    lat = state.lat
+def site_table(batch, sites):
+    """mc._SiteTable of `sites` in a batch of one chain, built site by site from Lattice.neighbor."""
+    lat = batch.lat
     steps = [(mu, sign) for sign in (+1, -1) for mu in range(lat.ndim)]
     nbr = np.array([[lat.neighbor(x, mu, sign) for x in sites] for mu, sign in steps])
-    if not state.is_gauged:
+    if batch.gauge is None:
         return mc._SiteTable(sites, nbr)
     # the link to a backward neighbour y is (y, mu)
     links = np.array([[(x if sign > 0 else lat.neighbor(x, mu, -1)) * lat.ndim + mu
@@ -138,29 +138,36 @@ def site_table(state, sites):
     return mc._SiteTable(sites, nbr, links, np.repeat([1.0, -1.0], lat.ndim)[:, None])
 
 
-def delta_s(state, table, old, new):
-    """mc._delta_s with a fancy-index neighbour gather."""
-    nbr = state.matter.rows[table.nbr]
+def delta_s(batch, table, old, new):
+    """mc._delta_s of a batch of one chain, with a fancy-index neighbour gather and the
+    per-link kernels of the overlaps for every spinor flavour."""
+    (state,) = batch.states
+    nbr = batch.rows[table.nbr]
     if state.model == "o3":
         return -((new - old) * nbr.sum(axis=0)).sum(axis=1) / (2.0 * state.g)
     pair = np.concatenate((new, old)).reshape(2, 1, len(new), 2)
     w = spinor_overlap(pair, nbr)
     terms = (pullback_term if mc.LAW[state.model] == "o3" else reduced_term)(w)
     if state.is_gauged:
-        terms += gauge_term(state.gauge.a.take(table.links) * table.sign, w)
+        terms += gauge_term(batch.gauge.take(table.links) * table.sign, w)
     s_new, s_old = terms.sum(axis=1)
     return (s_new - s_old) / state.g
 
 
-def update_batch(state, table):
-    """mc._update_batch with a fancy-index gather and a boolean-mask write-back."""
-    buf = state.matter.rows
+def update_class(batch, table):
+    """mc._update_class of a batch of one chain: the proposal and accept draws of
+    standard_normal(shape) and uniform(size), a fancy-index gather and a
+    boolean-mask write-back."""
+    (state,) = batch.states
+    buf = batch.rows
     old = buf[table.sites]
-    new = mc._propose(state, old)
-    ds = delta_s(state, table, old, new)
+    eta = state.rng.standard_normal(old.view(np.float64).shape).view(old.dtype)
+    new = old + state.delta * eta
+    new /= np.sqrt((np.abs(new) ** 2).sum(axis=1, keepdims=True))
+    ds = delta_s(batch, table, old, new)
     accept = state.rng.uniform(size=len(ds)) < np.exp(np.minimum(-ds, 0.0))
     buf[table.sites[accept]] = new[accept]
-    return int(np.count_nonzero(accept))
+    return np.array([np.count_nonzero(accept)])
 
 
 def measure(measurer, n):
@@ -182,15 +189,16 @@ def measure(measurer, n):
 def run_chain_series(lat, model, g, sweeps, seed_seq, thermalization):
     """mc.run_chain's series, each sweep measured alone: hopf_map and measure per sweep."""
     state = mc.init_chain(lat, model, g, np.random.Generator(np.random.PCG64(seed_seq)))
+    batch = mc.ChainBatch([state])
     measurer = mc._Measurer(lat, g, min(4, min(lat.dims) // 2))
     rates = []
     for i in range(thermalization):
-        rates.append(mc.chain_sweep(state))
+        rates += mc.chain_sweep(batch)
         if (i + 1) % mc.TUNE_WINDOW == 0:
             mc.tune_proposal(state, float(np.mean(rates[-mc.TUNE_WINDOW:])))
     rows = []
     for _ in range(sweeps):
-        mc.chain_sweep(state)
+        mc.chain_sweep(batch)
         rows.append(measure(measurer, state.matter.n if model == "o3" else hopf_map(state.matter)))
     data = np.array(rows)
     return {name: data[:, j] for j, name in enumerate(measurer.names())}

@@ -1,11 +1,15 @@
-"""The benchmark's command lines must stay valid for the CLI.
+"""The benchmark's command lines and set-up probe must stay valid for the package.
 
-perfbench/run.py runs fixed `o3cp1` command lines. A CLI change that drops or
-renames an option they use would otherwise show only as a failed benchmark
-run; here it fails a test instead.
+perfbench/run.py runs fixed `o3cp1` command lines, and times set-up with
+perfbench/probes.py, which initialises chains through mc.init_chain. A CLI
+change that drops or renames an option they use, or an mc change that breaks
+the probe, would otherwise show only as a failed benchmark run; here it fails
+a test instead.
 """
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 from o3cp1 import cli
@@ -31,3 +35,13 @@ def test_every_benchmark_command_parses(monkeypatch):
         for _, argv in commands:
             # an unknown flag exits through the parser, a bad value raises UsageError
             cli._options(parser.parse_args(argv))
+
+
+def test_every_set_up_probe_runs(monkeypatch, cli_env, tmp_path):
+    run = load_run(monkeypatch)
+    for name, workload in run.WORKLOADS.items():
+        dims, models, g = workload.setup_args()
+        proc = subprocess.run(
+            [sys.executable, str(PERFBENCH / "probes.py"), "setup", dims, models, "1", g],
+            cwd=tmp_path, env=cli_env, capture_output=True, text=True)
+        assert proc.returncode == 0, (name, proc.stderr)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from o3cp1 import cli, measure
+from o3cp1.errors import O3CP1Error
 from o3cp1.mc import two_site_exact
 
 
@@ -369,6 +370,15 @@ def test_reduction_stages_fail_a_wrong_stage_at_any_width(monkeypatch, stage, fu
     row = cli.run_check("reduction-stages", np.random.default_rng(0))
     assert not row["pass"]
     assert row["diagnostics"]["stage_max_rel_gap"][stage] > row["tolerance"]
+
+
+def test_reduction_stages_refuses_an_explicit_tolerance():
+    # its tolerance is fixed at RATIO_TOL; a tol passed in was once dropped silently
+    with pytest.raises(cli.FixedToleranceError, match="reduction-stages") as refused:
+        cli.run_check("reduction-stages", np.random.default_rng(0), 1e-3)
+    assert isinstance(refused.value, O3CP1Error) and "\n" not in str(refused.value)
+    row = cli.run_check("reduction-stages", np.random.default_rng(0))
+    assert row["tolerance"] == cli.RATIO_TOL and row["pass"]
 
 
 def test_report_schema_golden(tmp_path, cli_env):

@@ -11,6 +11,7 @@ from o3cp1.fields import SpinField, hopf_map
 from o3cp1.lattice import Lattice, build_lattice
 from o3cp1.mc import (
     MODELS,
+    ChainBatch,
     McError,
     chain_sweep,
     gibbs_gauge_update,
@@ -85,14 +86,14 @@ def test_jackknife_ar1_oracle():
 # --- sweep mechanics -----------------------------------------------------------
 
 
-def sweep_site_by_site(state):
-    """Reference sweep: sites in index order, each through its own one-site table.
+def sweep_site_by_site(batch):
+    """Reference sweep of a batch of one: sites in index order, each through its own table.
 
     Returns the acceptance rate, as metropolis_sweep does.
     """
-    accepted = sum(mc._update_batch(state, mc._site_table(state, np.array([site])))
-                   for site in range(state.lat.volume))
-    return accepted / state.lat.volume
+    accepted = sum(mc._update_class(batch, mc._site_table(batch, np.array([site])))
+                   for site in range(batch.lat.volume))
+    return int(accepted[0]) / batch.lat.volume
 
 
 @pytest.mark.parametrize("dims", [
@@ -122,8 +123,8 @@ def test_colour_classes_are_proper(dims):
 
 def test_flat_target_accepts_everything():
     lat = build_lattice([4, 4])
-    state = init_chain(lat, "o3", 1e6, rng_of(0), delta=0.5)
-    rates = [metropolis_sweep(state) for _ in range(10)]
+    batch = ChainBatch([init_chain(lat, "o3", 1e6, rng_of(0), delta=0.5)])
+    rates = [metropolis_sweep(batch)[0] for _ in range(10)]
     assert np.mean(rates) > 0.99
 
 
@@ -132,7 +133,7 @@ def test_zero_width_proposal_is_identity():
     for model in ("o3", "cp1-reduced"):
         state = init_chain(lat, model, 1.0, rng_of(1), delta=0.0)
         before = state.matter.rows.copy()
-        rate = metropolis_sweep(state)
+        rate = metropolis_sweep(ChainBatch([state]))[0]
         assert rate == 1.0
         assert np.array_equal(before, state.matter.rows)
 
@@ -142,9 +143,9 @@ def test_self_check_passes(model):
     # odd extents run three colour classes, 4x4 the two checkerboard parities
     for dims in ([3], [3, 4], [5, 5], [2, 3, 3], [4, 4]):
         lat = build_lattice(dims)
-        state = init_chain(lat, model, 0.8, rng_of(2), delta=0.7, self_check=True)
+        batch = ChainBatch([init_chain(lat, model, 0.8, rng_of(2), delta=0.7, self_check=True)])
         for _ in range(3):
-            chain_sweep(state)
+            chain_sweep(batch)
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -152,12 +153,13 @@ def test_delta_s_matches_full_action_difference(model):
     for dims in ([2], [4, 4], [2, 2, 2]):
         lat = build_lattice(dims)
         state = init_chain(lat, model, 0.7, rng_of(15), delta=1.5)
-        buf = state.matter.rows
+        batch = ChainBatch([state])
+        buf = batch.rows
         for site in range(lat.volume):
-            table = mc._site_table(state, np.array([site]))
+            table = mc._site_table(batch, np.array([site]))
             old = buf[table.sites]
-            new = mc._propose(state, old)
-            ds = mc._delta_s(state, table, old, new)
+            new = mc._propose(batch.states, old)
+            ds = mc._delta_s(batch, table, old, new)
             before = mc.total_action(state)
             buf[site] = new[0]
             assert abs(ds[0] - (mc.total_action(state) - before)) < 1e-12
@@ -172,28 +174,29 @@ def test_covariant_local_field_matches_the_overlap_kernels(dims):
     for g, delta in ((0.35, 0.4), (1.3, 2.5)):
         state = init_chain(lat, "cp1-gauged-reduced", g, rng_of(31), delta=delta)
         assert np.abs(state.gauge.a).min() > 0.0
+        batch = ChainBatch([state])
         for sites in mc._colour_classes(lat):
-            table = mc._site_table(state, sites)
+            table = mc._site_table(batch, sites)
             old = state.matter.rows.take(sites, axis=0)
-            new = mc._propose(state, old)
-            ds = mc._delta_s(state, table, old, new)
-            ref = references.delta_s(state, table, old, new)
+            new = mc._propose(batch.states, old)
+            ds = mc._delta_s(batch, table, old, new)
+            ref = references.delta_s(batch, table, old, new)
             assert np.abs(ds - ref).max() < 1e-12, (dims, g)
             assert np.abs(ref).max() > 0.1
 
 
 def test_self_check_aborts_on_bad_local_terms(monkeypatch):
     lat = build_lattice([4, 4])
-    state = init_chain(lat, "o3", 1.0, rng_of(3), delta=0.7, self_check=True)
+    batch = ChainBatch([init_chain(lat, "o3", 1.0, rng_of(3), delta=0.7, self_check=True)])
     original = mc._delta_s
 
-    def corrupted(st, table, old, new):
-        return original(st, table, old, new) * 1.001
+    def corrupted(b, table, old, new):
+        return original(b, table, old, new) * 1.001
 
     monkeypatch.setattr(mc, "_delta_s", corrupted)
     with pytest.raises(McError):
         for _ in range(5):
-            metropolis_sweep(state)
+            metropolis_sweep(batch)
 
 
 def test_serial_and_vectorized_paths_agree_statistically():
@@ -206,16 +209,17 @@ def test_serial_and_vectorized_paths_agree_statistically():
     for dims in ([4, 4], [3, 5]):
         lat = build_lattice(dims)
         means = []
-        for sweep in (metropolis_sweep, sweep_site_by_site):
+        for sweep in (lambda b: metropolis_sweep(b)[0], sweep_site_by_site):
             state = init_chain(lat, "o3", g, rng_of(11))
+            batch = ChainBatch([state])
             rates = []
             for i in range(1000):
-                rates.append(sweep(state))
+                rates.append(sweep(batch))
                 if (i + 1) % mc.TUNE_WINDOW == 0:
                     tune_proposal(state, float(np.mean(rates[-mc.TUNE_WINDOW:])))
             vals = []
             for _ in range(3000):
-                sweep(state)
+                sweep(batch)
                 n = state.matter.n
                 vals.append(float((n * n[lat.fwd(0)]).sum()) / lat.volume)
             means.append((np.mean(vals), np.std(vals) / math.sqrt(len(vals) / 20)))
@@ -232,12 +236,13 @@ def test_sweeps_keep_the_bits_of_the_fancy_index_reference(dims, model, monkeypa
     states, rates = [], []
     for reference in (False, True):
         state = init_chain(lat, model, 0.7, rng_of(21), delta=1.0)
+        batch = ChainBatch([state])
         with monkeypatch.context() as m:
             if reference:
-                state._classes = tuple(references.site_table(state, sites)
-                                       for sites in mc._colour_classes(lat))
-                m.setattr(mc, "_update_batch", references.update_batch)
-            rates += [chain_sweep(state) for _ in range(20)]
+                batch.classes = tuple(references.site_table(batch, sites)
+                                      for sites in mc._colour_classes(lat))
+                m.setattr(mc, "_update_class", references.update_class)
+            rates += [chain_sweep(batch)[0] for _ in range(20)]
         states.append(state)
     new, ref = states
     assert 0.0 < np.mean(rates) < 1.0  # both branches of the write-back ran
@@ -258,10 +263,11 @@ def test_gibbs_moments_constant_z():
     lat = build_lattice([10, 10])
     g = 1.3
     state = init_chain(lat, "cp1-gauged-reduced", g, rng_of(4))
-    state.matter = constant_spinor_field(lat)
+    batch = ChainBatch([state])
+    state.matter.data[:] = constant_spinor_field(lat).data
     samples = []
     for _ in range(500):
-        gibbs_gauge_update(state)
+        gibbs_gauge_update(batch)
         samples.append(state.gauge.a.copy())
     a = np.concatenate([s.ravel() for s in samples])  # 1e5 draws
     n = a.size
@@ -273,16 +279,16 @@ def test_gibbs_collapses_to_optimal_gauge_at_small_g():
     lat = build_lattice([4, 4])
     g = 1e-12
     state = init_chain(lat, "cp1-gauged-reduced", g, rng_of(5))
-    gibbs_gauge_update(state)
+    gibbs_gauge_update(ChainBatch([state]))
     astar = optimal_gauge(lat, state.matter).a
     assert np.abs(state.gauge.a - astar).max() < 1e-5
 
 
 def test_gibbs_requires_gauged_model():
     lat = build_lattice([4])
-    state = init_chain(lat, "cp1-reduced", 1.0, rng_of(6))
+    batch = ChainBatch([init_chain(lat, "cp1-reduced", 1.0, rng_of(6))])
     with pytest.raises(McError):
-        gibbs_gauge_update(state)
+        gibbs_gauge_update(batch)
 
 
 def test_gauged_marginal_matches_reduced_chain():
@@ -382,9 +388,10 @@ def spy_blocks(monkeypatch):
 def test_block_rows_keep_the_bits_of_single_snapshots(dims, model):
     lat = build_lattice(dims)
     state = init_chain(lat, model, 0.7, rng_of(41), delta=1.0)
+    batch = ChainBatch([state])
     snaps = []
     for _ in range(block_sweeps(lat, model) + 3):
-        chain_sweep(state)
+        chain_sweep(batch)
         snaps.append(state.matter.rows.copy())
     snaps = np.array(snaps)
     n = snaps if model == "o3" else hopf_map(snaps.reshape(-1, 2)).reshape(len(snaps), -1, 3)
@@ -457,6 +464,57 @@ def test_delta_frozen_without_thermalization():
 
 
 # --- determinism / reproducibility ---------------------------------------------------
+
+
+def test_block_draws_keep_the_bits_of_shaped_draws():
+    # a batch draws each chain's proposal normals and accept uniforms into the
+    # chain's block of a shared buffer; every chain's bytes rest on these
+    # equalities, so a numpy that broke them would move every series
+    shaped, blocked = rng_of(3), rng_of(3)
+    normals = np.zeros((3, 7, 4))
+    blocked.standard_normal(out=normals[1])
+    assert normals[1].tobytes() == shaped.standard_normal((7, 4)).tobytes()
+    uniforms = np.ones(3 * 9)
+    blocked.random(out=uniforms[9:18])
+    assert uniforms[9:18].tobytes() == shaped.uniform(size=9).tobytes()
+    assert blocked.bit_generator.state == shaped.bit_generator.state
+
+
+def test_a_batch_holds_one_row_type_at_one_coupling():
+    lat = build_lattice([4])
+    for (m1, g1), (m2, g2) in [(("o3", 1.0), ("cp1-reduced", 1.0)),
+                               (("cp1-pullback", 1.0), ("cp1-reduced", 2.0))]:
+        with pytest.raises(McError, match="one row type on one lattice at one coupling"):
+            ChainBatch([init_chain(lat, m1, g1, rng_of(1)), init_chain(lat, m2, g2, rng_of(2))])
+
+
+def assert_same_chain(res, ref):
+    assert (res.model, res.delta, res.acceptance) == (ref.model, ref.delta, ref.acceptance)
+    assert list(res.series) == list(ref.series)
+    for name in ref.series:
+        assert res.series[name].tobytes() == ref.series[name].tobytes(), (ref.model, name)
+    assert res.state.matter.rows.tobytes() == ref.state.matter.rows.tobytes(), ref.model
+    if ref.state.is_gauged:
+        assert res.state.gauge.a.tobytes() == ref.state.gauge.a.tobytes(), ref.model
+
+
+@pytest.mark.parametrize("dims, self_check", [
+    ([2], False), ([8, 8], False), ([3, 4], False), ([4, 4], True), ([3, 4], True),
+])
+def test_a_chains_bytes_do_not_depend_on_its_batch(dims, self_check):
+    # each chain alone, all five in their two batches, and the two batches in
+    # two processes: two tuning windows, then measured sweeps; [3, 4] has
+    # three colour classes
+    lat = build_lattice(dims)
+    kwargs = dict(thermalization=2 * mc.TUNE_WINDOW, self_check=self_check)
+    batched = run_chains(lat, MODELS, 0.6, 30, master_seed=19, **kwargs)
+    parallel = run_chains(lat, MODELS, 0.6, 30, master_seed=19, processes=2, **kwargs)
+    seqs = np.random.SeedSequence(19).spawn(len(MODELS))
+    for model, seq, res_batched, res_parallel in zip(MODELS, seqs, batched, parallel):
+        alone = run_chain(lat, model, 0.6, 30, seq, **kwargs)
+        assert alone.delta != mc.DELTA_START  # the chain's own tuning ran
+        assert_same_chain(res_batched, alone)
+        assert_same_chain(res_parallel, alone)
 
 
 def test_seed_determinism():
@@ -543,7 +601,7 @@ def test_one_site_external_weight_sampler(seed, row, n_z):
     x = np.array(row)
     total, count = 0.0, 0
     for i in range(40_000):
-        new = mc._propose(state, x)
+        new = mc._propose([state], x)
         ds = lam * (n_z(new) - n_z(x))
         if rng.uniform() < math.exp(min(-ds, 0.0)):
             x = new
@@ -574,5 +632,5 @@ def test_gauged_pullback_refuses_a_coupling_its_gauge_squares_overflow(monkeypat
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for model, g in [(m, 1e300) for m in MODELS] + [("cp1-gauged-reduced", 1e308)]:
-            state = init_chain(lat, model, g, rng_of(15), delta=4.0)
-            assert all(chain_sweep(state) == 1.0 for _ in range(50)), (model, g)
+            batch = ChainBatch([init_chain(lat, model, g, rng_of(15), delta=4.0)])
+            assert all(chain_sweep(batch) == [1.0] for _ in range(50)), (model, g)
