@@ -3,7 +3,7 @@
 verify   runs the numerical identity suite (kinetic-term identity, polar
          Jacobian, per-link gauge marginalization, one-site sphere-integral
          ratio, measure constant and each reduction stage's ratio at every
-         mollifier width, pushforward uniformity, prefactor bookkeeping) and
+         mollifier width, exact pushforward moments, prefactor bookkeeping) and
          writes a JSON report; exit code 0 iff every executed check
          passed. The checks live in one registry, CHECKS, which maps each
          name to its function and default tolerance. verify runs each on a
@@ -142,11 +142,7 @@ def _tolerances(known):
             name, value = item.split("=", 1)
             if name not in known:
                 raise UsageError(f"unknown tolerance {name!r}; known: {', '.join(sorted(known))}")
-            label = f"tolerance {name}"
-            number = _number(label, float, 0.0)(value)
-            if name == "pushforward" and not 0.0 < number < 1.0:  # a KS significance level
-                raise _invalid(label, number, "in (0, 1)")
-            out[name] = number
+            out[name] = _number(f"tolerance {name}", float, 0.0)(value)
         return out
     return parse
 
@@ -273,7 +269,8 @@ def _check_one_site_ratio(rng, tol):
         values[str(lam)] = {"lhs": res.lhs, "rhs": res.rhs, "reference": res.reference}
         worst = max(worst, res.rel_diff)
     return _check_row(
-        {"lambdas": list(lams)}, worst, 0.0, tol, worst <= tol, diagnostics=values,
+        {"lambdas": list(lams), "s3_nodes": res.nodes}, worst, 0.0, tol, worst <= tol,
+        diagnostics=values,
     )
 
 
@@ -306,17 +303,10 @@ def _check_reduction_stages(rng, tol):
                       ratios, RATIO_TOL, {"stage_max_rel_gap": dict(zip(measure.STAGES, gaps))})
 
 
-def _check_pushforward(rng, alpha):
+def _check_pushforward(rng, tol):
     res = measure.pushforward_uniformity(rng)
-    critical = measure.ks_critical_value(alpha, res.n_samples)
-    return _check_row(
-        {"samples": res.n_samples, "alpha": alpha},
-        max(res.ks_nz, res.ks_azimuth),
-        0.0,
-        critical,
-        res.ks_nz < critical and res.ks_azimuth < critical,
-        {"ks_nz": res.ks_nz, "ks_azimuth": res.ks_azimuth},
-    )
+    return _check_row({"degree": measure.PUSHFORWARD_DEGREE, "nodes": res.nodes}, res.max_gap,
+                      0.0, tol, res.max_gap <= tol, {"worst_monomial": list(res.worst)})
 
 
 def _check_prefactor(rng, tol):
@@ -349,7 +339,7 @@ CHECKS = {
     "one-site-ratio": Check(_check_one_site_ratio, 1e-6, 0),
     "measure-constant": Check(_check_measure_constant, RATIO_TOL, 4),  # relative to pi/2
     "reduction-stages": Check(_check_reduction_stages, None, 5),
-    "pushforward": Check(_check_pushforward, 0.01, 6),  # KS significance level
+    "pushforward": Check(_check_pushforward, 1e-13, 6),  # worst absolute moment gap
     "prefactor": Check(_check_prefactor, 1e-12, 0),
 }
 SUITES = tuple(CHECKS)
@@ -477,12 +467,23 @@ def comparison_rows(results, n_sigma):
     return rows
 
 
-def oracle_rows(results, g, n_sigma):
-    """Two-site chains against their quadrature: corr_r1 must match within n_sigma."""
+def two_site_references(models, g):
+    """{law: two_site_exact} for the laws of `models`: one quadrature per law, which alone sets it.
+
+    McError, before any sampling, when the rule does not resolve g.
+    """
+    return {law: two_site_exact(model, g) for law, model in {LAW[m]: m for m in models}.items()}
+
+
+def oracle_rows(results, references, n_sigma):
+    """Two-site chains against their quadrature: corr_r1 must match within n_sigma.
+
+    references maps each chain's law to its value, as two_site_references gives it.
+    """
     rows = []
     for r in results:
         mean, err = r.estimates["corr_r1"]
-        exact_val = two_site_exact(r.model, g)
+        exact_val = references[LAW[r.model]]
         ns, ok = _gate(mean - exact_val, err, n_sigma)
         rows.append(
             {
@@ -507,16 +508,14 @@ def run_compare(opts) -> tuple:
     models = REGIMES[opts["regime"]]
     # refuse before sampling: too few bins, or a two-site reference that does not resolve g
     count_bins(opts["sweeps"], chain_bin_size(opts["sweeps"]))
-    if lat.volume == 2:  # the reference depends on the law alone: one model per law
-        for model in {LAW[m]: m for m in models}.values():
-            two_site_exact(model, g)
+    references = two_site_references(models, g) if lat.volume == 2 else None
     results = run_chains(
         lat, models, g, opts["sweeps"], master_seed=opts["seed"],
         thermalization=opts["thermalization"], processes=opts["threads"],
     )
     rows = comparison_rows(results, n_sigma)
     _warn_frozen(results)
-    oracle = oracle_rows(results, g, n_sigma) if lat.volume == 2 else []
+    oracle = oracle_rows(results, references, n_sigma) if references else []
 
     gated_ok = all(row["pass"] for row in rows if row["gated"])
     passed = gated_ok and all(row["pass"] for row in oracle)

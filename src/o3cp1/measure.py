@@ -66,6 +66,7 @@ these values suffice).
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -91,8 +92,6 @@ STAGE_LADDER = (0.05, 0.035, 0.025)
 N_RADIAL = 160
 WINDOW_SIGMAS = 14.0
 RADIAL_PAD_SIGMAS = 10.0
-
-PUSHFORWARD_SAMPLES = 100_000
 
 # The mollifier ladder of verify_constant_c: the ratio is checked at each of
 # the three widths. The reference's corrections are exponentially small in
@@ -399,6 +398,42 @@ def reduction_consistency(n):
                      for stage in STAGES])
 
 
+# --- the product rule on the spinor sphere ------------------------------------
+#
+# The paper's measure identity: for every f on R^3,
+#     int d^4z delta(|z|^2 - 1) f(hopf(z)) = (pi/2) int d^3n delta(n^2 - 1) f(n).
+# In z = (cos chi e^{i alpha}, sin chi e^{i beta}) the left measure is
+# (1/8) dt dalpha dbeta with t = cos 2 chi, uniform on [-1, 1] x [0, 2 pi)^2, so
+# a product rule in (t, alpha, beta) integrates over S^3, total weight pi^2.
+# For f a polynomial of degree <= L in n, f(hopf(z)) has phase frequencies up
+# to 2L, which 2L + 1 equally spaced phases integrate exactly, and after the
+# phase sums degree <= L in t, which L + 1 Gauss-Legendre nodes integrate
+# exactly. The right side of a monomial n_x^a n_y^b n_z^c is pi/2 times the
+# Dirichlet integral G((a+1)/2) G((b+1)/2) G((c+1)/2) / G((a+b+c+3)/2), G the
+# Gamma function, for a, b, c all even, and 0 otherwise: pi^2 times the S^2
+# moment (a-1)!! (b-1)!! (c-1)!! / (a+b+c+1)!!. So the pushforward row
+# compares the two sides exactly, constant pi/2 included, and fails a correct
+# program at no seed.
+
+PUSHFORWARD_DEGREE = 6
+
+
+def _s3_rule(t_nodes):
+    """Product rule on the unit spinor sphere: nodes z, shape (N, 2), and weights w.
+
+    t_nodes Gauss-Legendre nodes in t times 2 PUSHFORWARD_DEGREE + 1 equally
+    spaced phases in each of alpha and beta; the weights sum to pi^2.
+    """
+    phases = 2 * PUSHFORWARD_DEGREE + 1
+    t, wt = _leggauss(t_nodes)
+    angle = 2.0 * math.pi / phases * np.arange(phases)
+    t, alpha, beta = (x.ravel() for x in np.meshgrid(t, angle, angle, indexing="ij"))
+    z = np.stack([np.sqrt(0.5 * (1.0 + t)) * np.exp(1j * alpha),
+                  np.sqrt(0.5 * (1.0 - t)) * np.exp(1j * beta)], axis=-1)
+    w = np.repeat(wt * (2.0 * math.pi / phases) ** 2 / 8.0, phases * phases)
+    return z, w
+
+
 # --- one-site partition-function ratio --------------------------------------
 
 
@@ -408,113 +443,71 @@ class OneSiteRatio:
     rhs: float
     reference: float
     rel_diff: float
+    nodes: int  # of the S^3 rule that gives lhs
 
 
 def one_site_ratio_test(lam) -> OneSiteRatio:
     """Compare the spinor-sphere and vector-sphere integrals of e^{-lam n_z}.
 
-    LHS: (1/2) * area integral over the unit spinor sphere of e^{-lam n_z(z)},
-    using polar coordinates r = cos(chi), s = sin(chi) where n_z = cos(2 chi)
-    and the angular directions integrate to (2 pi)^2 exactly.
+    LHS: the integral over the unit spinor sphere of e^{-lam n_z(z)}, with n
+    from hopf_map on the nodes of _s3_rule with 16 nodes in t (rounding for
+    |lam| <= 10); its error is estimated against the rule with 32.
     RHS: (pi/2) * (1/2) * area integral over the unit vector sphere.
     Both equal pi^2 sinh(lam)/lam; the closed form is returned as reference.
-    Each quadrature must reach a relative error of 1e-10.
+    Each side must reach a relative error of 1e-10.
     """
     lam = float(lam)
-    lhs_1d, err_l = gauss_legendre_quad(
-        lambda chi: np.cos(chi) * np.sin(chi) * np.exp(-lam * np.cos(2.0 * chi)),
-        0.0,
-        HALF_PI,
-        1e-13,
-    )
-    lhs = 0.5 * (2.0 * math.pi) ** 2 * lhs_1d
+    rules = [_s3_rule(t_nodes) for t_nodes in (16, 32)]  # the second estimates the error
+    lhs, finer = (float(w @ np.exp(-lam * hopf_map(z)[:, 2])) for z, w in rules)
     rhs_1d, err_r = gauss_legendre_quad(
         lambda t: np.exp(-lam * np.cos(t)) * np.sin(t), 0.0, math.pi, 1e-13
     )
     rhs = HALF_PI * 0.5 * (2.0 * math.pi) * rhs_1d
     reference = math.pi**2 * (math.sinh(lam) / lam if lam != 0.0 else 1.0)
-    achieved = (err_l + err_r) / max(abs(reference), 1.0)
+    achieved = (abs(lhs - finer) + err_r) / max(abs(reference), 1.0)
     if not achieved <= 1e-10:
         raise MeasureDomainError(
             f"one-site quadrature achieved relative error {achieved:.3e} > 1e-10"
         )
-    return OneSiteRatio(lhs, rhs, reference, abs(lhs - rhs) / abs(reference))
+    return OneSiteRatio(lhs, rhs, reference, abs(lhs - rhs) / abs(reference), len(rules[0][1]))
 
 
-# --- pushforward uniformity --------------------------------------------------
-
-
-def _kolmogorov_tails(x):
-    """(Q(x), 1 - Q(x)) for the Kolmogorov survival function Q, each exact to rounding where small.
-
-    x >= 1: Q = 2 sum_k (-1)^(k-1) exp(-2 k^2 x^2). x < 1, where that series
-    converges slowly, its theta-function form
-    1 - Q = (sqrt(2 pi) / x) sum_k exp(-(2k-1)^2 pi^2 / (8 x^2)).
-    Twelve terms reach rounding on either side of x = 1.
-    """
-    if x >= 1.0:
-        q = 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * k * k * x * x) for k in range(1, 13))
-        return q, 1.0 - q
-    if x <= 0.0:
-        return 1.0, 0.0
-    p = SQRT_2PI / x * sum(
-        math.exp(-(((2 * k - 1) * math.pi) ** 2) / (8.0 * x * x)) for k in range(1, 13)
-    )
-    return 1.0 - p, p
-
-
-def ks_critical_value(alpha, n_samples) -> float:
-    """Asymptotic Kolmogorov-Smirnov critical value at significance alpha.
-
-    The root x of Q(x) = alpha, found by bisection to machine precision, over
-    sqrt(n_samples). For alpha > 1/2 the root is found from
-    1 - Q(x) = 1 - alpha, so that a small tail is never taken as a
-    difference from 1.
-    """
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise MeasureDomainError(f"KS significance level must lie in (0, 1), got {alpha}")
-    upper = alpha <= 0.5
-    target, side = (alpha, 0) if upper else (1.0 - alpha, 1)
-    # the tail minus target changes sign once on [0, 40]: Q(40) underflows to 0
-    lo, hi = 0.0, 40.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if (_kolmogorov_tails(mid)[side] > target) == upper:
-            lo = mid
-        else:
-            hi = mid
-    return mid / math.sqrt(n_samples)
-
-
-def _ks_uniform(x, loc, scale):
-    """KS statistic of x against uniform [loc, loc + scale], as scipy.stats.kstest computes it."""
-    cdf = np.clip((np.sort(x) - loc) / scale, 0.0, 1.0)
-    n = len(cdf)
-    return float(max((np.arange(1.0, n + 1) / n - cdf).max(), (cdf - np.arange(0.0, n) / n).max()))
+# --- pushforward moments -------------------------------------------------------
 
 
 @dataclass
-class PushforwardKS:
-    n_samples: int
-    ks_nz: float
-    ks_azimuth: float
+class PushforwardMoments:
+    nodes: int
+    max_gap: float  # worst |left side - right side| over the monomials
+    worst: tuple  # (a, b, c) of n_x^a n_y^b n_z^c at that gap
 
 
-def pushforward_uniformity(rng) -> PushforwardKS:
-    """KS statistics of PUSHFORWARD_SAMPLES mapped uniform spinors against the uniform sphere.
+def pushforward_uniformity(rng) -> PushforwardMoments:
+    """Every moment n_x^a n_y^b n_z^c, a + b + c <= PUSHFORWARD_DEGREE, of the Hopf pushforward.
 
-    n_z must be uniform on [-1, 1] and the azimuth of (n_x, n_y) uniform on
-    [0, 2 pi); this is the sampling-measure face of the measure identity.
-    The caller compares the statistics with ks_critical_value at its alpha.
+    Integrates each monomial of hopf_map(z) with _s3_rule, its grid rotated by
+    an SU(2) element drawn from rng, and compares it with the right side of
+    the identity (see the section comment). The rule is exact, so every gap
+    is rounding for a correct map.
     """
-    n = hopf_map(random_unit(rng, 4, PUSHFORWARD_SAMPLES).view(np.complex128))
-    ks_nz = _ks_uniform(n[:, 2], -1.0, 2.0)
-    azimuth = np.mod(np.arctan2(n[:, 1], n[:, 0]), 2.0 * math.pi)
-    ks_az = _ks_uniform(azimuth, 0.0, 2.0 * math.pi)
-    return PushforwardKS(PUSHFORWARD_SAMPLES, ks_nz, ks_az)
+    a0, a1, a2, a3 = random_unit(rng, 4)
+    u, v = complex(a0, a1), complex(a2, a3)
+    degree = PUSHFORWARD_DEGREE
+    z, w = _s3_rule(degree + 1)
+    z = z @ np.array([[u, -v.conjugate()], [v, u.conjugate()]]).T  # SU(2) keeps the measure
+    # px[a] = n_x^a at every node, and so on
+    px, py, pz = hopf_map(z).T[:, None, :] ** np.arange(degree + 1)[:, None]
+    gaps = {}
+    for a, b, c in itertools.product(range(degree + 1), repeat=3):
+        if a + b + c > degree:
+            continue
+        exact = 0.0
+        if a % 2 == b % 2 == c % 2 == 0:
+            exact = HALF_PI * math.prod(math.gamma((k + 1) / 2) for k in (a, b, c)) / math.gamma(
+                (a + b + c + 3) / 2)
+        gaps[a, b, c] = abs(float(w @ (px[a] * py[b] * pz[c])) - exact)
+    worst = max(gaps, key=gaps.get)
+    return PushforwardMoments(len(w), gaps[worst], worst)
 
 
 def random_sphere_points(rng, count, min_q=0.35, max_abs_nz=0.85):

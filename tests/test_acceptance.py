@@ -18,7 +18,7 @@ from scipy import optimize
 
 from o3cp1 import measure
 from o3cp1.actions import action_cp1_reduced, action_o3_pullback
-from o3cp1.cli import comparison_rows, oracle_rows, run_check
+from o3cp1.cli import comparison_rows, oracle_rows, run_check, two_site_references
 from o3cp1.lattice import build_lattice
 from o3cp1.mc import run_chains
 from references import probe_spinor_field, random_probe
@@ -95,14 +95,13 @@ def test_c05_one_site_ratio():
 
 def test_c06_pushforward_uniformity():
     t0 = time.time()
-    row = run_check("pushforward", np.random.default_rng(0), 0.01)
+    row = run_check("pushforward", np.random.default_rng(0))
     elapsed = time.time() - t0
     report(
         6, "pushforward",
-        row["pass"] and elapsed < 5.0,
-        f"KS nz {row['diagnostics']['ks_nz']:.4f}, azimuth "
-        f"{row['diagnostics']['ks_azimuth']:.4f} < critical {row['tolerance']:.4f}, "
-        f"{elapsed:.1f}s (<5s)",
+        row["pass"] and row["tolerance"] == 1e-13 and elapsed < 5.0,
+        f"worst moment gap {row['value']:.1e} over degree <= {row['inputs']['degree']} "
+        f"(tol 1e-13), {elapsed:.1f}s (<5s)",
     )
 
 
@@ -156,7 +155,7 @@ def test_c09_two_site_sampler_exactness():
     models = ["o3", "cp1-pullback", "cp1-reduced", "cp1-gauged-reduced"]
     results = run_chains(lat, models, 1.0, 100_000, master_seed=109,
                          thermalization=5000, processes=2)
-    rows = oracle_rows(results, 1.0, 3.0)
+    rows = oracle_rows(results, two_site_references(models, 1.0), 3.0)
     details = [f"{row['chain']} {row['n_sigma']:.1f}s" for row in rows]
     elapsed = time.time() - t0
     report(

@@ -9,9 +9,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from o3cp1 import cli, measure
+from o3cp1 import actions, cli, measure
 from o3cp1.errors import O3CP1Error
-from o3cp1.mc import two_site_exact
+from o3cp1.mc import LAW, two_site_exact
 
 
 def run_cli(args, cwd, env, timeout=None):
@@ -82,6 +82,8 @@ def test_parse_dims_and_eps():
 def test_tolerance_override_parsing():
     verify_tol, compare_tol = (cli.OPTIONS[c]["tol"].parse for c in ("verify", "compare"))
     assert verify_tol(["jacobian=1e-5"]) == {"jacobian": 1e-5}
+    # pushforward's is an absolute moment gap, like every other bound >= 0
+    assert verify_tol(["pushforward=0", "pushforward=1.5"]) == {"pushforward": 1.5}
     assert compare_tol("sigma=6") == {"sigma": 6.0}
     # each command names only the tolerances it reads
     for parse, item in ((verify_tol, "sigma=4"), (compare_tol, "jacobian=5"),
@@ -158,10 +160,10 @@ def test_unknown_config_key_named(tmp_path, cli_env):
         (["compare", "--dims", "2", "--seed", "1", {"regime": None}], 2, "regime: None"),
         (["sample", "--seed", "1", {"dims": 8}], 2, "dims: 8"),
         # a tolerance that would make its check meaningless
-        (["verify", "--suite", "pushforward", "--tol", "pushforward=0"], 2,
-         "tolerance pushforward: 0.0"),
-        (["verify", "--suite", "pushforward", "--tol", "pushforward=1.5"], 2,
-         "tolerance pushforward: 1.5"),
+        (["verify", "--suite", "pushforward", "--tol", "pushforward=-1e-13"], 2,
+         "tolerance pushforward: -1e-13"),
+        (["verify", "--suite", "pushforward", "--tol", "pushforward=nan"], 2,
+         "tolerance pushforward: nan"),
         (["verify", "--suite", "prefactor", "--tol", "prefactor=-1"], 2,
          "tolerance prefactor: -1.0"),
         (["verify", "--suite", "jacobian", "--tol", "jacobian=inf"], 2,
@@ -320,9 +322,7 @@ def test_verify_suite_filter(tmp_path, cli_env, name):
     if default is None:  # the check sets its own tolerance, which --tol cannot name
         assert name not in report["config"]["tolerances"]
     else:
-        assert report["config"]["tolerances"][name] == default
-        # pushforward's tolerance is a significance level; its row holds the critical value
-        assert default == row["inputs"].get("alpha", row["tolerance"])
+        assert report["config"]["tolerances"][name] == default == row["tolerance"]
 
 
 def test_verify_unknown_suite(tmp_path, cli_env):
@@ -370,6 +370,73 @@ def test_reduction_stages_fail_a_wrong_stage_at_any_width(monkeypatch, stage, fu
     row = cli.run_check("reduction-stages", np.random.default_rng(0))
     assert not row["pass"]
     assert row["diagnostics"]["stage_max_rel_gap"][stage] > row["tolerance"]
+
+
+def verify_rng(seed, name):
+    """The generator verify --seed seed hands to check `name`."""
+    return np.random.default_rng(np.random.SeedSequence([seed, cli.CHECKS[name].stream]))
+
+
+def times(factor):
+    """Mutant maker: the function's value times factor."""
+    return lambda function: lambda *args: function(*args) * factor
+
+
+def hopf_nz(deform):
+    """Mutant maker of hopf_map: n_z replaced by deform(n_z)."""
+    def mutant(hopf_map):
+        def mapped(z):
+            n = hopf_map(z).copy()
+            n[..., 2] = deform(n[..., 2])
+            return n
+        return mapped
+    return mutant
+
+
+HOPF_MUTANTS = {
+    "nz-times-1+1e-9": hopf_nz(lambda nz: nz * (1.0 + 1e-9)),
+    "nz-plus-1e-3-P2": hopf_nz(lambda nz: nz + 1e-3 * (nz * nz - 1.0 / 3.0)),
+}
+
+# per verify row: (module, function, mutant maker) of a src/ function the row reads.
+# The after-S and after-phi ratios of reduction-stages are pi/2 by algebra,
+# whatever their angle integral or roots return, so they test only their
+# stage's pi/4 prefactor and phi period; the mutants of
+# test_reduction_stages_fail_a_wrong_stage_at_any_width scale each stage.
+ROW_MUTANTS = {
+    "polar-identity": (actions, "polar_action_density", times(1.0 + 1e-9)),
+    "jacobian": (cli, "jacobian_polar", times(1.0 + 1e-5)),
+    "marginalization": (actions, "gauge_marginal_closed_form", times(1.0 + 1e-7)),
+    "one-site-ratio": (measure, "hopf_map", HOPF_MUTANTS["nz-plus-1e-3-P2"]),
+    "measure-constant": (measure, "measure_lhs", times(1.0 + 1e-9)),
+    "reduction-stages": (measure, "_stage_after_R_theta", times(1.0 + 1e-9)),
+    "pushforward": (measure, "hopf_map", HOPF_MUTANTS["nz-times-1+1e-9"]),
+    "prefactor": (cli, "partition_constants", lambda f: lambda lat, g: f(lat, g * (1.0 + 1e-9))),
+}
+
+
+@pytest.mark.parametrize("name", list(cli.CHECKS))
+def test_every_verify_row_fails_its_named_mutant(monkeypatch, name):
+    module, function, mutant = ROW_MUTANTS[name]
+    monkeypatch.setattr(module, function, mutant(getattr(module, function)))
+    row = cli.run_check(name, verify_rng(0, name))
+    assert not row["pass"], row
+
+
+def test_pushforward_passes_at_every_seed():
+    # the two KS tests it replaced failed at 8 of these seeds, 4 and 13 among them
+    for seed in range(200):
+        row = cli.run_check("pushforward", verify_rng(seed, "pushforward"))
+        assert row["pass"] and row["value"] <= 1e-13, (seed, row["value"])
+
+
+@pytest.mark.parametrize("mutant", list(HOPF_MUTANTS.values()), ids=list(HOPF_MUTANTS))
+def test_pushforward_fails_the_hopf_mutants_at_every_seed(monkeypatch, mutant):
+    # the KS tests caught the P2 mutant at about the chance rate
+    monkeypatch.setattr(measure, "hopf_map", mutant(measure.hopf_map))
+    for seed in range(200):
+        row = cli.run_check("pushforward", verify_rng(seed, "pushforward"))
+        assert not row["pass"], seed
 
 
 def test_reduction_stages_refuses_an_explicit_tolerance():
@@ -594,12 +661,29 @@ def test_one_gate_for_pair_rows_and_oracle_rows():
     assert (row["n_sigma"], row["pass"]) == (0.0, True)
     [row] = cli.comparison_rows([on, off], 3.0)
     assert (row["n_sigma"], row["pass"]) == (math.inf, False)
-    rows = cli.oracle_rows([on, off], 1.0, 3.0)
+    rows = cli.oracle_rows([on, off], {"o3": exact}, 3.0)
     assert [(r["n_sigma"], r["pass"]) for r in rows] == [(0.0, True), (math.inf, False)]
     # a nonzero sigma passes up to n_sigma inclusive
     pair = [chain("o3", 1.0, 0.0), chain("cp1-pullback", 0.25, 0.25)]
     assert [r["pass"] for r in cli.comparison_rows(pair, 3.0)] == [True]
     assert [r["pass"] for r in cli.comparison_rows(pair, 2.9)] == [False]
+
+
+def test_compare_computes_each_laws_two_site_reference_once(tmp_path, monkeypatch, capsys):
+    # once per law before sampling, and the oracle rows reuse those values
+    calls = []
+
+    def counted(model, g):
+        calls.append(model)
+        return two_site_exact(model, g)
+
+    monkeypatch.setattr(cli, "two_site_exact", counted)
+    cli.main(["compare", "--dims", "2", "--regime", "both", "--sweeps", "200", "--seed", "3",
+              "--out-prefix", str(tmp_path / "c")])
+    assert sorted(LAW[m] for m in calls) == ["o3", "reduced"]
+    oracle = json.loads((tmp_path / "c_report.json").read_text())["two_site_oracle"]
+    assert [row["chain"] for row in oracle] == list(cli.REGIMES["both"])
+    assert all(row["reference"] == two_site_exact(row["chain"], 1.0) for row in oracle)
 
 
 def test_acceptance_c09_c10_gate_through_the_cli_rows(monkeypatch, capsys):
@@ -622,7 +706,8 @@ def test_acceptance_c09_c10_gate_through_the_cli_rows(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "stand-in 1.3s (gate 3 sigma)" in out
     assert "worst deviation 2.50 sigma (gate 3)" in out
-    assert calls == [(["chains"], (1.0, 3.0)), (["chains"], (3.0,))]
+    references = cli.two_site_references(["o3", "cp1-reduced"], 1.0)
+    assert calls == [(["chains"], (references, 3.0)), (["chains"], (3.0,))]
 
 
 @pytest.mark.parametrize("tol", ["prefactor=1e-3", ["prefactor=1e-3", "jacobian=1e-5"]])

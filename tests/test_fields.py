@@ -234,6 +234,17 @@ def test_pushforward_mean_nz():
     assert abs(nz.mean()) < 3 / np.sqrt(100_000 / 3)
 
 
+def test_random_spinors_map_to_the_uniform_sphere_ks():
+    # the sampler's start: uniform spinors give n_z uniform on [-1, 1] and a
+    # uniform azimuth, at a pinned seed (KS at significance 0.01)
+    from scipy import stats
+
+    n = hopf_map(random_unit(np.random.default_rng(0), 4, 100_000).view(np.complex128))
+    azimuth = np.mod(np.arctan2(n[:, 1], n[:, 0]), 2 * np.pi)
+    for x, loc, scale in ((n[:, 2], -1.0, 2.0), (azimuth, 0.0, 2 * np.pi)):
+        assert stats.kstest(x, stats.uniform(loc=loc, scale=scale).cdf).pvalue > 0.01
+
+
 def test_field_normalization_checks():
     lat = build_lattice([4])
     spin = constant_spin_field(lat)

@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate, optimize
 
 from o3cp1 import measure
+from o3cp1.fields import hopf_map
 from o3cp1.measure import (
     HALF_PI,
     STAGE_LADDER,
@@ -400,10 +401,13 @@ def sinh_over_lam_oracle(lam):
     return val / 2.0
 
 
-@pytest.mark.parametrize("lam", [0.0, 1.0, 2.5])
+@pytest.mark.parametrize("lam", [0.0, 1.0, 2.5, -10.0, 10.0])
 def test_one_site_ratio(lam):
+    # the S^3 rule, 16 nodes in t and 13 x 13 phases, is exact to rounding for |lam| <= 10
     res = one_site_ratio_test(lam)
     assert res.rel_diff < 1e-6
+    assert res.nodes == 2704
+    assert res.lhs == pytest.approx(res.reference, rel=1e-14)
     expected = math.pi**2 * sinh_over_lam_oracle(lam)
     assert res.lhs == pytest.approx(expected, rel=1e-10)
     assert res.rhs == pytest.approx(expected, rel=1e-10)
@@ -420,42 +424,41 @@ def test_one_site_ratio_lambda_one_value():
     assert res.lhs == pytest.approx(math.pi**2 * 1.1752012, rel=1e-7)
 
 
+def test_one_site_refuses_a_lambda_its_rule_does_not_resolve():
+    with pytest.raises(MeasureDomainError, match="relative error"):
+        one_site_ratio_test(50.0)
+
+
 # --- pushforward ----------------------------------------------------------------
 
 
-def test_pushforward_uniformity_ks():
+def sphere_moment_oracle(a, b, c):
+    """<n_x^a n_y^b n_z^c> on the unit sphere, by scipy quadrature in polar angles."""
+    def f(theta, phi):
+        st = math.sin(theta)
+        return (st * math.cos(phi)) ** a * (st * math.sin(phi)) ** b * math.cos(theta) ** c * st
+
+    val, _ = integrate.dblquad(f, 0.0, 2 * math.pi, 0.0, math.pi, epsabs=1e-13, epsrel=1e-12)
+    return val / (4 * math.pi)
+
+
+def test_pushforward_moments_are_exact():
+    # test_pushforward_passes_at_every_seed reads the row at verify's seeds 0-199
     res = pushforward_uniformity(np.random.default_rng(0))
-    critical = measure.ks_critical_value(0.01, res.n_samples)
-    assert res.ks_nz < critical
-    assert res.ks_azimuth < critical
+    assert (measure.PUSHFORWARD_DEGREE, res.nodes) == (6, 7 * 13 * 13)
+    assert res.max_gap < 1e-14
+    assert sum(res.worst) <= 6
 
 
-@pytest.mark.parametrize(
-    "alpha", [1e-300, 1e-12, 1e-6, 0.01, 0.05, 0.5, 0.9, 0.999, 1.0 - 1e-12]
-)
-def test_ks_critical_value_matches_scipy_kolmogi(alpha):
-    from scipy import special
-
-    ref = special.kolmogi(alpha)
-    assert measure.ks_critical_value(alpha, 1) == pytest.approx(ref, rel=1e-12, abs=0.0)
-    assert measure.ks_critical_value(alpha, 400) == pytest.approx(ref / 20.0, rel=1e-12, abs=0.0)
-
-
-@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, math.nan])
-def test_ks_critical_value_rejects_alpha_outside_unit_interval(alpha):
-    with pytest.raises(MeasureDomainError):
-        measure.ks_critical_value(alpha, 100)
-
-
-@pytest.mark.parametrize("n", [1, 7, 1000])
-def test_ks_statistic_equals_scipy_kstest(n):
-    from scipy import stats
-
-    rng = np.random.default_rng(22)
-    for loc, scale in ((-1.0, 2.0), (0.0, 2 * np.pi)):
-        x = rng.uniform(loc - 0.1 * scale, loc + 1.1 * scale, n)  # some fall outside the support
-        ref = stats.kstest(x, stats.uniform(loc=loc, scale=scale).cdf).statistic
-        assert measure._ks_uniform(x, loc, scale) == ref
+def test_pushforward_closed_form_moments_match_quadrature():
+    # the closed form the row compares with, against an independent S^2 quadrature
+    rule = measure._s3_rule(measure.PUSHFORWARD_DEGREE + 1)
+    assert rule[1].sum() == pytest.approx(math.pi**2, rel=1e-15)
+    n = hopf_map(rule[0])
+    for a, b, c in [(0, 0, 2), (2, 2, 2), (0, 4, 0), (1, 0, 1)]:
+        rule_value = rule[1] @ (n[:, 0] ** a * n[:, 1] ** b * n[:, 2] ** c)
+        assert rule_value == pytest.approx(math.pi**2 * sphere_moment_oracle(a, b, c),
+                                           rel=1e-12, abs=1e-13)
 
 
 def test_identity_reference_positive_and_peaked():
