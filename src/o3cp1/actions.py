@@ -47,7 +47,7 @@ class QuadratureError(O3CP1Error, RuntimeError):
 
 
 # marginalize_gauge_numeric integrates over GAUGE_HALF_WIDTH * sqrt(g) either
-# side of 0 and of the Gaussian mean, and must reach GAUGE_REL_TOL.
+# side of the Gaussian mean b, and must reach GAUGE_REL_TOL.
 GAUGE_HALF_WIDTH = 10.0
 GAUGE_REL_TOL = 1e-8
 
@@ -145,20 +145,19 @@ def marginalize_gauge_numeric(b, g) -> MarginalResult:
     """Numerically integrate the gauge link weight exp(-(A^2 - 2Ab)/g) over A.
 
     b = Im z(x)^dag z(x+mu) is all that the link contributes. The infinite
-    range is truncated to cover both [-K sqrt(g), K sqrt(g)] and the same
-    window centered on the Gaussian mean b, with K = GAUGE_HALF_WIDTH; the
-    neglected tail is bounded by sqrt(pi g) erfc(K) exp(b^2/g), returned as
-    tail_bound (verify's marginalization row reports the worst tail_bound / value).
+    range is truncated to the window b +- K sqrt(g) about the Gaussian mean,
+    with K = GAUGE_HALF_WIDTH, so in units of sqrt(g) every (b, g) is the
+    same integral; the neglected tail is sqrt(pi g) erfc(K) exp(b^2/g),
+    returned as tail_bound (verify's marginalization row reports the worst
+    tail_bound / value).
     """
     g = _check_g(g)
     b = float(b)
     span = GAUGE_HALF_WIDTH * math.sqrt(g)
-    lo, hi = min(-span, b - span), max(span, b + span)
-    value, err = gauss_legendre_quad(lambda a: np.exp(-(a * a - 2.0 * a * b) / g), lo, hi, 1e-12)
+    value, err = gauss_legendre_quad(lambda a: np.exp(-(a * a - 2.0 * a * b) / g),
+                                     b - span, b + span)
     closed = gauge_marginal_closed_form(b, g)
-    # distance from the mean b to the nearest cutoff, in units of sqrt(g)
-    k_eff = min(b - lo, hi - b) / math.sqrt(g)
-    tail = math.sqrt(math.pi * g) * math.erfc(k_eff) * math.exp(b * b / g)
+    tail = closed * math.erfc(GAUGE_HALF_WIDTH)
     if not err <= GAUGE_REL_TOL * abs(value):
         raise QuadratureError(
             f"gauge marginalization did not converge: "

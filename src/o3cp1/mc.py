@@ -25,11 +25,12 @@ others. The law of x' given x depends only on the angle between them, so the
 proposal is symmetric on both spheres. Tuning keeps delta in
 [DELTA_FLOOR, DELTA_CAP] = [1e-4, 4].
 
-Chains are swept in batches (ChainBatch): chains of one row type on one
-lattice at one coupling, held as the disjoint copies of one union lattice.
-Their rows share one buffer and each chain's fields are views of its copy's
-slice; run_chains runs its o3 chains as one batch and its spinor chains as
-another, and a single chain is a batch of one. A sweep updates the colour
+Chains are made and swept in batches (ChainBatch): chains of one row type on
+one lattice at one coupling, held as the disjoint copies of one union
+lattice. The batch draws each chain's start field into its copy's slice of
+one buffer, and each chain's fields are views of that slice; run_chains runs
+its o3 chains as one batch and its spinor chains as another, and a single
+chain (init_chain, run_chain) is a batch of one. A sweep updates the colour
 classes of the lattice in turn, each class of every copy at once: no two
 sites of a class are neighbours, so their simultaneous updates are
 independent. On lattices with every extent even the classes are the two
@@ -67,10 +68,11 @@ computed once on first use: the one place error bars are computed.
 
 Reproducibility: a chain's generator is PCG64 seeded from
 SeedSequence(master_seed).spawn(n_chains)[chain_index], and every chain of a
-batch draws from its own generator, in the order a batch of one draws: per
-class its proposal normals (Generator.standard_normal into its block) and then
-its accept uniforms (Generator.random into its block), per sweep then its
-gauge noise. So a chain's draws and bytes do not depend on the chains it
+batch draws from its own generator, in the order a batch of one draws: first
+its start field and, if gauged, the noise of its first gauge refresh; then per
+class its proposal normals (Generator.standard_normal into its block) and its
+accept uniforms (Generator.random into its block), per sweep then its gauge
+noise. So a chain's draws and bytes do not depend on the chains it
 shares a batch with, and identical configuration and master seed reproduce
 identical series bit for bit, serial or parallel.
 """
@@ -203,15 +205,8 @@ def _check_chain(model, g):
 
 
 def init_chain(lat, model, g, rng, delta=DELTA_START, self_check=False) -> ChainState:
-    """A chain with a uniformly random field; a gauged chain's links come from a Gibbs refresh."""
-    _check_chain(model, g)
-    matter = (SpinField if model == "o3" else CP1Field).random(lat, rng)
-    state = ChainState(lat=lat, model=model, g=float(g), delta=float(delta), rng=rng,
-                       matter=matter, self_check=self_check)
-    if state.is_gauged:
-        state.gauge = GaugeField.zeros(lat)
-        gibbs_gauge_update(ChainBatch([state]))
-    return state
+    """The chain of a batch of one (ChainBatch); its fields are views of the batch's buffers."""
+    return ChainBatch(lat, g, [model], [rng], delta, self_check).states[0]
 
 
 def total_action(state: ChainState) -> float:
@@ -242,41 +237,54 @@ def _tile(idx, copies, step):
 class ChainBatch:
     """Chains of one row type on one lattice at one coupling, swept as one union lattice.
 
-    Copy c of the union holds chain states[c]. The chains' rows share one
-    buffer, `rows`, the gauged chains' links another, `gauge`, and each
-    ChainState's fields become views of its copy's slices. `states` is in
-    layout order: plain chains, then gauged ones, cp1-gauged-reduced last, so
-    that each flavour's copies, the gauged copies and the copies whose action
-    change reads the overlaps are contiguous.
+    The one place a chain is made. Chain i runs models[i] and draws from
+    rngs[i]: first its uniformly random start field, into its copy's slice of
+    the one buffer `rows`, then, if gauged, its links by a Gibbs refresh, into
+    `gauge`. Copy c holds the caller's chain order[c], and states[c] is that
+    chain, its fields views of the copy's slices. Copies are in layout order:
+    plain chains, then gauged ones, cp1-gauged-reduced last, so that each
+    flavour's copies, the gauged copies and the copies whose action change
+    reads the overlaps are contiguous.
     """
 
-    def __init__(self, states):
-        states = sorted(states, key=lambda s: (s.is_gauged, s.model == "cp1-gauged-reduced",
-                                               s.model))
-        lat, g = states[0].lat, states[0].g
-        if len({(s.lat, s.g, s.model == "o3") for s in states}) > 1:
-            raise McError("a batch holds chains of one row type on one lattice at one coupling")
-        self.states, self.lat, self.g = states, lat, g
-        self.spinor = states[0].model != "o3"
-        self.n_plain = sum(not s.is_gauged for s in states)  # the first gauged copy
-        self.n_overlap = sum(s.model != "cp1-gauged-reduced" for s in states) if self.spinor else 0
+    def __init__(self, lat, g, models, rngs, delta=DELTA_START, self_check=False):
+        for model in models:
+            _check_chain(model, g)
+        if len({model == "o3" for model in models}) > 1:
+            raise McError("a batch holds chains of one row type")
+        self.order = sorted(range(len(models)), key=lambda i: (
+            models[i].startswith("cp1-gauged"), models[i] == "cp1-gauged-reduced", models[i]))
+        models = [models[i] for i in self.order]
+        self.lat, self.g, volume = lat, float(g), lat.volume
+        self.spinor = models[0] != "o3"
+        self.n_plain = sum(not m.startswith("cp1-gauged") for m in models)  # the first gauged copy
+        self.n_overlap = sum(m != "cp1-gauged-reduced" for m in models) if self.spinor else 0
         self.kernels = []  # [model, first copy, end copy] of each flavour that reads overlaps
-        for c, s in enumerate(states[: self.n_overlap]):
-            if self.kernels and self.kernels[-1][0] == s.model:
+        for c, model in enumerate(models[: self.n_overlap]):
+            if self.kernels and self.kernels[-1][0] == model:
                 self.kernels[-1][2] = c + 1
             else:
-                self.kernels.append([s.model, c, c + 1])
-        self.rows = np.concatenate([s.matter.rows for s in states])
-        for s, view in zip(states, np.split(self.rows, len(states))):
-            s.matter = CP1Field(view.view(np.float64)) if self.spinor else SpinField(view)
+                self.kernels.append([model, c, c + 1])
+        field = CP1Field if self.spinor else SpinField
+        self.rows = np.empty((len(models) * volume, 2 if self.spinor else 3),
+                             np.complex128 if self.spinor else np.float64)
+        self.states = []
+        for c, (model, i) in enumerate(zip(models, self.order)):
+            view = self.rows[c * volume : (c + 1) * volume]
+            view[:] = field.random(lat, rngs[i]).rows
+            self.states.append(ChainState(
+                lat=lat, model=model, g=self.g, delta=float(delta), rng=rngs[i],
+                matter=CP1Field(view.view(np.float64)) if self.spinor else SpinField(view),
+                self_check=self_check))
         self.gauge = None  # (gauged copies * volume, ndim)
-        gauged = states[self.n_plain :]
+        gauged = self.states[self.n_plain :]
         if gauged:
-            self.gauge = np.concatenate([s.gauge.a for s in gauged])
-            for s, view in zip(gauged, np.split(self.gauge, len(gauged))):
-                s.gauge = GaugeField(view)
+            self.gauge = np.empty((len(gauged) * volume, lat.ndim))
+            for c, s in enumerate(gauged):
+                s.gauge = GaugeField(self.gauge[c * volume : (c + 1) * volume])
             # per direction, the forward neighbour of each row of the gauged copies
-            self.gauged_fwd = _tile(lat.neighbors[0], len(gauged), lat.volume)
+            self.gauged_fwd = _tile(lat.neighbors[0], len(gauged), volume)
+            gibbs_gauge_update(self)
         self.classes = None  # one _SiteTable per colour class, built by the first sweep
 
     @property
@@ -370,17 +378,15 @@ def _propose(states, old):
     Rows are real unit 3-vectors (S^2) or complex unit spinors (S^3, eta with
     independent standard normal real and imaginary parts). The rows come in
     len(states) equal blocks, one per chain, each drawing eta from its own
-    stream at its own delta; a chain at delta = 0 draws nothing. The law of
-    x' given x depends only on the angle between them: the proposal is
-    symmetric.
+    stream at its own delta. The law of x' given x depends only on the angle
+    between them: the proposal is symmetric.
     """
     k = len(old) // len(states)
-    eta = np.zeros(old.view(np.float64).shape)
+    eta = np.empty(old.view(np.float64).shape)
     for c, s in enumerate(states):
-        if s.delta:
-            block = eta[c * k : c * k + k]
-            s.rng.standard_normal(out=block)
-            block *= s.delta
+        block = eta[c * k : c * k + k]
+        s.rng.standard_normal(out=block)
+        block *= s.delta
     new = old + eta.view(old.dtype)
     new /= np.sqrt((np.abs(new) ** 2).sum(axis=1, keepdims=True))
     return new
@@ -390,10 +396,9 @@ def _update_class(batch, table):
     """Metropolis-update one colour class of every copy; returns the accept count per copy.
 
     Each chain draws its proposals and then its accept uniforms from its own
-    stream, so its draws and bytes do not depend on its batch-mates. A chain
-    at delta = 0 draws nothing and accepts nothing. In self-check mode the sum
-    of a chain's accepted action changes must match its full-action difference
-    across the class.
+    stream, so its draws and bytes do not depend on its batch-mates. In
+    self-check mode the sum of a chain's accepted action changes must match
+    its full-action difference across the class.
     """
     states, buf = batch.states, batch.rows
     k = len(table.sites) // len(states)
@@ -403,10 +408,7 @@ def _update_class(batch, table):
     ds = _delta_s(batch, table, old, new)
     u = np.empty(len(ds))
     for c, s in enumerate(states):
-        if s.delta:
-            s.rng.random(out=u[c * k : c * k + k])
-        else:
-            u[c * k : c * k + k] = 1.0
+        s.rng.random(out=u[c * k : c * k + k])
     accept = u < np.exp(np.minimum(-ds, 0.0))
     buf[table.sites.compress(accept)] = new.compress(accept, axis=0)
     for c, action in before.items():
@@ -442,14 +444,12 @@ def _colour_classes(lat: Lattice):
 def metropolis_sweep(batch: ChainBatch) -> list:
     """One full-lattice sweep of single-site proposals of every chain of the batch.
 
-    Returns each chain's acceptance rate, in batch.states order. A chain at
-    delta = 0 proposes identities: it draws nothing and its rate is exactly 1.
+    Returns each chain's acceptance rate, in batch.states order.
     """
     if batch.classes is None:
         batch.classes = tuple(_site_table(batch, s) for s in _colour_classes(batch.lat))
     accepted = sum(_update_class(batch, table) for table in batch.classes)
-    return [1.0 if s.delta == 0.0 else int(a) / batch.lat.volume
-            for s, a in zip(batch.states, accepted)]
+    return [int(a) / batch.lat.volume for a in accepted]
 
 
 def gibbs_gauge_update(batch: ChainBatch):
@@ -619,18 +619,17 @@ def _run_batch(lat, models, g, sweeps, seed_seqs, thermalization=None, self_chec
     after the last sweep. Overflow is silent: at a subnormal g an infinite
     action change still decides the step, and the energy reads inf.
     """
-    states = [init_chain(lat, m, g, np.random.Generator(np.random.PCG64(seq)),
-                         self_check=self_check) for m, seq in zip(models, seed_seqs)]
+    batch = ChainBatch(lat, g, models, [np.random.Generator(np.random.PCG64(seq))
+                                        for seq in seed_seqs], self_check=self_check)
     therm = default_thermalization(sweeps) if thermalization is None else thermalization
     measurer = _Measurer(lat, g, min(4, min(lat.dims) // 2))
     names = measurer.names()
+    rows, copies, volume = batch.rows, len(batch.states), lat.volume
     try:  # before thermalization, so that a series too long to hold fails at once
-        data = [np.empty((sweeps, len(names))) for _ in states]
+        data = [np.empty((sweeps, len(names))) for _ in range(copies)]
     except (MemoryError, ValueError):
         raise McError(f"cannot allocate the series of {sweeps} sweeps") from None
 
-    batch = ChainBatch(states)
-    rows, copies, volume = batch.rows, len(states), lat.volume
     per_copy = rows.nbytes // copies
     snaps = np.empty((max(1, MEASURE_BLOCK_BYTES // per_copy),) + rows.shape, rows.dtype)
     with np.errstate(over="ignore"):
@@ -654,8 +653,9 @@ def _run_batch(lat, models, g, sweeps, seed_seqs, thermalization=None, self_chec
                     block = hopf_map(block.reshape(-1, 2)).reshape(k + 1, copies * volume, 3)
                 for c, series in enumerate(data):
                     series[i - k : i + 1] = measurer.measure(block[:, c * volume : (c + 1) * volume])
-    results = {
-        id(state): ChainResult(
+    results = [None] * copies
+    for c, (state, series) in enumerate(zip(batch.states, data)):
+        results[batch.order[c]] = ChainResult(
             model=state.model,
             dims=lat.dims,
             g=g,
@@ -667,9 +667,7 @@ def _run_batch(lat, models, g, sweeps, seed_seqs, thermalization=None, self_chec
             bin_size=chain_bin_size(sweeps),
             state=state,
         )
-        for c, (state, series) in enumerate(zip(batch.states, data))
-    }
-    return [results[id(state)] for state in states]
+    return results
 
 
 def _run_batch_task(args):

@@ -188,8 +188,8 @@ def measure(measurer, n):
 
 def run_chain_series(lat, model, g, sweeps, seed_seq, thermalization):
     """mc.run_chain's series, each sweep measured alone: hopf_map and measure per sweep."""
-    state = mc.init_chain(lat, model, g, np.random.Generator(np.random.PCG64(seed_seq)))
-    batch = mc.ChainBatch([state])
+    batch = mc.ChainBatch(lat, g, [model], [np.random.Generator(np.random.PCG64(seed_seq))])
+    (state,) = batch.states
     measurer = mc._Measurer(lat, g, min(4, min(lat.dims) // 2))
     rates = []
     for i in range(thermalization):

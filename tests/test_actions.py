@@ -223,11 +223,12 @@ def test_marginalization_random_links_match_closed_form():
 
 @pytest.mark.parametrize("g", [0.05, 0.5, 1.0, 2.0, 10.0])
 def test_adaptive_rule_matches_scipy_quad_on_marginalization_integrand(g):
+    # marginalize_gauge_numeric's window, b +- K sqrt(g) about the Gaussian mean
     span = actions.GAUGE_HALF_WIDTH * math.sqrt(g)
     for b in (-1.0, -0.3, 0.0, 0.7, 1.0):
-        lo, hi = min(-span, b - span), max(span, b + span)
+        lo, hi = b - span, b + span
         value, error = measure.gauss_legendre_quad(
-            lambda a: np.exp(-(a * a - 2.0 * a * b) / g), lo, hi, 1e-12
+            lambda a: np.exp(-(a * a - 2.0 * a * b) / g), lo, hi
         )
         ref, _ = integrate.quad(lambda a: math.exp(-(a * a - 2.0 * a * b) / g), lo, hi,
                                 epsabs=0.0, epsrel=1e-13, limit=200)
@@ -235,11 +236,24 @@ def test_adaptive_rule_matches_scipy_quad_on_marginalization_integrand(g):
         assert error <= 1e-12 * value
 
 
+@pytest.mark.parametrize("g", [1e-4, 0.05, 1.0, 100.0])
+def test_marginalization_matches_the_closed_form_in_one_pair(g):
+    # centred on its Gaussian mean, every (b, g) is the same integral in units
+    # of sqrt(g), which the one 64/128-point pair resolves; b = 0 is the one
+    # overlap that keeps b^2/g < 700 at g = 1e-4
+    for b in (-1.0, 0.0, 0.3, 1.0):
+        if b * b / g >= 700.0:
+            continue
+        res = marginalize_gauge_numeric(b, g)
+        assert abs(res.value - res.closed_form) <= 1e-12 * res.closed_form, (b, g)
+        assert res.tail_bound == res.closed_form * math.erfc(actions.GAUGE_HALF_WIDTH)
+
+
 def test_marginalization_raises_when_the_rule_does_not_converge(monkeypatch):
-    monkeypatch.setattr(actions, "gauss_legendre_quad", lambda f, lo, hi, tol: (1.0, 1e-6))
+    monkeypatch.setattr(actions, "gauss_legendre_quad", lambda f, lo, hi: (1.0, 1e-6))
     with pytest.raises(QuadratureError):
         marginalize_gauge_numeric(0.0, 1.0)
-    monkeypatch.setattr(actions, "gauss_legendre_quad", lambda *a: (math.nan, math.nan))
+    monkeypatch.setattr(actions, "gauss_legendre_quad", lambda f, lo, hi: (math.nan, math.nan))
     with pytest.raises(QuadratureError):
         marginalize_gauge_numeric(0.0, 1.0)
 

@@ -123,19 +123,9 @@ def test_colour_classes_are_proper(dims):
 
 def test_flat_target_accepts_everything():
     lat = build_lattice([4, 4])
-    batch = ChainBatch([init_chain(lat, "o3", 1e6, rng_of(0), delta=0.5)])
+    batch = ChainBatch(lat, 1e6, ["o3"], [rng_of(0)], delta=0.5)
     rates = [metropolis_sweep(batch)[0] for _ in range(10)]
     assert np.mean(rates) > 0.99
-
-
-def test_zero_width_proposal_is_identity():
-    lat = build_lattice([4, 4])
-    for model in ("o3", "cp1-reduced"):
-        state = init_chain(lat, model, 1.0, rng_of(1), delta=0.0)
-        before = state.matter.rows.copy()
-        rate = metropolis_sweep(ChainBatch([state]))[0]
-        assert rate == 1.0
-        assert np.array_equal(before, state.matter.rows)
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -143,7 +133,7 @@ def test_self_check_passes(model):
     # odd extents run three colour classes, 4x4 the two checkerboard parities
     for dims in ([3], [3, 4], [5, 5], [2, 3, 3], [4, 4]):
         lat = build_lattice(dims)
-        batch = ChainBatch([init_chain(lat, model, 0.8, rng_of(2), delta=0.7, self_check=True)])
+        batch = ChainBatch(lat, 0.8, [model], [rng_of(2)], delta=0.7, self_check=True)
         for _ in range(3):
             chain_sweep(batch)
 
@@ -152,8 +142,8 @@ def test_self_check_passes(model):
 def test_delta_s_matches_full_action_difference(model):
     for dims in ([2], [4, 4], [2, 2, 2]):
         lat = build_lattice(dims)
-        state = init_chain(lat, model, 0.7, rng_of(15), delta=1.5)
-        batch = ChainBatch([state])
+        batch = ChainBatch(lat, 0.7, [model], [rng_of(15)], delta=1.5)
+        (state,) = batch.states
         buf = batch.rows
         for site in range(lat.volume):
             table = mc._site_table(batch, np.array([site]))
@@ -168,13 +158,13 @@ def test_delta_s_matches_full_action_difference(model):
 @pytest.mark.parametrize("dims", [[2], [3, 5], [8, 8], [2, 3, 2]])
 def test_covariant_local_field_matches_the_overlap_kernels(dims):
     # the staple form of the cp1-gauged-reduced action change against the
-    # per-link kernels of the overlaps, for every colour class; init_chain
+    # per-link kernels of the overlaps, for every colour class; the batch
     # draws random spinors and then the gauge field by a Gibbs refresh
     lat = build_lattice(dims)
     for g, delta in ((0.35, 0.4), (1.3, 2.5)):
-        state = init_chain(lat, "cp1-gauged-reduced", g, rng_of(31), delta=delta)
+        batch = ChainBatch(lat, g, ["cp1-gauged-reduced"], [rng_of(31)], delta=delta)
+        (state,) = batch.states
         assert np.abs(state.gauge.a).min() > 0.0
-        batch = ChainBatch([state])
         for sites in mc._colour_classes(lat):
             table = mc._site_table(batch, sites)
             old = state.matter.rows.take(sites, axis=0)
@@ -187,7 +177,7 @@ def test_covariant_local_field_matches_the_overlap_kernels(dims):
 
 def test_self_check_aborts_on_bad_local_terms(monkeypatch):
     lat = build_lattice([4, 4])
-    batch = ChainBatch([init_chain(lat, "o3", 1.0, rng_of(3), delta=0.7, self_check=True)])
+    batch = ChainBatch(lat, 1.0, ["o3"], [rng_of(3)], delta=0.7, self_check=True)
     original = mc._delta_s
 
     def corrupted(b, table, old, new):
@@ -210,8 +200,8 @@ def test_serial_and_vectorized_paths_agree_statistically():
         lat = build_lattice(dims)
         means = []
         for sweep in (lambda b: metropolis_sweep(b)[0], sweep_site_by_site):
-            state = init_chain(lat, "o3", g, rng_of(11))
-            batch = ChainBatch([state])
+            batch = ChainBatch(lat, g, ["o3"], [rng_of(11)])
+            (state,) = batch.states
             rates = []
             for i in range(1000):
                 rates.append(sweep(batch))
@@ -235,8 +225,8 @@ def test_sweeps_keep_the_bits_of_the_fancy_index_reference(dims, model, monkeypa
     lat = build_lattice(dims)
     states, rates = [], []
     for reference in (False, True):
-        state = init_chain(lat, model, 0.7, rng_of(21), delta=1.0)
-        batch = ChainBatch([state])
+        batch = ChainBatch(lat, 0.7, [model], [rng_of(21)], delta=1.0)
+        (state,) = batch.states
         with monkeypatch.context() as m:
             if reference:
                 batch.classes = tuple(references.site_table(batch, sites)
@@ -262,8 +252,8 @@ def test_sweeps_keep_the_bits_of_the_fancy_index_reference(dims, model, monkeypa
 def test_gibbs_moments_constant_z():
     lat = build_lattice([10, 10])
     g = 1.3
-    state = init_chain(lat, "cp1-gauged-reduced", g, rng_of(4))
-    batch = ChainBatch([state])
+    batch = ChainBatch(lat, g, ["cp1-gauged-reduced"], [rng_of(4)])
+    (state,) = batch.states
     state.matter.data[:] = constant_spinor_field(lat).data
     samples = []
     for _ in range(500):
@@ -278,15 +268,16 @@ def test_gibbs_moments_constant_z():
 def test_gibbs_collapses_to_optimal_gauge_at_small_g():
     lat = build_lattice([4, 4])
     g = 1e-12
-    state = init_chain(lat, "cp1-gauged-reduced", g, rng_of(5))
-    gibbs_gauge_update(ChainBatch([state]))
+    batch = ChainBatch(lat, g, ["cp1-gauged-reduced"], [rng_of(5)])
+    (state,) = batch.states
+    gibbs_gauge_update(batch)
     astar = optimal_gauge(lat, state.matter).a
     assert np.abs(state.gauge.a - astar).max() < 1e-5
 
 
 def test_gibbs_requires_gauged_model():
     lat = build_lattice([4])
-    batch = ChainBatch([init_chain(lat, "cp1-reduced", 1.0, rng_of(6))])
+    batch = ChainBatch(lat, 1.0, ["cp1-reduced"], [rng_of(6)])
     with pytest.raises(McError):
         gibbs_gauge_update(batch)
 
@@ -387,8 +378,8 @@ def spy_blocks(monkeypatch):
 @pytest.mark.parametrize("model", MODELS)
 def test_block_rows_keep_the_bits_of_single_snapshots(dims, model):
     lat = build_lattice(dims)
-    state = init_chain(lat, model, 0.7, rng_of(41), delta=1.0)
-    batch = ChainBatch([state])
+    batch = ChainBatch(lat, 0.7, [model], [rng_of(41)], delta=1.0)
+    (state,) = batch.states
     snaps = []
     for _ in range(block_sweeps(lat, model) + 3):
         chain_sweep(batch)
@@ -481,11 +472,46 @@ def test_block_draws_keep_the_bits_of_shaped_draws():
 
 
 def test_a_batch_holds_one_row_type_at_one_coupling():
+    # the lattice and the coupling are the batch's own arguments; the row type
+    # is each model's
     lat = build_lattice([4])
-    for (m1, g1), (m2, g2) in [(("o3", 1.0), ("cp1-reduced", 1.0)),
-                               (("cp1-pullback", 1.0), ("cp1-reduced", 2.0))]:
-        with pytest.raises(McError, match="one row type on one lattice at one coupling"):
-            ChainBatch([init_chain(lat, m1, g1, rng_of(1)), init_chain(lat, m2, g2, rng_of(2))])
+    for models in (["o3", "cp1-reduced"], ["cp1-gauged-reduced", "o3", "o3"]):
+        with pytest.raises(McError, match="one row type"):
+            ChainBatch(lat, 1.0, models, [rng_of(i) for i in range(len(models))])
+
+
+def owner(a):
+    """The array that owns a's memory."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize("models", [MODELS[1:], MODELS[:0:-1], ["o3", "o3"]])
+def test_chain_fields_are_views_of_the_batch_buffers(models):
+    # the batch draws every start field into one buffer and refreshes every
+    # gauged chain's links into another; each state's fields are views of
+    # its copy's slices, and copy c holds the caller's chain order[c], with
+    # the bytes that chain has as a batch of one
+    lat = build_lattice([3, 4])
+    v = lat.volume
+    batch = ChainBatch(lat, 0.7, models, [rng_of(60 + i) for i in range(len(models))])
+    assert sorted(batch.order) == list(range(len(models)))
+    assert [s.model for s in batch.states] == [models[i] for i in batch.order]
+    assert [s.is_gauged for s in batch.states] == [c >= batch.n_plain for c in range(len(models))]
+    assert (batch.gauge is None) == (batch.n_plain == len(models))
+    for c, state in enumerate(batch.states):
+        assert owner(state.matter.rows) is batch.rows
+        assert np.shares_memory(state.matter.rows, batch.rows[c * v : (c + 1) * v])
+        assert state.matter.rows.tobytes() == batch.rows[c * v : (c + 1) * v].tobytes()
+        alone = init_chain(lat, state.model, 0.7, rng_of(60 + batch.order[c]))
+        assert state.matter.rows.tobytes() == alone.matter.rows.tobytes()
+        assert owner(alone.matter.rows).nbytes == alone.matter.rows.nbytes  # a batch of one
+        if state.is_gauged:
+            links = batch.gauge[(c - batch.n_plain) * v : (c + 1 - batch.n_plain) * v]
+            assert owner(state.gauge.a) is batch.gauge and np.shares_memory(state.gauge.a, links)
+            assert state.gauge.a.tobytes() == links.tobytes() == alone.gauge.a.tobytes()
+            assert owner(alone.gauge.a).nbytes == alone.gauge.a.nbytes
 
 
 def assert_same_chain(res, ref):
@@ -504,17 +530,19 @@ def assert_same_chain(res, ref):
 def test_a_chains_bytes_do_not_depend_on_its_batch(dims, self_check):
     # each chain alone, all five in their two batches, and the two batches in
     # two processes: two tuning windows, then measured sweeps; [3, 4] has
-    # three colour classes
+    # three colour classes. Reversed, the spinor batch's layout order is not
+    # the callers' order, so batch.order maps every result back
     lat = build_lattice(dims)
     kwargs = dict(thermalization=2 * mc.TUNE_WINDOW, self_check=self_check)
-    batched = run_chains(lat, MODELS, 0.6, 30, master_seed=19, **kwargs)
-    parallel = run_chains(lat, MODELS, 0.6, 30, master_seed=19, processes=2, **kwargs)
-    seqs = np.random.SeedSequence(19).spawn(len(MODELS))
-    for model, seq, res_batched, res_parallel in zip(MODELS, seqs, batched, parallel):
-        alone = run_chain(lat, model, 0.6, 30, seq, **kwargs)
-        assert alone.delta != mc.DELTA_START  # the chain's own tuning ran
-        assert_same_chain(res_batched, alone)
-        assert_same_chain(res_parallel, alone)
+    for models in (MODELS, MODELS[::-1]):
+        batched = run_chains(lat, models, 0.6, 30, master_seed=19, **kwargs)
+        parallel = run_chains(lat, models, 0.6, 30, master_seed=19, processes=2, **kwargs)
+        seqs = np.random.SeedSequence(19).spawn(len(models))
+        for model, seq, res_batched, res_parallel in zip(models, seqs, batched, parallel):
+            alone = run_chain(lat, model, 0.6, 30, seq, **kwargs)
+            assert alone.delta != mc.DELTA_START  # the chain's own tuning ran
+            assert_same_chain(res_batched, alone)
+            assert_same_chain(res_parallel, alone)
 
 
 def test_seed_determinism():
@@ -632,5 +660,5 @@ def test_gauged_pullback_refuses_a_coupling_its_gauge_squares_overflow(monkeypat
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for model, g in [(m, 1e300) for m in MODELS] + [("cp1-gauged-reduced", 1e308)]:
-            batch = ChainBatch([init_chain(lat, model, g, rng_of(15), delta=4.0)])
+            batch = ChainBatch(lat, g, [model], [rng_of(15)], delta=4.0)
             assert all(chain_sweep(batch) == [1.0] for _ in range(50)), (model, g)

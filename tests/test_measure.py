@@ -375,15 +375,15 @@ def test_adaptive_rule_matches_scipy_quad_on_one_site_integrands(lam):
         (lambda t: math.exp(-lam * math.cos(t)) * math.sin(t), 0.0, math.pi),
     )
     for f, lo, hi in cases:
-        value, error = measure.gauss_legendre_quad(np.vectorize(f), lo, hi, 1e-13)
+        value, error = measure.gauss_legendre_quad(np.vectorize(f), lo, hi)
         ref, _ = integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)
         assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
         assert error <= 1e-13 * abs(value)
 
 
 def test_adaptive_rule_never_claims_unreached_convergence():
-    # 1/sqrt(x) needs far more halvings toward 0 than the panel limit allows
-    value, error = measure.gauss_legendre_quad(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, 1e-14)
+    # 1/sqrt(x) is singular at 0: the 64/128-point pair does not resolve it
+    value, error = measure.gauss_legendre_quad(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0)
     assert error > 1e-14 * abs(value)
     # the estimate has the size of the true error (Q_2n converges slowly here too)
     assert error / 2.0 < abs(value - 2.0) < 2.0 * error
