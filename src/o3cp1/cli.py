@@ -20,13 +20,11 @@ compare  runs chains of different models at the same coupling and gates the
          acceptance tests c09 and c10 call them too.
 
 One table, OPTIONS, declares each option of each command once: its parser
-(with the value's bounds), default and help. An option is the flag --NAME or
-the key NAME of a JSON config file (--config FILE); the flag overrides the
-file, the file the default, and both go through the same parser. Each
-command's --tol accepts only the tolerances that command reads: the CHECKS
-tolerances for verify, sigma for compare. A bad value, a bad config file and
-argparse's own errors all end in one `error:` line and exit code 2. Every
-output embeds the effective configuration and seed.
+(with the value's bounds), default and help. An option is given as the flag
+--NAME, else it takes its default. verify's tolerances are the CHECKS
+defaults, and the report records them; compare's --tol sets its gate, sigma.
+A bad value and argparse's own errors both end in one `error:` line and exit
+code 2. Every output embeds the effective configuration and seed.
 CSV schemas, written by fields.write_csv from one part per chain and observable:
   sample   columns sweep, observable, value
   compare  columns chain, sweep, observable, value
@@ -37,7 +35,7 @@ import json
 import math
 import os
 import sys
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -70,15 +68,9 @@ class UsageError(ValueError):
     pass
 
 
-class FixedToleranceError(O3CP1Error, ValueError):
-    """An explicit tolerance for a check whose tolerance is fixed."""
-
-
 # --- option parsers ------------------------------------------------------------
 #
-# Each takes one value, a flag's string or a config file's JSON value, and
-# returns it validated or raises UsageError. A config file may give a number
-# as a JSON number or as a string; a JSON boolean is never a number.
+# Each takes a flag's string and returns its value validated, or raises UsageError.
 
 
 def _invalid(name, value, rule):
@@ -86,16 +78,12 @@ def _invalid(name, value, rule):
 
 
 def _number(name, kind, minimum, strict=False):
-    """Parser of a finite int or float >= minimum (> if strict); an int may come as 30.0."""
-    def parse(value):
-        if kind is int and isinstance(value, float) and value.is_integer():
-            value = int(value)
+    """Parser of a finite int or float >= minimum (> if strict)."""
+    def parse(text):
         try:
-            if isinstance(value, bool) or not isinstance(value, (str, int, kind)):
-                raise ValueError
-            number = kind(value)
-        except (ValueError, OverflowError):
-            raise _invalid(name, value, "an integer" if kind is int else "a number") from None
+            number = kind(text)
+        except ValueError:
+            raise _invalid(name, text, "an integer" if kind is int else "a number") from None
         if not (abs(number) < math.inf and (number > minimum if strict else number >= minimum)):
             finite = "finite and " if kind is float else ""
             raise _invalid(name, number, f"{finite}{'>' if strict else '>='} {minimum}")
@@ -103,21 +91,18 @@ def _number(name, kind, minimum, strict=False):
     return parse
 
 
-def _typed(name, kind, known=None):
-    """Parser of a string (one of `known`, if given) or, kind bool, a JSON boolean."""
-    def parse(value):
-        if not isinstance(value, kind):
-            raise _invalid(name, value, "true or false" if kind is bool else "a string")
-        if known is not None and value not in known:
-            raise _invalid(name, value, "one of: " + ", ".join(known))
-        return value
+def _choice(name, known):
+    """Parser of one of the strings `known`."""
+    def parse(text):
+        if text not in known:
+            raise _invalid(name, text, "one of: " + ", ".join(known))
+        return text
     return parse
 
 
 def _parse_dims(text):
-    parts = _typed("dims", str)(text).lower().split("x")
     try:
-        dims = [int(part) for part in parts]
+        dims = [int(part) for part in text.lower().split("x")]
     except ValueError:
         raise _invalid("dims", text, "extents joined by x, e.g. 8x8") from None
     if any(d < 2 for d in dims):
@@ -126,15 +111,8 @@ def _parse_dims(text):
 
 
 def _tolerances(known):
-    """Parser of NAME=VALUE overrides of the tolerances named in `known`.
-
-    Takes repeated flags, or one string or a list of them from a file.
-    """
+    """Parser of the NAME=VALUE overrides, one per repeated flag, of the tolerances in `known`."""
     def parse(pairs):
-        if isinstance(pairs, str):
-            pairs = [pairs]
-        if not isinstance(pairs, list) or not all(isinstance(p, str) for p in pairs):
-            raise _invalid("tol", pairs, "NAME=VALUE or a list of them")
         out = {}
         for item in pairs:
             if "=" not in item:
@@ -149,7 +127,7 @@ def _tolerances(known):
 
 def _parse_model(value):
     """A model tag; the plain cp1-gauged names the covariant action, cp1-gauged-reduced."""
-    model = _typed("model", str, CLI_MODELS)(value)
+    model = _choice("model", CLI_MODELS)(value)
     return "cp1-gauged-reduced" if model == "cp1-gauged" else model
 
 
@@ -295,12 +273,11 @@ def _check_measure_constant(rng, tol):
 
 
 def _check_reduction_stages(rng, tol):
-    """Reads RATIO_TOL, which --tol cannot name; run_check refuses an explicit `tol`."""
     points = measure.random_sphere_points(rng, 5, min_q=0.55, max_abs_nz=0.8)
     ratios = np.array([measure.reduction_consistency(p) for p in points])  # point, stage, width
     gaps = np.abs(ratios / measure.HALF_PI - 1.0).max(axis=(0, 2)).tolist()
     return _ratio_row({"points": len(points), "eps_ladder": list(measure.STAGE_LADDER)},
-                      ratios, RATIO_TOL, {"stage_max_rel_gap": dict(zip(measure.STAGES, gaps))})
+                      ratios, tol, {"stage_max_rel_gap": dict(zip(measure.STAGES, gaps))})
 
 
 def _check_pushforward(rng, tol):
@@ -327,7 +304,7 @@ def _check_prefactor(rng, tol):
 
 class Check(NamedTuple):
     run: Callable  # (rng, tol) -> report row without "name"
-    tolerance: Optional[float]  # default; None: the check sets its own, not overridable
+    tolerance: float  # run_check's default
     stream: int  # verify draws from SeedSequence([seed, stream]); 0: draws nothing
 
 
@@ -338,36 +315,27 @@ CHECKS = {
     "marginalization": Check(_check_marginalization, 1e-8, 3),
     "one-site-ratio": Check(_check_one_site_ratio, 1e-6, 0),
     "measure-constant": Check(_check_measure_constant, RATIO_TOL, 4),  # relative to pi/2
-    "reduction-stages": Check(_check_reduction_stages, None, 5),
+    "reduction-stages": Check(_check_reduction_stages, RATIO_TOL, 5),  # relative to pi/2
     "pushforward": Check(_check_pushforward, 1e-13, 6),  # worst absolute moment gap
     "prefactor": Check(_check_prefactor, 1e-12, 0),
 }
 SUITES = tuple(CHECKS)
-# the tolerances --tol can set: verify's per check, compare's one gate
-VERIFY_TOLERANCES = {name: c.tolerance for name, c in CHECKS.items() if c.tolerance is not None}
-COMPARE_TOLERANCES = {"sigma": 3.0}  # in combined standard errors
+COMPARE_TOLERANCES = {"sigma": 3.0}  # compare's --tol: its gate, in combined standard errors
 
 
 def run_check(name, rng, tol=None) -> dict:
-    """Report row of check `name` on inputs drawn from `rng`; tol None: its default.
-
-    FixedToleranceError for an explicit tol when the check's tolerance is fixed.
-    """
+    """Report row of check `name` on inputs drawn from `rng`; tol None: its default."""
     check = CHECKS[name]
-    if tol is not None and check.tolerance is None:
-        raise FixedToleranceError(f"check {name} has a fixed tolerance; it takes no tol")
     return {"name": name, **check.run(rng, check.tolerance if tol is None else tol)}
 
 
 def run_verify(opts) -> tuple:
     """Report and exit code of the checks opts["suite"] names; opts as from _options."""
     suite, seed = opts["suite"], opts["seed"]
-    tol = dict(VERIFY_TOLERANCES, **opts["tol"])
-
     checks = []
     for name in SUITES if suite == "all" else (suite,):
         rng = np.random.default_rng(np.random.SeedSequence([seed, CHECKS[name].stream]))
-        checks.append(run_check(name, rng, tol.get(name)))
+        checks.append(run_check(name, rng))
     passed = all(c["pass"] for c in checks)
     report = {
         "command": "verify",
@@ -375,7 +343,7 @@ def run_verify(opts) -> tuple:
             "suite": suite,
             "seed": seed,
             "eps_ladder": list(measure.EPS_LADDER),
-            "tolerances": tol,
+            "tolerances": {name: check.tolerance for name, check in CHECKS.items()},
         },
         "checks": checks,
         "passed": passed,
@@ -539,8 +507,8 @@ def run_compare(opts) -> tuple:
 
 
 class Option(NamedTuple):
-    parse: Callable  # flag string or config-file JSON value -> validated value
-    default: object  # when neither gives the option; REQUIRED: one must
+    parse: Callable  # flag string -> validated value
+    default: object  # when the flag is not given; REQUIRED: it must be
     help: str
     action: str = "store"  # argparse action of the flag
 
@@ -552,25 +520,16 @@ _THERMALIZATION = Option(_number("thermalization", int, 0), None,
                          "sweeps before measuring (default: the chain's own)")
 _SEED = Option(_number("seed", int, 0), REQUIRED, "master seed, an integer >= 0 (required)")
 _SWEEPS = Option(_number("sweeps", int, 1), None, "measured sweeps")
-_OUT_PREFIX = Option(_typed("out-prefix", str), None, "output file prefix")
+_OUT_PREFIX = Option(str, None, "output file prefix")
 
 
-def _tol(defaults):
-    """The --tol option of a command whose tolerances and their defaults are `defaults`."""
-    names = ", ".join(f"{name} ({value:g})" for name, value in defaults.items())
-    return Option(_tolerances(defaults), {}, f"tolerance override NAME=VALUE (repeatable); "
-                  f"NAME (default) one of: {names}", "append")
-
-
-# Every option of every command, in validation order. The flag --NAME and the
-# config-file key NAME give the same value to the same parser.
+# Every option of every command, in validation order.
 OPTIONS = {
     "verify": {
-        "suite": Option(_typed("suite", str, ("all",) + SUITES), "all",
+        "suite": Option(_choice("suite", ("all",) + SUITES), "all",
                         "all (default) or one of: " + ", ".join(SUITES)),
         "seed": _SEED._replace(default=0, help="seed for randomized check inputs (default 0)"),
-        "tol": _tol(VERIFY_TOLERANCES),
-        "out": Option(_typed("out", str), "report.json", "JSON report path (default report.json)"),
+        "out": Option(str, "report.json", "JSON report path (default report.json)"),
     },
     "sample": {
         "model": Option(_parse_model, "o3", ", ".join(CLI_MODELS) + " (default o3)"),
@@ -579,7 +538,7 @@ OPTIONS = {
         "sweeps": _SWEEPS._replace(default=10000),
         "thermalization": _THERMALIZATION,
         "seed": _SEED,
-        "self-check": Option(_typed("self-check", bool), False,
+        "self-check": Option(bool, False,
                              "check every accepted local action change", "store_true"),
         "out-prefix": _OUT_PREFIX._replace(default="sample"),
     },
@@ -589,11 +548,12 @@ OPTIONS = {
         "sweeps": _SWEEPS._replace(default=50000),
         "thermalization": _THERMALIZATION,
         "seed": _SEED,
-        "regime": Option(_typed("regime", str, tuple(REGIMES)), "pullback",
+        "regime": Option(_choice("regime", tuple(REGIMES)), "pullback",
                          "pullback (default), reduced, or both"),
         "threads": Option(_number("threads", int, 1), 1,
                           "processes for the o3 and spinor chain batches (default 1)"),
-        "tol": _tol(COMPARE_TOLERANCES),
+        "tol": Option(_tolerances(COMPARE_TOLERANCES), {},
+                      "gate in combined standard errors, as sigma=VALUE (default 3)", "append"),
         "out-prefix": _OUT_PREFIX._replace(default="compare"),
     },
 }
@@ -604,30 +564,13 @@ COMMAND_HELP = {
 }
 
 
-def _load_config(path, command):
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from None
-    if not isinstance(data, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
-    for key in data:
-        if key not in OPTIONS[command]:
-            raise UsageError(f"unknown config key {key!r} for command {command}")
-    return data
-
-
 def _options(args) -> dict:
-    """Validated value of every option of args.command: flag over config file over default."""
-    given = _load_config(args.config, args.command) if args.config else {}
+    """Validated value of every option of args.command: the flag's, else the default."""
     opts = {}
     for name, option in OPTIONS[args.command].items():
         flag = getattr(args, name.replace("-", "_"))
         if flag is not None:
-            given[name] = flag
-        if name in given:
-            opts[name] = option.parse(given[name])
+            opts[name] = option.parse(flag)
         elif option.default is REQUIRED:
             raise UsageError(f"missing required option: {name} (reproducibility contract)")
         else:
@@ -654,9 +597,8 @@ def build_parser():
     for command, options in OPTIONS.items():
         p = sub.add_parser(command, help=COMMAND_HELP[command])
         for name, option in options.items():
-            # no type=: the value goes to option.parse, as a config-file value does
+            # no type=: argparse would replace option.parse's message with its own
             p.add_argument(f"--{name}", action=option.action, default=None, help=option.help)
-        p.add_argument("--config", help="JSON config file keyed by the flag names; flags win")
     return parser
 
 

@@ -105,25 +105,17 @@ class GaugeField:
 
 
 def hopf_map(z):
-    """Map unit spinor(s) to unit 3-vector(s): n = z^dag sigma z.
-
-    Accepts a single complex pair, an (N, 2) complex array, or a CP1Field.
-    """
-    if isinstance(z, CP1Field):
-        z = z.z
-    z = np.asarray(z, dtype=complex)
-    single = z.ndim == 1
-    z = np.atleast_2d(z)
+    """Map unit spinors to unit 3-vectors, n = z^dag sigma z: (N, 2) complex to (N, 3)."""
     re2, im2 = z.real**2, z.imag**2
     sq = re2 + im2  # |z1|^2, |z2|^2
-    if np.abs(sq.sum(axis=-1) - 1.0).max() > 1e-9:
+    if np.abs(sq.sum(axis=1) - 1.0).max() > 1e-9:
         raise FieldError("hopf_map requires unit spinors (|z| = 1 within 1e-9)")
-    w = np.conj(z[..., 0]) * z[..., 1]
-    n = np.empty(z.shape[:-1] + (3,), dtype=float)
-    n[..., 0] = 2.0 * w.real
-    n[..., 1] = 2.0 * w.imag
-    n[..., 2] = sq[..., 0] - re2[..., 1] - im2[..., 1]
-    return n[0] if single else n
+    w = np.conj(z[:, 0]) * z[:, 1]
+    n = np.empty((len(z), 3))
+    n[:, 0] = 2.0 * w.real
+    n[:, 1] = 2.0 * w.imag
+    n[:, 2] = sq[:, 0] - re2[:, 1] - im2[:, 1]
+    return n
 
 
 def jacobian_polar(r, s):

@@ -670,11 +670,6 @@ def _run_batch(lat, models, g, sweeps, seed_seqs, thermalization=None, self_chec
     return results
 
 
-def _run_batch_task(args):
-    lat, models, g, sweeps, seed_seqs, kwargs = args
-    return _run_batch(lat, models, g, sweeps, seed_seqs, **kwargs)
-
-
 def run_chains(lat, models, g, sweeps, master_seed, processes=1, **kwargs):
     """Run one chain per model tag: the o3 chains as one batch, the spinor chains as another.
 
@@ -689,15 +684,17 @@ def run_chains(lat, models, g, sweeps, master_seed, processes=1, **kwargs):
     batches = {}  # row type -> indices of its chains
     for i, model in enumerate(models):
         batches.setdefault(model == "o3", []).append(i)
-    tasks = [(lat, [models[i] for i in idx], g, sweeps, [seqs[i] for i in idx], kwargs)
-             for idx in batches.values()]
+    tasks = [([models[i] for i in idx], [seqs[i] for i in idx]) for idx in batches.values()]
     if processes <= 1 or len(tasks) == 1:
-        done = [_run_batch_task(t) for t in tasks]
+        done = [_run_batch(lat, batch, g, sweeps, batch_seqs, **kwargs)
+                for batch, batch_seqs in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(processes, len(tasks))) as pool:
-            done = list(pool.map(_run_batch_task, tasks))
+            futures = [pool.submit(_run_batch, lat, batch, g, sweeps, batch_seqs, **kwargs)
+                       for batch, batch_seqs in tasks]
+            done = [future.result() for future in futures]
     results = [None] * len(models)
     for idx, batch_results in zip(batches.values(), done):
         for i, result in zip(idx, batch_results):

@@ -199,7 +199,7 @@ def run_chain_series(lat, model, g, sweeps, seed_seq, thermalization):
     rows = []
     for _ in range(sweeps):
         mc.chain_sweep(batch)
-        rows.append(measure(measurer, state.matter.n if model == "o3" else hopf_map(state.matter)))
+        rows.append(measure(measurer, state.matter.n if model == "o3" else hopf_map(state.matter.z)))
     data = np.array(rows)
     return {name: data[:, j] for j, name in enumerate(measurer.names())}
 

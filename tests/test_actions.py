@@ -288,7 +288,7 @@ def test_pullback_action_equals_o3_of_hopf():
     rng = np.random.default_rng(7)
     lat = build_lattice([4, 3])
     zf = CP1Field.random(lat, rng)
-    spin = SpinField(hopf_map(zf))
+    spin = SpinField(hopf_map(zf.z))
     assert action_o3_pullback(lat, zf, 1.3) == pytest.approx(
         action_o3(lat, spin, 1.3), abs=1e-12
     )

@@ -4,10 +4,11 @@ perfbench/run.py runs fixed `o3cp1` command lines, and times set-up with
 perfbench/probes.py, which initialises chains through mc.init_chain. A CLI
 change that drops or renames an option they use, or an mc change that breaks
 the probe, would otherwise show only as a failed benchmark run; here it fails
-a test instead.
+a test instead. README.md's CLI examples are held to the same rule.
 """
 
 import importlib.util
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from pathlib import Path
 from o3cp1 import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+README = PERFBENCH.parent / "README.md"
 
 
 def load_run(monkeypatch):
@@ -35,6 +37,15 @@ def test_every_benchmark_command_parses(monkeypatch):
         for _, argv in commands:
             # an unknown flag exits through the parser, a bad value raises UsageError
             cli._options(parser.parse_args(argv))
+
+
+def test_every_readme_cli_example_parses():
+    examples = [shlex.split(line)[1:] for line in README.read_text().splitlines()
+                if line.startswith("o3cp1 ")]
+    assert examples
+    parser = cli.build_parser()
+    for argv in examples:
+        cli._options(parser.parse_args(argv))
 
 
 def test_every_set_up_probe_runs(monkeypatch, cli_env, tmp_path):

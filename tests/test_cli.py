@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from o3cp1 import actions, cli, measure
-from o3cp1.errors import O3CP1Error
 from o3cp1.mc import LAW, two_site_exact
 
 
@@ -80,16 +79,13 @@ def test_parse_dims_and_eps():
 
 
 def test_tolerance_override_parsing():
-    verify_tol, compare_tol = (cli.OPTIONS[c]["tol"].parse for c in ("verify", "compare"))
-    assert verify_tol(["jacobian=1e-5"]) == {"jacobian": 1e-5}
-    # pushforward's is an absolute moment gap, like every other bound >= 0
-    assert verify_tol(["pushforward=0", "pushforward=1.5"]) == {"pushforward": 1.5}
-    assert compare_tol("sigma=6") == {"sigma": 6.0}
-    # each command names only the tolerances it reads
-    for parse, item in ((verify_tol, "sigma=4"), (compare_tol, "jacobian=5"),
-                        (verify_tol, "nope=1"), (verify_tol, "jacobian")):
+    compare_tol = cli.OPTIONS["compare"]["tol"].parse
+    assert compare_tol(["sigma=6"]) == {"sigma": 6.0}
+    assert compare_tol(["sigma=0", "sigma=1.5"]) == {"sigma": 1.5}  # the last flag wins
+    # compare names only the tolerance it reads
+    for item in ("jacobian=5", "nope=1", "sigma"):
         with pytest.raises(cli.UsageError):
-            parse([item])
+            compare_tol([item])
 
 
 def test_cli_error_check_rejects_interpreter_failure():
@@ -117,23 +113,11 @@ def test_sample_requires_seed(tmp_path, cli_env):
     assert_cli_error(proc, 2, "seed")
 
 
-def test_unknown_config_key_named(tmp_path, cli_env):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"model": "o3", "volume": 3}))
-    proc = run_cli(["sample", "--config", str(cfg), "--seed", "1"], tmp_path, cli_env)
-    assert_cli_error(proc, 2, "volume")
-    # verify has no threads option; the key is rejected like any other unknown one
-    cfg.write_text(json.dumps({"suite": "prefactor", "threads": 2}))
-    proc = run_cli(["verify", "--config", str(cfg)], tmp_path, cli_env)
-    assert_cli_error(proc, 2, "threads")
-
-
 @pytest.mark.parametrize(
     "args, code, fragment",
     [
-        # verify has no eps option and sample no delta0, and each command refuses
-        # a tolerance it does not read; these cases recur below, from a flag or
-        # a config file
+        # verify has no eps option and sample no delta0, and compare refuses a
+        # tolerance it does not read
         (["verify", "--suite", "measure-constant", "--eps", "0.1,0.05,0.025"], 2,
          "unrecognized arguments: --eps"),
         (["sample", "--dims", "2", "--seed", "1", "--sweeps", "0"], 2, "sweeps"),
@@ -142,35 +126,9 @@ def test_unknown_config_key_named(tmp_path, cli_env):
          "thermalization"),
         (["compare", "--dims", "2", "--seed", "1", "--tol", "sigma=abc"], 2,
          "tolerance sigma"),
-        (["verify", "--suite", "prefactor", {"eps": [0.1, 0.05, 0.025]}], 2, "eps"),
-        (["sample", "--dims", "2", "--seed", "1", {"delta0": 0.5}], 2, "delta0"),
-        (["sample", "--dims", "2", "--seed", "1", {"sweeps": 30.7}], 2, "sweeps: 30.7"),
-        (["sample", "--dims", "2", "--seed", "1", {"sweeps": True}], 2, "sweeps: True"),
-        (["sample", "--dims", "2", "--seed", "1", {"g": True}], 2, "g: True"),
-        (["verify", "--suite", "prefactor", {"tol": 5}], 2, "tol: 5"),
-        (["verify", "--suite", "prefactor", {"tol": ["prefactor=1e-3", 5]}], 2, "tol"),
-        (["sample", "--dims", "2", "--seed", "1", {"self-check": "false"}], 2,
-         "self-check: 'false'"),
-        (["verify", {"suite": ["jacobian"]}], 2, "suite: ['jacobian']"),
-        (["verify", "--suite", "prefactor", {"out": True}], 2, "out: True"),
-        (["verify", "--suite", "prefactor", {"out": 5}], 2, "out: 5"),
-        (["sample", "--dims", "2", "--seed", "1", {"out-prefix": True}], 2,
-         "out-prefix: True"),
-        (["sample", "--seed", "1", {"model": 3}], 2, "model: 3"),
-        (["compare", "--dims", "2", "--seed", "1", {"regime": None}], 2, "regime: None"),
-        (["sample", "--seed", "1", {"dims": 8}], 2, "dims: 8"),
-        # a tolerance that would make its check meaningless
-        (["verify", "--suite", "pushforward", "--tol", "pushforward=-1e-13"], 2,
-         "tolerance pushforward: -1e-13"),
-        (["verify", "--suite", "pushforward", "--tol", "pushforward=nan"], 2,
-         "tolerance pushforward: nan"),
-        (["verify", "--suite", "prefactor", "--tol", "prefactor=-1"], 2,
-         "tolerance prefactor: -1.0"),
-        (["verify", "--suite", "jacobian", "--tol", "jacobian=inf"], 2,
-         "tolerance jacobian: inf"),
+        # a gate that would make the comparison meaningless
         (["compare", "--dims", "2", "--seed", "1", "--tol", "sigma=nan"], 2,
          "tolerance sigma: nan"),
-        # flags go through the same parsers as config-file values
         (["sample", "--dims", "2", "--seed", "1", "--sweeps", "abc"], 2, "sweeps: 'abc'"),
         (["sample", "--dims", "2", "--seed", "1", "--sweeps", "30.7"], 2, "sweeps: '30.7'"),
         (["verify", "--suite", "prefactor", "--seed", "abc"], 2, "seed: 'abc'"),
@@ -179,33 +137,27 @@ def test_unknown_config_key_named(tmp_path, cli_env):
         (["sample", "--dims", "2", "--seed", "1", "--g", "inf"], 2, "g: inf"),
         (["sample", "--dims", "2", "--seed", "1", "--delta0", "0.5"], 2,
          "unrecognized arguments: --delta0"),
-        (["verify", "--suite", "prefactor", "--tol", "sigma=4"], 2, "unknown tolerance 'sigma'"),
         (["compare", "--dims", "2", "--seed", "1", "--tol", "jacobian=5"], 2,
          "unknown tolerance 'jacobian'"),
         (["compare", "--dims", "2", "--seed", "1", "--threads", "0"], 2, "threads: 0"),
         (["sample", "--dims", "2", "--seed", "1", "--volume", "3"], 2, "--volume"),
-        (["verify", "--config", "missing.json"], 2, "missing.json"),
         (["verify", "--suite", "prefactor", "--out", "no/such/dir/r.json"], 1, "no/such/dir"),
-        (["verify", "--suite", "prefactor", {"tol": "sigma=4"}], 2, "unknown tolerance 'sigma'"),
-        (["compare", "--dims", "2", "--seed", "1", {"tol": ["jacobian=5"]}], 2,
-         "unknown tolerance 'jacobian'"),
         # lattices whose tables numpy refuses outright: nothing is allocated
         (["sample", "--dims", "4294967296x4294967296", "--seed", "1"], 1,
          "18446744073709551616 sites"),
         (["sample", "--dims", "3000000000x3000000000", "--seed", "1"], 1,
          "9000000000000000000 sites"),
+        # options are flags only, and verify's tolerances are fixed
+        (["verify", "--config", "x.json"], 2, "unrecognized arguments: --config"),
+        (["sample", "--dims", "2", "--seed", "1", "--config", "x.json"], 2,
+         "unrecognized arguments: --config"),
+        (["verify", "--tol", "jacobian=1"], 2, "unrecognized arguments: --tol"),
+        (["compare", "--dims", "2", "--seed", "1", "--tol", "sigma=-1"], 2,
+         "tolerance sigma: -1.0"),
     ],
 )
 def test_domain_errors_are_one_line(tmp_path, cli_env, args, code, fragment):
-    argv = []
-    for arg in args:
-        if isinstance(arg, dict):  # the contents of a config file
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps(arg))
-            argv += ["--config", str(cfg)]
-        else:
-            argv.append(arg)
-    proc = run_cli(argv, tmp_path, cli_env)
+    proc = run_cli(args, tmp_path, cli_env)
     assert_cli_error(proc, code, fragment)
 
 
@@ -246,68 +198,35 @@ def test_compare_refuses_an_unresolved_two_site_reference_before_sampling(tmp_pa
     assert list(tmp_path.iterdir()) == []
 
 
-# a valid value of every option, not its default: (flag string, config-file JSON value);
-# a None flag string is a flag that takes no value. A (command, name) key gives
-# the value for one command.
+# a valid flag string of every option, not its default; None is a flag that takes no value
 VALID_VALUES = {
-    "suite": ("prefactor", "prefactor"),
-    "seed": ("12", 12),
-    ("verify", "tol"): ("prefactor=1e-3", "prefactor=1e-3"),
-    ("compare", "tol"): ("sigma=4", "sigma=4"),
-    "out": ("r.json", "r.json"),
-    "model": ("cp1-gauged", "cp1-gauged"),
-    "dims": ("4x6", "4x6"),
-    "g": ("0.5", 0.5),
-    "sweeps": ("500", 500),
-    "thermalization": ("7", 7.0),
-    "self-check": (None, True),
-    "out-prefix": ("run", "run"),
-    "regime": ("both", "both"),
-    "threads": ("2", 2),
+    "suite": "prefactor",
+    "seed": "12",
+    "tol": "sigma=4",
+    "out": "r.json",
+    "model": "cp1-gauged",
+    "dims": "4x6",
+    "g": "0.5",
+    "sweeps": "500",
+    "thermalization": "7",
+    "self-check": None,
+    "out-prefix": "run",
+    "regime": "both",
+    "threads": "2",
 }
 
 
 @pytest.mark.parametrize(
     "command, name", [(c, n) for c, options in cli.OPTIONS.items() for n in options]
 )
-def test_flag_and_config_file_take_one_path(tmp_path, command, name):
+def test_flag_and_config_file_take_one_path(command, name):
+    # every option parses a valid flag to a value that is not its default;
     # runs no chain: only the parser and the option table
-    flag, file_value = VALID_VALUES.get((command, name)) or VALID_VALUES[name]
+    flag = VALID_VALUES[name]
     seed = ["--seed", "1"] if name != "seed" else []
-    parser = cli.build_parser()
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({name: file_value}))
-    from_flag = cli._options(parser.parse_args(
-        [command, *seed, f"--{name}", *([] if flag is None else [flag])]
-    ))
-    from_file = cli._options(parser.parse_args([command, *seed, "--config", str(cfg)]))
-    assert from_flag == from_file
-    assert from_flag[name] != cli.OPTIONS[command][name].default
-
-
-def test_malformed_config_file_is_one_line(tmp_path, cli_env):
-    (tmp_path / "bad.json").write_text("{suite: prefactor}")
-    proc = run_cli(["verify", "--config", "bad.json"], tmp_path, cli_env)
-    assert_cli_error(proc, 2, "bad.json")
-
-
-def test_flags_override_config_file(tmp_path, cli_env):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(
-        json.dumps(
-            {"model": "o3", "dims": "2", "g": 2.0, "sweeps": 500,
-             "thermalization": 100, "seed": 9}
-        )
-    )
-    proc = run_cli(
-        ["sample", "--config", str(cfg), "--g", "1.5", "--out-prefix", "s"],
-        tmp_path,
-        cli_env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    summary = json.loads((tmp_path / "s_summary.json").read_text())
-    assert summary["config"]["g"] == 1.5  # flag wins
-    assert summary["config"]["sweeps"] == 500  # file value survives
+    argv = [command, *seed, f"--{name}", *([] if flag is None else [flag])]
+    opts = cli._options(cli.build_parser().parse_args(argv))
+    assert opts[name] != cli.OPTIONS[command][name].default
 
 
 @pytest.mark.parametrize("name", list(cli.CHECKS))
@@ -318,29 +237,12 @@ def test_verify_suite_filter(tmp_path, cli_env, name):
     [row] = report["checks"]
     assert row["name"] == name
     assert report["passed"] is True
-    default = cli.CHECKS[name].tolerance
-    if default is None:  # the check sets its own tolerance, which --tol cannot name
-        assert name not in report["config"]["tolerances"]
-    else:
-        assert report["config"]["tolerances"][name] == default == row["tolerance"]
+    assert report["config"]["tolerances"][name] == cli.CHECKS[name].tolerance == row["tolerance"]
 
 
 def test_verify_unknown_suite(tmp_path, cli_env):
     proc = run_cli(["verify", "--suite", "spectral"], tmp_path, cli_env)
     assert_cli_error(proc, 2, "spectral")
-
-
-def test_verify_fails_but_writes_report(tmp_path, cli_env):
-    proc = run_cli(
-        ["verify", "--suite", "jacobian", "--tol", "jacobian=1e-30",
-         "--out", "r.json"],
-        tmp_path,
-        cli_env,
-    )
-    assert proc.returncode == 1
-    report = json.loads((tmp_path / "r.json").read_text())
-    assert report["passed"] is False
-    assert report["checks"][0]["tolerance"] == 1e-30
 
 
 @pytest.mark.parametrize("factor", [lambda eps: 1.0 + 3.0 * eps**2, lambda eps: 1.02,
@@ -423,6 +325,17 @@ def test_every_verify_row_fails_its_named_mutant(monkeypatch, name):
     assert not row["pass"], row
 
 
+def test_verify_fails_but_writes_report(tmp_path, monkeypatch, capsys):
+    module, function, mutant = ROW_MUTANTS["jacobian"]
+    monkeypatch.setattr(module, function, mutant(getattr(module, function)))
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "--suite", "jacobian", "--out", str(out)]) == 1
+    assert "[FAIL] jacobian" in capsys.readouterr().out
+    report = json.loads(out.read_text())
+    assert report["passed"] is False
+    assert report["checks"][0]["tolerance"] == cli.CHECKS["jacobian"].tolerance
+
+
 def test_pushforward_passes_at_every_seed():
     # the two KS tests it replaced failed at 8 of these seeds, 4 and 13 among them
     for seed in range(200):
@@ -439,13 +352,14 @@ def test_pushforward_fails_the_hopf_mutants_at_every_seed(monkeypatch, mutant):
         assert not row["pass"], seed
 
 
-def test_reduction_stages_refuses_an_explicit_tolerance():
-    # its tolerance is fixed at RATIO_TOL; a tol passed in was once dropped silently
-    with pytest.raises(cli.FixedToleranceError, match="reduction-stages") as refused:
-        cli.run_check("reduction-stages", np.random.default_rng(0), 1e-3)
-    assert isinstance(refused.value, O3CP1Error) and "\n" not in str(refused.value)
-    row = cli.run_check("reduction-stages", np.random.default_rng(0))
-    assert row["tolerance"] == cli.RATIO_TOL and row["pass"]
+def test_reduction_stages_honours_the_tolerance_it_is_given(monkeypatch):
+    # a tol passed in was once dropped silently: the row read RATIO_TOL whatever it was given
+    module, function, mutant = ROW_MUTANTS["reduction-stages"]
+    monkeypatch.setattr(module, function, mutant(getattr(module, function)))
+    for tol, passes in ((None, False), (1e-6, True)):
+        row = cli.run_check("reduction-stages", np.random.default_rng(0), tol)
+        assert row["pass"] is passes
+        assert row["tolerance"] == (cli.RATIO_TOL if tol is None else tol)
 
 
 def test_report_schema_golden(tmp_path, cli_env):
@@ -460,8 +374,8 @@ def test_report_schema_golden(tmp_path, cli_env):
         "diagnostics", "inputs", "name", "pass", "reference", "tolerance", "value",
     ]
     assert sorted(report["config"].keys()) == ["eps_ladder", "seed", "suite", "tolerances"]
-    # the tolerances verify reads, and no other: compare's sigma is not among them
-    assert report["config"]["tolerances"] == cli.VERIFY_TOLERANCES
+    # every check's tolerance, whichever checks ran, and no other: compare's sigma is not among them
+    assert report["config"]["tolerances"] == {n: c.tolerance for n, c in cli.CHECKS.items()}
 
 
 def test_sample_outputs_and_schema(tmp_path, cli_env):
@@ -708,17 +622,6 @@ def test_acceptance_c09_c10_gate_through_the_cli_rows(monkeypatch, capsys):
     assert "worst deviation 2.50 sigma (gate 3)" in out
     references = cli.two_site_references(["o3", "cp1-reduced"], 1.0)
     assert calls == [(["chains"], (references, 3.0)), (["chains"], (3.0,))]
-
-
-@pytest.mark.parametrize("tol", ["prefactor=1e-3", ["prefactor=1e-3", "jacobian=1e-5"]])
-def test_verify_config_file_tol(tmp_path, cli_env, tol):
-    # one NAME=VALUE string or a list of them, as the repeatable --tol flag gives
-    cfg = tmp_path / "v.json"
-    cfg.write_text(json.dumps({"suite": "prefactor", "tol": tol}))
-    proc = run_cli(["verify", "--config", str(cfg), "--out", "r.json"], tmp_path, cli_env)
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads((tmp_path / "r.json").read_text())
-    assert report["checks"][0]["tolerance"] == 1e-3
 
 
 def load_strict_json(path):

@@ -80,8 +80,7 @@ def pauli_sandwich(z):
 
 
 def test_hopf_poles():
-    assert np.allclose(hopf_map(np.array([1, 0], complex)), [0, 0, 1])
-    assert np.allclose(hopf_map(np.array([0, 1], complex)), [0, 0, -1])
+    assert np.allclose(hopf_map(np.array([[1, 0], [0, 1]], complex)), [[0, 0, 1], [0, 0, -1]])
 
 
 def test_hopf_example_against_pauli_oracle():
@@ -89,7 +88,7 @@ def test_hopf_example_against_pauli_oracle():
     z = np.array([r, s * np.exp(1j * np.pi / 2)])
     expected = pauli_sandwich(z)
     assert np.allclose(expected, [0, 1, 0], atol=1e-15)
-    assert np.allclose(hopf_map(z), expected, atol=1e-15)
+    assert np.allclose(hopf_map(z[None])[0], expected, atol=1e-15)
 
 
 def test_hopf_matches_pauli_oracle_randomly():
@@ -136,8 +135,8 @@ def test_hopf_su2_equivariance():
         u = random_su2(rng)
         zrow = random_unit(rng, 4)
         z = zrow[0::2] + 1j * zrow[1::2]
-        lhs = hopf_map(u @ z)
-        rhs = adjoint_rotation(u) @ hopf_map(z)
+        lhs = hopf_map((u @ z)[None])[0]
+        rhs = adjoint_rotation(u) @ hopf_map(z[None])[0]
         assert np.allclose(lhs, rhs, atol=1e-10)
 
 
@@ -156,12 +155,12 @@ def test_hopf_component_formula_via_polar():
                 p.r**2 - p.s**2,
             ]
         )
-        assert np.allclose(hopf_map(z), formula, atol=1e-12)
+        assert np.allclose(hopf_map(z[None])[0], formula, atol=1e-12)
 
 
 def test_hopf_rejects_unnormalized():
     with pytest.raises(FieldError):
-        hopf_map(np.array([1.0, 1.0], complex))
+        hopf_map(np.array([[1.0, 1.0]], complex))
 
 
 def test_to_polar_degenerate_pole():

@@ -242,7 +242,7 @@ def test_sweeps_keep_the_bits_of_the_fancy_index_reference(dims, model, monkeypa
         assert (link_overlaps(lat, new.matter).tobytes()
                 == references.link_overlaps_fancy(lat, new.matter).tobytes())
     measurer = mc._Measurer(lat, 0.7, min(4, min(dims) // 2))
-    n = new.matter.n if model == "o3" else hopf_map(new.matter)
+    n = new.matter.n if model == "o3" else hopf_map(new.matter.z)
     assert measurer.measure(n[None])[0].tolist() == references.measure(measurer, n)
 
 
