@@ -19,12 +19,13 @@ compare  runs chains of different models at the same coupling and gates the
          tables from the chains' estimates through one gate, _gate;
          acceptance tests c09 and c10 call them too.
 
-One table, OPTIONS, declares each option of each command once: its parser
-(with the value's bounds), default and help. An option is given as the flag
---NAME, else it takes its default. verify's tolerances are the CHECKS
-defaults, and the report records them; compare's --tol sets its gate, sigma.
-A bad value and argparse's own errors both end in one `error:` line and exit
-code 2. Every output embeds the effective configuration and seed.
+One table, OPTIONS, declares each option of each command once, as the keyword
+arguments of its argparse add_argument: its type= parser (with the value's
+bounds), choices, default, whether it is required, and help. An option is
+given as the flag --NAME, else it takes its default. verify's tolerances are
+the CHECKS defaults, and the report records them; compare's --tol sets its
+gate, sigma. A bad value and argparse's own errors both end in one `error:`
+line and exit code 2. Every output embeds the effective configuration and seed.
 CSV schemas, written by fields.write_csv from one part per chain and observable:
   sample   columns sweep, observable, value
   compare  columns chain, sweep, observable, value
@@ -51,8 +52,6 @@ from .fields import jacobian_polar, random_unit, save_field_csv, write_csv
 from .lattice import build_lattice
 from .mc import DELTA_FLOOR, LAW, MODELS, chain_bin_size, count_bins, run_chains, two_site_exact
 
-CLI_MODELS = MODELS + ("cp1-gauged",)  # plain tag aliases the covariant action
-
 # compare's chains per regime. pullback: the exact-equivalence regime, all
 # three chains share the o3 law. reduced: the continuum-matching regime, the
 # gauged chain's z-marginal is exactly the reduced chain; both differ from o3
@@ -64,17 +63,14 @@ REGIMES = {
 }
 
 
-class UsageError(ValueError):
-    pass
-
-
 # --- option parsers ------------------------------------------------------------
 #
-# Each takes a flag's string and returns its value validated, or raises UsageError.
+# Each is an argparse type=: it takes a flag's string and returns its value
+# validated, or raises ArgumentTypeError, which argparse prints after the flag.
 
 
 def _invalid(name, value, rule):
-    return UsageError(f"invalid value for {name}: {value!r} (must be {rule})")
+    return argparse.ArgumentTypeError(f"invalid value for {name}: {value!r} (must be {rule})")
 
 
 def _number(name, kind, minimum, strict=False):
@@ -91,15 +87,6 @@ def _number(name, kind, minimum, strict=False):
     return parse
 
 
-def _choice(name, known):
-    """Parser of one of the strings `known`."""
-    def parse(text):
-        if text not in known:
-            raise _invalid(name, text, "one of: " + ", ".join(known))
-        return text
-    return parse
-
-
 def _parse_dims(text):
     try:
         dims = [int(part) for part in text.lower().split("x")]
@@ -110,25 +97,20 @@ def _parse_dims(text):
     return dims
 
 
-def _tolerances(known):
-    """Parser of the NAME=VALUE overrides, one per repeated flag, of the tolerances in `known`."""
-    def parse(pairs):
-        out = {}
-        for item in pairs:
-            if "=" not in item:
-                raise UsageError(f"invalid tolerance override {item!r}; expected NAME=VALUE")
-            name, value = item.split("=", 1)
-            if name not in known:
-                raise UsageError(f"unknown tolerance {name!r}; known: {', '.join(sorted(known))}")
-            out[name] = _number(f"tolerance {name}", float, 0.0)(value)
-        return out
-    return parse
+def _parse_sigma(text):
+    """compare's gate from sigma=VALUE, in combined standard errors."""
+    if "=" not in text:
+        raise argparse.ArgumentTypeError(
+            f"invalid tolerance override {text!r}; expected NAME=VALUE")
+    name, value = text.split("=", 1)
+    if name != "sigma":
+        raise argparse.ArgumentTypeError(f"unknown tolerance {name!r}; known: sigma")
+    return _number("tolerance sigma", float, 0.0)(value)
 
 
-def _parse_model(value):
-    """A model tag; the plain cp1-gauged names the covariant action, cp1-gauged-reduced."""
-    model = _choice("model", CLI_MODELS)(value)
-    return "cp1-gauged-reduced" if model == "cp1-gauged" else model
+def _model_tag(text):
+    """Model tag of a --model string: the plain cp1-gauged names cp1-gauged-reduced."""
+    return "cp1-gauged-reduced" if text == "cp1-gauged" else text
 
 
 def _strict(obj):
@@ -320,7 +302,6 @@ CHECKS = {
     "prefactor": Check(_check_prefactor, 1e-12, 0),
 }
 SUITES = tuple(CHECKS)
-COMPARE_TOLERANCES = {"sigma": 3.0}  # compare's --tol: its gate, in combined standard errors
 
 
 def run_check(name, rng, tol=None) -> dict:
@@ -330,7 +311,7 @@ def run_check(name, rng, tol=None) -> dict:
 
 
 def run_verify(opts) -> tuple:
-    """Report and exit code of the checks opts["suite"] names; opts as from _options."""
+    """Report and exit code of the checks opts["suite"] names; opts as parsed by build_parser."""
     suite, seed = opts["suite"], opts["seed"]
     checks = []
     for name in SUITES if suite == "all" else (suite,):
@@ -375,7 +356,7 @@ def _warn_frozen(results):
 
 
 def run_sample(opts) -> tuple:
-    """Run one chain and write its files; opts as from _options."""
+    """Run one chain and write its files; opts as parsed by build_parser."""
     model, prefix = opts["model"], opts["out-prefix"]
     result = run_chains(
         build_lattice(opts["dims"]), [model], opts["g"], opts["sweeps"], master_seed=opts["seed"],
@@ -468,9 +449,9 @@ def oracle_rows(results, references, n_sigma):
 
 
 def run_compare(opts) -> tuple:
-    """Run the regime's chains, gate them and write the files; opts as from _options."""
+    """Run the regime's chains, gate them and write the files; opts as parsed by build_parser."""
     g, prefix = opts["g"], opts["out-prefix"]
-    n_sigma = dict(COMPARE_TOLERANCES, **opts["tol"])["sigma"]
+    n_sigma = opts["tol"]
 
     lat = build_lattice(opts["dims"])
     models = REGIMES[opts["regime"]]
@@ -506,55 +487,50 @@ def run_compare(opts) -> tuple:
 # --- options -------------------------------------------------------------------
 
 
-class Option(NamedTuple):
-    parse: Callable  # flag string -> validated value
-    default: object  # when the flag is not given; REQUIRED: it must be
-    help: str
-    action: str = "store"  # argparse action of the flag
+_DIMS = dict(type=_parse_dims, default=[8, 8], help="lattice extents (default 8x8)")
+_G = dict(type=_number("g", float, 0, strict=True), default=1.0,
+          help="coupling, finite and > 0 (default 1)")
+_THERMALIZATION = dict(type=_number("thermalization", int, 0),
+                       help="sweeps before measuring (default: the chain's own)")
+_SEED = dict(type=_number("seed", int, 0), required=True,
+             help="master seed, an integer >= 0 (required)")
+_SWEEPS = dict(type=_number("sweeps", int, 1), help="measured sweeps")
 
 
-REQUIRED = object()
-_DIMS = Option(_parse_dims, [8, 8], "lattice extents (default 8x8)")
-_G = Option(_number("g", float, 0, strict=True), 1.0, "coupling, finite and > 0 (default 1)")
-_THERMALIZATION = Option(_number("thermalization", int, 0), None,
-                         "sweeps before measuring (default: the chain's own)")
-_SEED = Option(_number("seed", int, 0), REQUIRED, "master seed, an integer >= 0 (required)")
-_SWEEPS = Option(_number("sweeps", int, 1), None, "measured sweeps")
-_OUT_PREFIX = Option(str, None, "output file prefix")
-
-
-# Every option of every command, in validation order.
+# Every option of every command, as the keyword arguments of its add_argument.
 OPTIONS = {
     "verify": {
-        "suite": Option(_choice("suite", ("all",) + SUITES), "all",
-                        "all (default) or one of: " + ", ".join(SUITES)),
-        "seed": _SEED._replace(default=0, help="seed for randomized check inputs (default 0)"),
-        "out": Option(str, "report.json", "JSON report path (default report.json)"),
+        "suite": dict(choices=("all",) + SUITES, default="all",
+                      help="one check, or all (default)"),
+        "seed": dict(_SEED, required=False, default=0,
+                     help="seed for randomized check inputs (default 0)"),
+        "out": dict(default="report.json", help="JSON report path (default report.json)"),
     },
     "sample": {
-        "model": Option(_parse_model, "o3", ", ".join(CLI_MODELS) + " (default o3)"),
+        "model": dict(type=_model_tag, choices=MODELS + ("cp1-gauged",), default="o3",
+                      help="the chain's model (default o3); cp1-gauged is cp1-gauged-reduced"),
         "dims": _DIMS,
         "g": _G,
-        "sweeps": _SWEEPS._replace(default=10000),
+        "sweeps": dict(_SWEEPS, default=10000),
         "thermalization": _THERMALIZATION,
         "seed": _SEED,
-        "self-check": Option(bool, False,
-                             "check every accepted local action change", "store_true"),
-        "out-prefix": _OUT_PREFIX._replace(default="sample"),
+        "self-check": dict(action="store_true",
+                           help="check every accepted local action change"),
+        "out-prefix": dict(default="sample", help="output file prefix"),
     },
     "compare": {
         "dims": _DIMS,
         "g": _G,
-        "sweeps": _SWEEPS._replace(default=50000),
+        "sweeps": dict(_SWEEPS, default=50000),
         "thermalization": _THERMALIZATION,
         "seed": _SEED,
-        "regime": Option(_choice("regime", tuple(REGIMES)), "pullback",
-                         "pullback (default), reduced, or both"),
-        "threads": Option(_number("threads", int, 1), 1,
-                          "processes for the o3 and spinor chain batches (default 1)"),
-        "tol": Option(_tolerances(COMPARE_TOLERANCES), {},
-                      "gate in combined standard errors, as sigma=VALUE (default 3)", "append"),
-        "out-prefix": _OUT_PREFIX._replace(default="compare"),
+        "regime": dict(choices=tuple(REGIMES), default="pullback",
+                       help="pullback (default), reduced, or both"),
+        "threads": dict(type=_number("threads", int, 1), default=1,
+                        help="processes for the o3 and spinor chain batches (default 1)"),
+        "tol": dict(type=_parse_sigma, default=3.0,
+                    help="gate in combined standard errors, as sigma=VALUE (default 3)"),
+        "out-prefix": dict(default="compare", help="output file prefix"),
     },
 }
 COMMAND_HELP = {
@@ -564,25 +540,11 @@ COMMAND_HELP = {
 }
 
 
-def _options(args) -> dict:
-    """Validated value of every option of args.command: the flag's, else the default."""
-    opts = {}
-    for name, option in OPTIONS[args.command].items():
-        flag = getattr(args, name.replace("-", "_"))
-        if flag is not None:
-            opts[name] = option.parse(flag)
-        elif option.default is REQUIRED:
-            raise UsageError(f"missing required option: {name} (reproducibility contract)")
-        else:
-            opts[name] = option.default
-    return opts
-
-
 # --- entry point ---------------------------------------------------------------
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument errors end in the same one-line `error:` and exit code 2 as bad values."""
+    """Every argument error, a bad value among them, ends in one `error:` line and exit code 2."""
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")
@@ -596,19 +558,17 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for command, options in OPTIONS.items():
         p = sub.add_parser(command, help=COMMAND_HELP[command])
-        for name, option in options.items():
-            # no type=: argparse would replace option.parse's message with its own
-            p.add_argument(f"--{name}", action=option.action, default=None, help=option.help)
+        for name, kwargs in options.items():
+            p.add_argument(f"--{name}", dest=name, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    opts = vars(build_parser().parse_args(argv))
+    command = opts["command"]
     try:
-        opts = _options(args)
-        _require_output_dir(opts["out" if args.command == "verify" else "out-prefix"])
-        if args.command == "verify":
+        _require_output_dir(opts["out" if command == "verify" else "out-prefix"])
+        if command == "verify":
             report, code = run_verify(opts)
             _write_json(opts["out"], report)
             for check in report["checks"]:
@@ -618,7 +578,7 @@ def main(argv=None) -> int:
             print(f"report written to {opts['out']}")
             return code
         prefix = opts["out-prefix"]
-        if args.command == "sample":
+        if command == "sample":
             run_sample(opts)
             print(f"series written to {prefix}_series.csv, summary to {prefix}_summary.json")
             return 0
@@ -628,8 +588,6 @@ def main(argv=None) -> int:
               f"{'all pass' if report['passed'] else 'FAILURES'}")
         print(f"series written to {prefix}_series.csv, report to {prefix}_report.json")
         return code
-    except UsageError as exc:
-        parser.error(str(exc))
     except (O3CP1Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

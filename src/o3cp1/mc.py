@@ -633,13 +633,14 @@ def _run_batch(lat, models, g, sweeps, seed_seqs, thermalization=None, self_chec
     per_copy = rows.nbytes // copies
     snaps = np.empty((max(1, MEASURE_BLOCK_BYTES // per_copy),) + rows.shape, rows.dtype)
     with np.errstate(over="ignore"):
-        window_acc = [[] for _ in batch.states]
+        windows = [[] for _ in batch.states]  # each chain's rates since its last tuning
         for i in range(therm):
-            for window, rate in zip(window_acc, chain_sweep(batch)):
+            for window, rate in zip(windows, chain_sweep(batch)):
                 window.append(rate)
             if (i + 1) % TUNE_WINDOW == 0:
-                for state, window in zip(batch.states, window_acc):
-                    tune_proposal(state, float(np.mean(window[-TUNE_WINDOW:])))
+                for state, window in zip(batch.states, windows):
+                    tune_proposal(state, float(np.mean(window)))
+                    window.clear()
 
         acc = [0.0] * copies
         for i in range(sweeps):

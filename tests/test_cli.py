@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -47,18 +49,8 @@ def test_cli_import_leaves_scipy_unloaded(cli_env):
     assert proc.stdout.strip() == "False"
 
 
-def test_verify_leaves_scipy_stats_unloaded(tmp_path, cli_env):
-    # the KS statistics are computed in numpy; scipy.stats costs 0.5 s to import
-    code = ("import sys, o3cp1.cli; code = o3cp1.cli.main(['verify', '--suite', 'all']); "
-            "print(code, 'scipy.stats' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=cli_env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False"
-
-
 def test_verify_leaves_scipy_unloaded(tmp_path, cli_env):
-    # verify's quadratures, erfc and Kolmogorov inverse need no scipy
+    # verify's quadratures and erfc need no scipy, so scipy.stats stays unloaded too
     code = ("import sys, o3cp1.cli; code = o3cp1.cli.main(['verify', '--suite', 'all']); "
             "print(code, 'scipy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=cli_env,
@@ -70,22 +62,26 @@ def test_verify_leaves_scipy_unloaded(tmp_path, cli_env):
 def test_parse_dims_and_eps():
     assert cli._parse_dims("8x8") == [8, 8]
     assert cli._parse_dims("4") == [4]
-    with pytest.raises(cli.UsageError):
+    with pytest.raises(argparse.ArgumentTypeError):
         cli._parse_dims("8x1")
-    with pytest.raises(cli.UsageError):
+    with pytest.raises(argparse.ArgumentTypeError):
         cli._parse_dims("abc")
     # the mollifier ladder is a constant of verify, not an option
     assert "eps" not in cli.OPTIONS["verify"]
 
 
 def test_tolerance_override_parsing():
-    compare_tol = cli.OPTIONS["compare"]["tol"].parse
-    assert compare_tol(["sigma=6"]) == {"sigma": 6.0}
-    assert compare_tol(["sigma=0", "sigma=1.5"]) == {"sigma": 1.5}  # the last flag wins
+    def sigma(*items):
+        argv = ["compare", "--seed", "1", *(a for item in items for a in ("--tol", item))]
+        return vars(cli.build_parser().parse_args(argv))["tol"]
+
+    assert sigma() == 3.0
+    assert sigma("sigma=6") == 6.0
+    assert sigma("sigma=0", "sigma=1.5") == 1.5  # the last flag wins
     # compare names only the tolerance it reads
     for item in ("jacobian=5", "nope=1", "sigma"):
-        with pytest.raises(cli.UsageError):
-            compare_tol([item])
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli._parse_sigma(item)
 
 
 def test_cli_error_check_rejects_interpreter_failure():
@@ -219,14 +215,24 @@ VALID_VALUES = {
 @pytest.mark.parametrize(
     "command, name", [(c, n) for c, options in cli.OPTIONS.items() for n in options]
 )
-def test_flag_and_config_file_take_one_path(command, name):
-    # every option parses a valid flag to a value that is not its default;
-    # runs no chain: only the parser and the option table
+def test_every_option_parses_a_valid_flag(command, name):
+    # every option parses a valid flag to a value that is not what the parser
+    # gives without it; runs no chain: only the parser and the option table
+    parser = cli.build_parser()
     flag = VALID_VALUES[name]
     seed = ["--seed", "1"] if name != "seed" else []
     argv = [command, *seed, f"--{name}", *([] if flag is None else [flag])]
-    opts = cli._options(cli.build_parser().parse_args(argv))
-    assert opts[name] != cli.OPTIONS[command][name].default
+    default = vars(parser.parse_args([command, "--seed", "1"]))[name]
+    assert vars(parser.parse_args(argv))[name] != default
+
+
+@pytest.mark.parametrize("command", list(cli.OPTIONS))
+def test_help_names_every_option(capsys, command):
+    with pytest.raises(SystemExit) as stop:
+        cli.main([command, "--help"])
+    assert stop.value.code == 0
+    flags = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+    assert flags == {"--help"} | {f"--{name}" for name in cli.OPTIONS[command]}
 
 
 @pytest.mark.parametrize("name", list(cli.CHECKS))
