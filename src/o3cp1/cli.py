@@ -2,9 +2,9 @@
 
 verify   runs the numerical identity suite (kinetic-term identity, polar
          Jacobian, per-link gauge marginalization, one-site sphere-integral
-         ratio, measure constant and each reduction stage's ratio at every
-         mollifier width, exact pushforward moments, prefactor bookkeeping) and
-         writes a JSON report; exit code 0 iff every executed check
+         ratio, the exact moments of each reduction stage and of the
+         pushforward, the lattice actions against each other, prefactor
+         bookkeeping) and writes a JSON report; exit code 0 iff every executed check
          passed. The checks live in one registry, CHECKS, which maps each
          name to its function and default tolerance. verify runs each on a
          generator seeded from (seed, the check's stream index); acceptance
@@ -42,13 +42,28 @@ import numpy as np
 
 from . import measure
 from .actions import (
+    action_cp1_gauged,
+    action_cp1_reduced,
+    action_o3,
+    action_o3_pullback,
+    gauge_term,
+    link_overlaps,
     marginalize_gauge_numeric,
     partition_constants,
     polar_identity_max_violation,
     spinor_overlap,
 )
 from .errors import O3CP1Error
-from .fields import jacobian_polar, random_unit, save_field_csv, write_csv
+from .fields import (
+    CP1Field,
+    GaugeField,
+    SpinField,
+    hopf_map,
+    jacobian_polar,
+    random_unit,
+    save_field_csv,
+    write_csv,
+)
 from .lattice import build_lattice
 from .mc import DELTA_FLOOR, LAW, MODELS, chain_bin_size, count_bins, run_chains, two_site_exact
 
@@ -234,38 +249,58 @@ def _check_one_site_ratio(rng, tol):
     )
 
 
-# Every ratio of measure-constant and reduction-stages is pi/2 to rounding:
-# over 300 points of each check, at every width, the worst relative gap was 5e-15.
-RATIO_TOL = 1e-12
-
-
-def _ratio_row(inputs, ratios, tol, diagnostics=None):
-    """Passes iff every ratio is within tol * pi/2 of pi/2; the value is their mean."""
-    mean = float(ratios.mean())
-    max_rel_gap = float(np.abs(ratios / measure.HALF_PI - 1.0).max())
-    spread = float(np.abs(ratios - mean).max())
-    return _check_row(inputs, mean, measure.HALF_PI, tol, max_rel_gap <= tol,
-                      {"spread": spread, "max_rel_gap": max_rel_gap, **(diagnostics or {})})
-
-
 def _check_measure_constant(rng, tol):
-    points = measure.random_sphere_points(rng, 10)
-    return _ratio_row({"points": len(points), "eps_ladder": list(measure.EPS_LADDER)},
-                      measure.verify_constant_c(points), tol)
+    res = measure.verify_constant_c()
+    return _check_row({"degree": measure.PUSHFORWARD_DEGREE, "nodes": res.nodes},
+                      res.mass / (2.0 * math.pi), measure.HALF_PI, tol, res.max_gap <= tol,
+                      {"max_gap": res.max_gap, "worst_monomial": list(res.worst)})
 
 
 def _check_reduction_stages(rng, tol):
-    points = measure.random_sphere_points(rng, 5, min_q=0.55, max_abs_nz=0.8)
-    ratios = np.array([measure.reduction_consistency(p) for p in points])  # point, stage, width
-    gaps = np.abs(ratios / measure.HALF_PI - 1.0).max(axis=(0, 2)).tolist()
-    return _ratio_row({"points": len(points), "eps_ladder": list(measure.STAGE_LADDER)},
-                      ratios, tol, {"stage_max_rel_gap": dict(zip(measure.STAGES, gaps))})
+    stages = measure.reduction_consistency()
+    worst = max(res.max_gap for res in stages.values())
+    return _check_row(
+        {"degree": measure.PUSHFORWARD_DEGREE,
+         "nodes": {stage: res.nodes for stage, res in stages.items()}},
+        worst, 0.0, tol, worst <= tol,
+        {"stage_max_gap": {stage: res.max_gap for stage, res in stages.items()},
+         "worst_monomial": {stage: list(res.worst) for stage, res in stages.items()}},
+    )
 
 
 def _check_pushforward(rng, tol):
     res = measure.pushforward_uniformity(rng)
     return _check_row({"degree": measure.PUSHFORWARD_DEGREE, "nodes": res.nodes}, res.max_gap,
                       0.0, tol, res.max_gap <= tol, {"worst_monomial": list(res.worst)})
+
+
+def _check_lattice_actions(rng, tol):
+    """The global actions against each other, on random fields of a 3x4 and a 2x2x3 lattice.
+
+    action_o3_pullback(z) = action_o3(hopf(z)); action_cp1_gauged(z, A) is
+    action_cp1_reduced(z) plus sum_links (A - Im w)^2 / g; and the reduced
+    and pullback actions differ by sum_links (1 - Re w)^2 / g. The value is
+    the worst relative gap.
+    """
+    g = rng.uniform(0.2, 5.0)
+    gaps = {}
+    for dims in ([3, 4], [2, 2, 3]):
+        lat = build_lattice(dims)
+        zf = CP1Field.random(lat, rng)
+        gauge = GaugeField(rng.normal(0.0, 1.0, (lat.volume, lat.ndim)))
+        w = link_overlaps(lat, zf)
+        pullback, reduced = action_o3_pullback(lat, zf, g), action_cp1_reduced(lat, zf, g)
+        identities = {
+            "o3-of-hopf": (pullback, action_o3(lat, SpinField(hopf_map(zf.z)), g)),
+            "gauged-split": (action_cp1_gauged(lat, zf, gauge, g),
+                             reduced + float(np.sum(gauge_term(gauge.a, w))) / g),
+            "reduced-minus-pullback": (reduced - pullback, float(np.sum((1.0 - w.real) ** 2)) / g),
+        }
+        for name, (lhs, rhs) in identities.items():
+            gaps[f"{name}@{'x'.join(map(str, dims))}"] = abs(lhs - rhs) / abs(rhs)
+    worst = max(gaps.values())
+    return _check_row({"dims": ["3x4", "2x2x3"], "g": g}, worst, 0.0, tol, worst <= tol,
+                      {"rel_gap": gaps})
 
 
 def _check_prefactor(rng, tol):
@@ -296,9 +331,10 @@ CHECKS = {
     "jacobian": Check(_check_jacobian, 1e-6, 2),
     "marginalization": Check(_check_marginalization, 1e-8, 3),
     "one-site-ratio": Check(_check_one_site_ratio, 1e-6, 0),
-    "measure-constant": Check(_check_measure_constant, RATIO_TOL, 4),  # relative to pi/2
-    "reduction-stages": Check(_check_reduction_stages, RATIO_TOL, 5),  # relative to pi/2
+    "measure-constant": Check(_check_measure_constant, 1e-13, 0),  # worst absolute moment gap
+    "reduction-stages": Check(_check_reduction_stages, 1e-13, 0),  # worst absolute moment gap
     "pushforward": Check(_check_pushforward, 1e-13, 6),  # worst absolute moment gap
+    "lattice-actions": Check(_check_lattice_actions, 1e-12, 7),  # worst relative gap
     "prefactor": Check(_check_prefactor, 1e-12, 0),
 }
 SUITES = tuple(CHECKS)
@@ -323,7 +359,6 @@ def run_verify(opts) -> tuple:
         "config": {
             "suite": suite,
             "seed": seed,
-            "eps_ladder": list(measure.EPS_LADDER),
             "tolerances": {name: check.tolerance for name, check in CHECKS.items()},
         },
         "checks": checks,

@@ -1,7 +1,8 @@
 """Reference constructions that only the tests use, built on the package's API."""
 
 import csv
-import math
+import inspect
+import textwrap
 
 import numpy as np
 
@@ -14,7 +15,6 @@ from o3cp1.actions import (
     spinor_overlap,
 )
 from o3cp1.fields import CP1Field, GaugeField, SpinField, hopf_map
-from o3cp1.measure import _angular_integral, _radial_nodes, _radial_windows, mollified_delta
 
 
 def constant_spin_field(lat, vec=(0.0, 0.0, 1.0)):
@@ -99,23 +99,6 @@ def random_probe(rng, ndim=1, n_modes=2, margin=0.15, max_mode=2, angle_amp=1.0)
                         axis=-1)
 
     return spinor
-
-
-# --- measure's raw-4d quadrature with its radial deltas on the whole grid -----
-
-
-def measure_lhs_unfactored(n, eps):
-    """measure.measure_lhs with the two radial deltas evaluated as written, on the (r, s) grid."""
-    nx, ny, nz = n
-    (r2lo, r2hi), (s2lo, s2hi) = _radial_windows(nz, eps)
-    r, wr = _radial_nodes(math.sqrt(max(r2lo, 0.0)), math.sqrt(r2hi), eps)
-    s, ws = _radial_nodes(math.sqrt(max(s2lo, 0.0)), math.sqrt(s2hi), eps)
-    R, S = np.meshgrid(r, s, indexing="ij")
-    base = np.outer(wr, ws) * R * S * mollified_delta(R * R + S * S - 1.0, eps)
-    base *= mollified_delta(nz - (R * R - S * S), eps)
-    mask = base > base.max() * 1e-24
-    ang = _angular_integral(nx, ny, (2.0 * R * S)[mask], eps, 2.0 * math.pi)
-    return float((base[mask] * ang).sum() * 2.0 * math.pi)
 
 
 # --- the sampler's site kernels through plain fancy indexing ------------------
@@ -244,3 +227,18 @@ def write_series_csv(path, chains, labelled):
             for name in sorted(series):
                 for sweep, value in enumerate(series[name].tolist()):
                     writer.writerow([label] * labelled + [sweep, name, repr(value)])
+
+
+def edit(old, new):
+    """Mutant maker: the function recompiled from its source with `old`, found once, as `new`.
+
+    The mutant keeps the function's module globals, so it reads the module's
+    other names as the original does.
+    """
+    def mutant(function):
+        source = textwrap.dedent(inspect.getsource(function))
+        assert source.count(old) == 1, (function.__name__, old)
+        namespace = {}
+        exec(source.replace(old, new), function.__globals__, namespace)
+        return namespace[function.__name__]
+    return mutant

@@ -14,14 +14,13 @@ import time
 
 import numpy as np
 import pytest
-from scipy import optimize
 
 from o3cp1 import measure
 from o3cp1.actions import action_cp1_reduced, action_o3_pullback
 from o3cp1.cli import comparison_rows, oracle_rows, run_check, two_site_references
 from o3cp1.lattice import build_lattice
 from o3cp1.mc import run_chains
-from references import probe_spinor_field, random_probe
+from references import edit, probe_spinor_field, random_probe
 
 
 def report(number, name, passed, detail):
@@ -66,15 +65,16 @@ def test_c03_gauge_marginalization():
 
 def test_c04_measure_constant():
     t0 = time.time()
-    row = run_check("measure-constant", np.random.default_rng(104), 0.01)
+    row = run_check("measure-constant", np.random.default_rng(104))
     elapsed = time.time() - t0
-    assert row["inputs"]["eps_ladder"] == [0.1, 0.05, 0.025]
     rel = abs(row["value"] - math.pi / 2) / (math.pi / 2)
+    gap = row["diagnostics"]["max_gap"]
     report(
         4, "measure-constant",
-        row["pass"] and elapsed < 120.0,
-        f"constant {row['value']:.7f} vs 1.5707963 (rel {rel:.2e}, tol 1%), "
-        f"spread {row['diagnostics']['spread']:.1e}, {elapsed:.1f}s (<120s)",
+        row["pass"] and row["tolerance"] == 1e-13 and gap <= 1e-13 and rel <= 0.01
+        and elapsed < 120.0,
+        f"constant {row['value']:.15f} vs pi/2 (rel {rel:.1e}), worst moment gap {gap:.1e} "
+        f"over degree <= {row['inputs']['degree']} (tol 1e-13), {elapsed:.1f}s (<120s)",
     )
 
 
@@ -105,25 +105,22 @@ def test_c06_pushforward_uniformity():
     )
 
 
-def test_c07_reduction_stage_consistency():
-    rng = np.random.default_rng(107)
-    row = run_check("reduction-stages", rng)  # draws the five stage points first
-    root_ok = True
-    worst_root = 0.0
-    for p in measure.random_sphere_points(rng, 20, min_q=0.3):
-        nx, _, nz = p
-        rho_z = math.sqrt(1 - nz * nz)
-        phi0, fprime = measure.phi_roots(p)
-        root = optimize.brentq(lambda t: rho_z * math.cos(t) - nx, 0.0, math.pi, xtol=1e-14)
-        gap = max(abs(root - phi0), abs(fprime - math.sqrt(1 - nx**2 - nz**2)))
-        worst_root = max(worst_root, gap)
-        root_ok = root_ok and gap < 1e-10
+def test_c07_reduction_stage_consistency(monkeypatch):
+    row = run_check("reduction-stages", np.random.default_rng(107))
+    gaps = row["diagnostics"]["stage_max_gap"]
+    stages_ok = (row["pass"] and row["tolerance"] == 1e-13 and len(gaps) == 3
+                 and all(gap <= 1e-13 for gap in gaps.values()))
+    # the after-phi stage with one of its two roots dropped
+    monkeypatch.setattr(measure, "_stage_after_phi",
+                        edit("roots = (q, -q)", "roots = (q,)")(measure._stage_after_phi))
+    mutant = run_check("reduction-stages", np.random.default_rng(107))
     report(
         7, "reduction-stages",
-        row["pass"] and root_ok,
-        f"mean stage ratio {row['value']:.10f}, worst rel gap to pi/2 "
-        f"{row['diagnostics']['max_rel_gap']:.1e} (tol {row['tolerance']:.0e}); "
-        f"root formula vs brentq {worst_root:.2e} (tol 1e-10)",
+        stages_ok and not mutant["pass"],
+        "worst moment gap per stage "
+        + ", ".join(f"{stage} {gap:.1e}" for stage, gap in gaps.items())
+        + f" (tol 1e-13); dropped-root mutant reads "
+        f"{mutant['diagnostics']['stage_max_gap']['after-phi']:.2f}",
     )
 
 

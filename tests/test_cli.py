@@ -13,6 +13,7 @@ import pytest
 
 from o3cp1 import actions, cli, measure
 from o3cp1.mc import LAW, two_site_exact
+from references import edit
 
 
 def run_cli(args, cwd, env, timeout=None):
@@ -251,35 +252,6 @@ def test_verify_unknown_suite(tmp_path, cli_env):
     assert_cli_error(proc, 2, "spectral")
 
 
-@pytest.mark.parametrize("factor", [lambda eps: 1.0 + 3.0 * eps**2, lambda eps: 1.02,
-                                    lambda eps: 1.005],
-                         ids=["eps-squared", "uniform", "half-percent"])
-def test_measure_constant_fails_a_wrong_integral_at_any_width(monkeypatch, factor):
-    # an extrapolation in eps^2 would remove the first mutant exactly; the
-    # check compares each width's ratio with pi/2, and 1 + 3 eps^2 is 3 % off at
-    # eps = 0.1. The third passed the former 1 % tolerance
-    measure_lhs = measure.measure_lhs
-    monkeypatch.setattr(measure, "measure_lhs", lambda n, eps: measure_lhs(n, eps) * factor(eps))
-    row = cli.run_check("measure-constant", np.random.default_rng(0))
-    assert not row["pass"]
-    assert row["diagnostics"]["max_rel_gap"] > row["tolerance"]
-
-
-@pytest.mark.parametrize("stage, function", zip(measure.STAGES, (
-    "measure_lhs", "_stage_after_R_theta", "_stage_after_S", "_stage_after_phi")))
-@pytest.mark.parametrize("factor", [lambda eps: 1.0 + 3.0 * eps**2, lambda eps: 1.0 + 1e-9],
-                         ids=["eps-squared", "1e-9"])
-def test_reduction_stages_fail_a_wrong_stage_at_any_width(monkeypatch, stage, function, factor):
-    # both mutants passed the former check, which extrapolated each stage in
-    # eps^2 and compared the limits pairwise within ~2e-6; each width's
-    # ratio is now compared with pi/2
-    value = getattr(measure, function)
-    monkeypatch.setattr(measure, function, lambda n, eps: value(n, eps) * factor(eps))
-    row = cli.run_check("reduction-stages", np.random.default_rng(0))
-    assert not row["pass"]
-    assert row["diagnostics"]["stage_max_rel_gap"][stage] > row["tolerance"]
-
-
 def verify_rng(seed, name):
     """The generator verify --seed seed hands to check `name`."""
     return np.random.default_rng(np.random.SeedSequence([seed, cli.CHECKS[name].stream]))
@@ -306,19 +278,37 @@ HOPF_MUTANTS = {
     "nz-plus-1e-3-P2": hopf_nz(lambda nz: nz + 1e-3 * (nz * nz - 1.0 / 3.0)),
 }
 
-# per verify row: (module, function, mutant maker) of a src/ function the row reads.
-# The after-S and after-phi ratios of reduction-stages are pi/2 by algebra,
-# whatever their angle integral or roots return, so they test only their
-# stage's pi/4 prefactor and phi period; the mutants of
-# test_reduction_stages_fail_a_wrong_stage_at_any_width scale each stage.
+# one named mutant per stage of the measure identity: (row, function, mutant maker)
+STAGE_MUTANTS = {
+    "raw-4d": ("measure-constant", "measure_lhs",  # the prefactor
+               edit("/ (8.0 * r * s)", "/ (8.0 * r * s) * (1.0 + 1e-9)")),
+    "after-R-theta": ("reduction-stages", "_stage_after_R_theta",  # the phi period
+                      edit("4.0 * math.pi", "2.0 * math.pi")),
+    "after-S": ("reduction-stages", "_stage_after_S",  # the phi period
+                edit("2.0 * math.pi", "math.pi")),
+    "after-phi": ("reduction-stages", "_stage_after_phi",  # a dropped root
+                  edit("roots = (q, -q)", "roots = (q,)")),
+}
+
+# one named mutant per global action that lattice-actions reads: (module, function, mutant maker)
+LATTICE_MUTANTS = {
+    "sign-of-A": (cli, "action_cp1_gauged", edit("- 1j * gauge.a", "+ 1j * gauge.a")),
+    "o3-over-2g": (cli, "action_o3", edit("/ (4.0 * g)", "/ (2.0 * g)")),
+    "pullback-abs-w": (actions, "pullback_term",
+                       edit("1.0 - (w.real**2 + w.imag**2)", "1.0 - np.sqrt(w.real**2 + w.imag**2)")),
+}
+
+# per verify row: (module, function, mutant maker) of a src/ function the row reads
 ROW_MUTANTS = {
     "polar-identity": (actions, "polar_action_density", times(1.0 + 1e-9)),
     "jacobian": (cli, "jacobian_polar", times(1.0 + 1e-5)),
     "marginalization": (actions, "gauge_marginal_closed_form", times(1.0 + 1e-7)),
     "one-site-ratio": (measure, "hopf_map", HOPF_MUTANTS["nz-plus-1e-3-P2"]),
-    "measure-constant": (measure, "measure_lhs", times(1.0 + 1e-9)),
-    "reduction-stages": (measure, "_stage_after_R_theta", times(1.0 + 1e-9)),
+    "measure-constant": (measure, "jacobian_polar", times(1.0 + 1e-9)),
+    "reduction-stages": (measure, "_stage_after_S",  # the prefactor
+                         edit("math.pi / 4.0 * w", "math.pi / 4.0 * (1.0 + 1e-9) * w")),
     "pushforward": (measure, "hopf_map", HOPF_MUTANTS["nz-times-1+1e-9"]),
+    "lattice-actions": LATTICE_MUTANTS["pullback-abs-w"],
     "prefactor": (cli, "partition_constants", lambda f: lambda lat, g: f(lat, g * (1.0 + 1e-9))),
 }
 
@@ -358,14 +348,64 @@ def test_pushforward_fails_the_hopf_mutants_at_every_seed(monkeypatch, mutant):
         assert not row["pass"], seed
 
 
+def test_verify_passes_at_every_seed():
+    for seed in range(200):
+        report, code = cli.run_verify({"suite": "all", "seed": seed})
+        assert code == 0, (seed, [c["name"] for c in report["checks"] if not c["pass"]])
+
+
+@pytest.mark.parametrize("name", [n for n, c in cli.CHECKS.items() if c.stream == 0])
+def test_rows_of_stream_zero_draw_nothing(name):
+    # so their row, and each mutant's, is the same at every seed
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    cli.run_check(name, rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("degree", [6, 10])
+def test_every_stage_is_exact(degree):
+    stages = {"raw-4d": measure.verify_constant_c(degree), **measure.reduction_consistency(degree)}
+    assert list(stages) == list(measure.STAGES)
+    for stage, res in stages.items():
+        assert res.max_gap <= 1e-13, (stage, res)
+
+
+@pytest.mark.parametrize("stage", list(STAGE_MUTANTS))
+def test_each_stage_fails_its_named_mutant(monkeypatch, stage):
+    # each mutant reads about 1e-8 (the prefactor) or 4.9 (the others), and
+    # moves only its own stage; the rows draw nothing, so this holds at every seed
+    row_name, function, mutant = STAGE_MUTANTS[stage]
+    monkeypatch.setattr(measure, function, mutant(getattr(measure, function)))
+    row = cli.run_check(row_name, verify_rng(0, row_name))
+    assert not row["pass"], row
+    if row_name == "measure-constant":
+        assert row["diagnostics"]["max_gap"] > 1e-9 * math.pi**2 / 2
+        assert cli.run_check("reduction-stages", verify_rng(0, "reduction-stages"))["pass"]
+    else:
+        gaps = row["diagnostics"]["stage_max_gap"]
+        assert gaps[stage] > 4.0
+        assert all(gap <= row["tolerance"] for other, gap in gaps.items() if other != stage)
+        assert cli.run_check("measure-constant", verify_rng(0, "measure-constant"))["pass"]
+
+
+@pytest.mark.parametrize("name", list(LATTICE_MUTANTS))
+def test_lattice_actions_fail_each_named_mutant_at_every_seed(monkeypatch, name):
+    module, function, mutant = LATTICE_MUTANTS[name]
+    monkeypatch.setattr(module, function, mutant(getattr(module, function)))
+    for seed in range(200):
+        row = cli.run_check("lattice-actions", verify_rng(seed, "lattice-actions"))
+        assert not row["pass"], (seed, row["diagnostics"])
+
+
 def test_reduction_stages_honours_the_tolerance_it_is_given(monkeypatch):
-    # a tol passed in was once dropped silently: the row read RATIO_TOL whatever it was given
+    # a tol passed in was once dropped silently; the mutant's after-S gap is about 1e-8
     module, function, mutant = ROW_MUTANTS["reduction-stages"]
     monkeypatch.setattr(module, function, mutant(getattr(module, function)))
     for tol, passes in ((None, False), (1e-6, True)):
         row = cli.run_check("reduction-stages", np.random.default_rng(0), tol)
         assert row["pass"] is passes
-        assert row["tolerance"] == (cli.RATIO_TOL if tol is None else tol)
+        assert row["tolerance"] == (cli.CHECKS["reduction-stages"].tolerance if tol is None else tol)
 
 
 def test_report_schema_golden(tmp_path, cli_env):
@@ -379,7 +419,7 @@ def test_report_schema_golden(tmp_path, cli_env):
     assert sorted(row.keys()) == [
         "diagnostics", "inputs", "name", "pass", "reference", "tolerance", "value",
     ]
-    assert sorted(report["config"].keys()) == ["eps_ladder", "seed", "suite", "tolerances"]
+    assert sorted(report["config"].keys()) == ["seed", "suite", "tolerances"]
     # every check's tolerance, whichever checks ran, and no other: compare's sigma is not among them
     assert report["config"]["tolerances"] == {n: c.tolerance for n, c in cli.CHECKS.items()}
 

@@ -112,13 +112,13 @@ def test_no_module_table_holds_a_traced_function():
 
 
 def test_traced_checks_count_every_measure_lhs_call(tmp_path, monkeypatch):
-    # ten points at three widths for the constant, five points at three
-    # widths for the raw-4d stage of the reduction check
+    # the constant builds the raw-4d rule once; the reduction check reads
+    # only the later stages
     rec, mods = install_tracer(tmp_path, monkeypatch)
-    for name, calls in (("measure-constant", 30), ("reduction-stages", 15)):
+    for name, calls in (("measure-constant", 1), ("reduction-stages", 0)):
         rec.stats.pop("measure.measure_lhs", None)
         mods["cli"].run_check(name, np.random.default_rng(0))
-        assert rec.stats["measure.measure_lhs"]["count"] == calls, name
+        assert rec.stats.get("measure.measure_lhs", {"count": 0})["count"] == calls, name
 
 
 def test_traced_run_chain_measures_once_per_block(tmp_path, monkeypatch):
