@@ -19,8 +19,9 @@ the reduced term. Their (Im w)^2 cancel: the covariant term
 A^2 + 2 - 2 Re w - 2 A Im w is affine in w, hence in each spinor of the link
 (the local field of mc._delta_s). These kernels are the one definition of
 each term; the global actions here and the local Metropolis updates in mc
-both sum them (times 1/g). action_o3 and action_cp1_gauged are written out independently,
-as references for the tests and the sampler's self-check.
+both sum them (times 1/g). Each chain flavour (mc.FLAVOURS) names its global
+action here, action_cp1_gauged_pullback among them; action_o3 and action_cp1_gauged
+are written out independently, as references for the tests and the self-check.
 
 Constant prefactors such as the per-link sqrt(pi g) are tracked as log
 constants (see partition_constants) and never multiplied into Boltzmann
@@ -124,6 +125,12 @@ def action_o3_pullback(lat: Lattice, zf: CP1Field, g) -> float:
     g = _check_g(g)
     zf.check(tol=1e-9)
     return float(np.sum(pullback_term(link_overlaps(lat, zf)))) / g
+
+
+def action_cp1_gauged_pullback(lat: Lattice, zf: CP1Field, gauge: GaugeField, g) -> float:
+    """(1/g) sum_links [ (A - Im w)^2 + 1 - |w|^2 ]: the gauge term plus the pullback action."""
+    w = link_overlaps(lat, zf)
+    return float(np.sum(gauge_term(gauge.a, w))) / _check_g(g) + action_o3_pullback(lat, zf, g)
 
 
 @dataclass

@@ -13,7 +13,7 @@ verify   runs the numerical identity suite (kinetic-term identity, polar
 sample   runs one Monte Carlo chain and writes the observable series as CSV
          plus a JSON summary.
 compare  runs chains of different models at the same coupling and gates the
-         observables of each pair of chains that share a law (mc.LAW) at a
+         observables of each pair of chains that share a law (mc.FLAVOURS) at a
          combined-sigma threshold, and on two sites each chain's corr_r1
          against its quadrature. comparison_rows and oracle_rows build both
          tables from the chains' estimates through one gate, _gate;

@@ -1,6 +1,6 @@
 """Metropolis / Gibbs sampling of the spin and spinor models.
 
-Five chain flavors share one engine:
+Five chain flavors share one engine; FLAVOURS holds what each one is:
 
   o3                   unit 3-vector field, kinetic action (1/4g) sum |dn|^2
   cp1-pullback         spinor field weighted by the o3 action of hopf(z); the
@@ -84,32 +84,46 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .actions import (
-    action_cp1_gauged,
-    action_cp1_reduced,
-    action_o3,
-    action_o3_pullback,
-    gauge_term,
-    link_overlaps,
-    pullback_term,
-    reduced_term,
-    spinor_overlap,
-)
+from . import actions
+from .actions import gauge_term, spinor_overlap
 from .errors import O3CP1Error
 from .fields import CP1Field, GaugeField, SpinField, hopf_map
 from .lattice import Lattice
 from .measure import _leggauss
 
-# The law of each flavour's n observables: flavours that share a law give
-# identically distributed n, so compare gates exactly those pairs.
-LAW = {
-    "o3": "o3",
-    "cp1-pullback": "o3",
-    "cp1-reduced": "reduced",
-    "cp1-gauged-reduced": "reduced",
-    "cp1-gauged-pullback": "o3",
+
+class Flavour(NamedTuple):
+    """What a chain flavour is: every flavour branch of mc reads its record in FLAVOURS.
+
+    law     the law of its n observables: flavours that share a law give
+            identically distributed n, so compare gates exactly those pairs;
+            LAW_TERMS[law] names the law's per-link term in actions
+    spinor  its rows are unit spinors (S^3), else unit 3-vectors (S^2)
+    gauged  it carries a gauge field, refreshed by gibbs_gauge_update
+    affine  its action change takes _delta_s's affine local-field branch
+    action  the name in actions of its global action (total_action)
+
+    Records name functions rather than hold them: the benchmark's tracer
+    rebinds module attributes, so each name is looked up when it is used.
+    """
+
+    law: str
+    spinor: bool
+    gauged: bool
+    affine: bool
+    action: str
+
+
+FLAVOURS = {
+    "o3": Flavour("o3", False, False, True, "action_o3"),
+    "cp1-pullback": Flavour("o3", True, False, False, "action_o3_pullback"),
+    "cp1-reduced": Flavour("reduced", True, False, False, "action_cp1_reduced"),
+    "cp1-gauged-reduced": Flavour("reduced", True, True, True, "action_cp1_gauged"),
+    "cp1-gauged-pullback": Flavour("o3", True, True, False, "action_cp1_gauged_pullback"),
 }
-MODELS = tuple(LAW)
+LAW_TERMS = {"o3": "pullback_term", "reduced": "reduced_term"}
+LAW = {model: flavour.law for model, flavour in FLAVOURS.items()}
+MODELS = tuple(FLAVOURS)
 
 SELF_CHECK_TOL = 1e-9
 TARGET_ACCEPTANCE = 0.5  # proposal tuning aims here during thermalization
@@ -180,27 +194,28 @@ class ChainState:
     g: float
     delta: float
     rng: np.random.Generator
-    matter: SpinField | CP1Field  # SpinField for o3, else CP1Field
+    matter: SpinField | CP1Field  # CP1Field for a spinor flavour, else SpinField
     gauge: GaugeField = None
     self_check: bool = False
 
     @property
     def is_gauged(self):
-        return self.model.startswith("cp1-gauged")
+        return FLAVOURS[self.model].gauged
 
 
 def _check_chain(model, g):
     """McError unless `model` is a flavour whose chain can sample at coupling g."""
-    if model not in MODELS:
-        raise McError(f"unknown model {model!r}; expected one of {MODELS}")
+    if model not in FLAVOURS:
+        raise McError(f"unknown model {model!r}; expected one of {tuple(FLAVOURS)}")
     if not (g > 0):
         raise McError(f"coupling must be positive, got {g}")
-    # cp1-gauged-pullback's action change sums 2 ndim squares (A - Im w)^2 =
+    # a gauged flavour off the affine branch sums 2 ndim squares (A - Im w)^2 =
     # (g/2) z^2, z standard normal (gibbs_gauge_update), for the new spinor and
     # for the old. Near g = 1e307 both overflow to inf and inf - inf = nan
     # rejects the move; up to 1e300 they stay finite while ndim z^2 < 1e8.
-    if model == "cp1-gauged-pullback" and g > 1e300:
-        raise McError(f"coupling {g} is too large for cp1-gauged-pullback (at most 1e300): "
+    flavour = FLAVOURS[model]
+    if flavour.gauged and not flavour.affine and g > 1e300:
+        raise McError(f"coupling {g} is too large for {model} (at most 1e300): "
                       f"its squared gauge terms overflow")
 
 
@@ -210,20 +225,10 @@ def init_chain(lat, model, g, rng, delta=DELTA_START, self_check=False) -> Chain
 
 
 def total_action(state: ChainState) -> float:
-    """Full action of the current configuration (reference for self-checks)."""
-    lat, g, matter = state.lat, state.g, state.matter
-    if state.model == "o3":
-        return action_o3(lat, matter, g)
-    if state.model == "cp1-pullback":
-        return action_o3_pullback(lat, matter, g)
-    if state.model == "cp1-reduced":
-        return action_cp1_reduced(lat, matter, g)
-    if state.model == "cp1-gauged-reduced":
-        # per link, (A - A*)^2/g + reduced term equals the covariant action
-        return action_cp1_gauged(lat, matter, state.gauge, g)
-    w = link_overlaps(lat, matter)
-    gauss = float(np.sum(gauge_term(state.gauge.a, w))) / g
-    return gauss + action_o3_pullback(lat, matter, g)
+    """Full action of the current configuration (reference for self-checks): the flavour's."""
+    flavour = FLAVOURS[state.model]
+    fields = (state.matter, state.gauge)[: 1 + flavour.gauged]  # a gauged action reads A too
+    return getattr(actions, flavour.action)(state.lat, *fields, state.g)
 
 
 # --- batches -----------------------------------------------------------------
@@ -242,23 +247,24 @@ class ChainBatch:
     the one buffer `rows`, then, if gauged, its links by a Gibbs refresh, into
     `gauge`. Copy c holds the caller's chain order[c], and states[c] is that
     chain, its fields views of the copy's slices. Copies are in layout order:
-    plain chains, then gauged ones, cp1-gauged-reduced last, so that each
-    flavour's copies, the gauged copies and the copies whose action change
-    reads the overlaps are contiguous.
+    plain chains, then gauged ones, the affine ones last (Flavour), so that
+    each flavour's copies, the gauged copies and the copies whose action
+    change reads the overlaps are contiguous.
     """
 
     def __init__(self, lat, g, models, rngs, delta=DELTA_START, self_check=False):
         for model in models:
             _check_chain(model, g)
-        if len({model == "o3" for model in models}) > 1:
+        if len({FLAVOURS[model].spinor for model in models}) > 1:
             raise McError("a batch holds chains of one row type")
         self.order = sorted(range(len(models)), key=lambda i: (
-            models[i].startswith("cp1-gauged"), models[i] == "cp1-gauged-reduced", models[i]))
+            FLAVOURS[models[i]].gauged, FLAVOURS[models[i]].affine, models[i]))
         models = [models[i] for i in self.order]
+        flavours = [FLAVOURS[model] for model in models]
         self.lat, self.g, volume = lat, float(g), lat.volume
-        self.spinor = models[0] != "o3"
-        self.n_plain = sum(not m.startswith("cp1-gauged") for m in models)  # the first gauged copy
-        self.n_overlap = sum(m != "cp1-gauged-reduced" for m in models) if self.spinor else 0
+        self.spinor = flavours[0].spinor
+        self.n_plain = sum(not f.gauged for f in flavours)  # the first gauged copy
+        self.n_overlap = sum(not f.affine for f in flavours)
         self.kernels = []  # [model, first copy, end copy] of each flavour that reads overlaps
         for c, model in enumerate(models[: self.n_overlap]):
             if self.kernels and self.kernels[-1][0] == model:
@@ -331,11 +337,10 @@ def _delta_s(batch, table, old, new):
     """Action change of moving each row of `table` from `old` to `new`.
 
     One gather of the neighbours serves every chain and both values. The
-    first rows, those of the spinor chains other than cp1-gauged-reduced,
-    take the overlaps w = z(x)^dag z(y) together, and each flavour applies
-    its per-link kernel to its rows of them. The other rows, o3 or
-    cp1-gauged-reduced, take the affine branch -c (x' - x).h / g (see the
-    module notes).
+    first rows, those of the flavours off the affine branch, take the
+    overlaps w = z(x)^dag z(y) together, and each flavour applies its law's
+    per-link term (LAW_TERMS), plus the gauge term if gauged, to its rows.
+    The other rows take the affine branch -c (x' - x).h / g (module notes).
     """
     k = len(table.sites) // len(batch.states)
     m = batch.n_overlap * k
@@ -362,9 +367,10 @@ def _delta_s(batch, table, old, new):
     if m:
         terms = np.empty(w.shape)
         for model, first, end in batch.kernels:
+            flavour = FLAVOURS[model]
             rows = slice(first * k, end * k)
-            terms[:, :, rows] = (pullback_term if LAW[model] == "o3" else reduced_term)(w[:, :, rows])
-            if model == "cp1-gauged-pullback":
+            terms[:, :, rows] = getattr(actions, LAW_TERMS[flavour.law])(w[:, :, rows])
+            if flavour.gauged:
                 links = slice((first - batch.n_plain) * k, (end - batch.n_plain) * k)
                 terms[:, :, rows] += gauge_term(a[:, links], w[:, :, rows])
         s_new, s_old = terms.sum(axis=1)
@@ -684,7 +690,7 @@ def run_chains(lat, models, g, sweeps, master_seed, processes=1, **kwargs):
     seqs = np.random.SeedSequence(master_seed).spawn(len(models))
     batches = {}  # row type -> indices of its chains
     for i, model in enumerate(models):
-        batches.setdefault(model == "o3", []).append(i)
+        batches.setdefault(FLAVOURS[model].spinor, []).append(i)
     tasks = [([models[i] for i in idx], [seqs[i] for i in idx]) for idx in batches.values()]
     if processes <= 1 or len(tasks) == 1:
         done = [_run_batch(lat, batch, g, sweeps, batch_seqs, **kwargs)
@@ -731,15 +737,15 @@ def two_site_exact(model: str, g: float) -> float:
 
     By invariance the weight depends only on w = z(0)^dag z(1), and the flat
     spinor-sphere measure pushes to the uniform disk |w| <= 1 (the marginal
-    of one unit spinor component). S = 2 term(w) / g with the per-link
-    pullback_term for the o3 law and reduced_term for the reduced law, and
-    n(0).n(1) = 2|w|^2 - 1. Gauged flavors share their matter marginal's
-    value exactly. McError when the 96- and 192-node rules differ by more
-    than 1e-12 or either is not finite: the rule does not resolve g.
+    of one unit spinor component). S = 2 term(w) / g with the per-link term
+    of the flavour's law (LAW_TERMS), and n(0).n(1) = 2|w|^2 - 1. Gauged
+    flavors share their matter marginal's value exactly. McError when the 96-
+    and 192-node rules differ by more than 1e-12 or either is not finite:
+    the rule does not resolve g.
     """
-    if model not in LAW:
+    if model not in FLAVOURS:
         raise McError(f"no two-site reference for model {model!r}")
-    term = pullback_term if LAW[model] == "o3" else reduced_term
+    term = getattr(actions, LAW_TERMS[FLAVOURS[model].law])
     value, check = (_two_site_quadrature(term, g, n) for n in (96, 192))
     gap = abs(value - check)
     if not gap <= 1e-12:  # also catches a nan

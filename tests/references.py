@@ -6,14 +6,8 @@ import textwrap
 
 import numpy as np
 
-from o3cp1 import mc
-from o3cp1.actions import (
-    gauge_term,
-    link_overlaps,
-    pullback_term,
-    reduced_term,
-    spinor_overlap,
-)
+from o3cp1 import actions, mc
+from o3cp1.actions import gauge_term, link_overlaps, spinor_overlap
 from o3cp1.fields import CP1Field, GaugeField, SpinField, hopf_map
 
 
@@ -123,15 +117,17 @@ def site_table(batch, sites):
 
 def delta_s(batch, table, old, new):
     """mc._delta_s of a batch of one chain, with a fancy-index neighbour gather and the
-    per-link kernels of the overlaps for every spinor flavour."""
+    per-link kernels of the overlaps for every spinor flavour: its law's term, plus the
+    gauge term if gauged."""
     (state,) = batch.states
+    flavour = mc.FLAVOURS[state.model]
     nbr = batch.rows[table.nbr]
-    if state.model == "o3":
+    if not flavour.spinor:
         return -((new - old) * nbr.sum(axis=0)).sum(axis=1) / (2.0 * state.g)
     pair = np.concatenate((new, old)).reshape(2, 1, len(new), 2)
     w = spinor_overlap(pair, nbr)
-    terms = (pullback_term if mc.LAW[state.model] == "o3" else reduced_term)(w)
-    if state.is_gauged:
+    terms = getattr(actions, mc.LAW_TERMS[flavour.law])(w)
+    if flavour.gauged:
         terms += gauge_term(batch.gauge.take(table.links) * table.sign, w)
     s_new, s_old = terms.sum(axis=1)
     return (s_new - s_old) / state.g
@@ -182,7 +178,8 @@ def run_chain_series(lat, model, g, sweeps, seed_seq, thermalization):
     rows = []
     for _ in range(sweeps):
         mc.chain_sweep(batch)
-        rows.append(measure(measurer, state.matter.n if model == "o3" else hopf_map(state.matter.z)))
+        rows.append(measure(measurer, hopf_map(state.matter.z) if mc.FLAVOURS[model].spinor
+                            else state.matter.n))
     data = np.array(rows)
     return {name: data[:, j] for j, name in enumerate(measurer.names())}
 

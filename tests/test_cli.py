@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from o3cp1 import actions, cli, measure
-from o3cp1.mc import LAW, two_site_exact
+from o3cp1.mc import FLAVOURS, LAW, two_site_exact
 from references import edit
 
 
@@ -644,6 +644,16 @@ def test_compare_computes_each_laws_two_site_reference_once(tmp_path, monkeypatc
     oracle = json.loads((tmp_path / "c_report.json").read_text())["two_site_oracle"]
     assert [row["chain"] for row in oracle] == list(cli.REGIMES["both"])
     assert all(row["reference"] == two_site_exact(row["chain"], 1.0) for row in oracle)
+
+
+def test_regimes_run_the_flavours_of_the_table():
+    # both runs every flavour once; pullback and reduced run o3 beside the
+    # flavours of their law. The order is literal: chain i draws spawn(n)[i]
+    assert sorted(cli.REGIMES["both"]) == sorted(FLAVOURS)
+    for regime, law in (("pullback", "o3"), ("reduced", "reduced")):
+        models = cli.REGIMES[regime]
+        assert len(set(models)) == len(models), regime
+        assert set(models) == {"o3"} | {m for m, f in FLAVOURS.items() if f.law == law}, regime
 
 
 def test_acceptance_c09_c10_gate_through_the_cli_rows(monkeypatch, capsys):

@@ -1,11 +1,13 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from o3cp1 import mc
+from o3cp1 import actions, mc
 from o3cp1.actions import link_overlaps
 from o3cp1.fields import SpinField, hopf_map
 from o3cp1.lattice import Lattice, build_lattice
@@ -24,7 +26,7 @@ from o3cp1.mc import (
     two_site_exact,
 )
 import references
-from references import constant_spin_field, constant_spinor_field, optimal_gauge
+from references import constant_spin_field, constant_spinor_field, edit, optimal_gauge
 
 
 def rng_of(seed):
@@ -242,7 +244,7 @@ def test_sweeps_keep_the_bits_of_the_fancy_index_reference(dims, model, monkeypa
         assert (link_overlaps(lat, new.matter).tobytes()
                 == references.link_overlaps_fancy(lat, new.matter).tobytes())
     measurer = mc._Measurer(lat, 0.7, min(4, min(dims) // 2))
-    n = new.matter.n if model == "o3" else hopf_map(new.matter.z)
+    n = hopf_map(new.matter.z) if mc.FLAVOURS[model].spinor else new.matter.n
     assert measurer.measure(n[None])[0].tolist() == references.measure(measurer, n)
 
 
@@ -359,7 +361,7 @@ def test_correlator_matches_measurer_on_snapshots():
 
 def block_sweeps(lat, model):
     """Sweeps per measured block of run_chain: 64 KB of o3 rows (3 reals) or spinor rows (4)."""
-    return max(1, 65536 // (lat.volume * 8 * (3 if model == "o3" else 4)))
+    return max(1, 65536 // (lat.volume * 8 * (4 if mc.FLAVOURS[model].spinor else 3)))
 
 
 def spy_blocks(monkeypatch):
@@ -385,7 +387,8 @@ def test_block_rows_keep_the_bits_of_single_snapshots(dims, model):
         chain_sweep(batch)
         snaps.append(state.matter.rows.copy())
     snaps = np.array(snaps)
-    n = snaps if model == "o3" else hopf_map(snaps.reshape(-1, 2)).reshape(len(snaps), -1, 3)
+    spinor = mc.FLAVOURS[model].spinor
+    n = hopf_map(snaps.reshape(-1, 2)).reshape(len(snaps), -1, 3) if spinor else snaps
     measurer = mc._Measurer(lat, 0.7, min(4, min(dims) // 2))
     rows = measurer.measure(n)
     assert rows.shape == (len(n), len(measurer.names()))
@@ -420,7 +423,7 @@ def test_snapshot_buffer_holds_at_most_64_kb(dims, model, b, monkeypatch):
     lengths = spy_blocks(monkeypatch)
     run_chain(lat, model, 0.7, b + 1, np.random.SeedSequence(4), thermalization=0)
     assert lengths == [b, 1]
-    snapshot_bytes = lat.volume * 8 * (3 if model == "o3" else 4)
+    snapshot_bytes = lat.volume * 8 * (4 if mc.FLAVOURS[model].spinor else 3)
     assert b * snapshot_bytes <= 65536 or b == 1
     assert (b + 1) * snapshot_bytes > 65536
 
@@ -662,3 +665,110 @@ def test_gauged_pullback_refuses_a_coupling_its_gauge_squares_overflow(monkeypat
         for model, g in [(m, 1e300) for m in MODELS] + [("cp1-gauged-reduced", 1e308)]:
             batch = ChainBatch(lat, g, [model], [rng_of(15)], delta=4.0)
             assert all(chain_sweep(batch) == [1.0] for _ in range(50)), (model, g)
+
+
+# --- the flavour table -------------------------------------------------------------------
+
+
+def register_double_flavour(monkeypatch):
+    """A spinor flavour "double" whose law's per-link term is 2 pullback_term, so its
+    weight at g is the o3 law's at g/2: one record, one law term and one global action.
+    Returns the couplings its global action is called with."""
+    calls = []
+
+    def action_double(lat, zf, g):
+        calls.append(g)
+        return 2.0 * actions.action_o3_pullback(lat, zf, g)
+
+    monkeypatch.setitem(mc.FLAVOURS, "double",
+                        mc.Flavour("double", True, False, False, "action_double"))
+    monkeypatch.setitem(mc.LAW_TERMS, "double", "double_term")
+    monkeypatch.setattr(actions, "double_term", lambda w: 2.0 * actions.pullback_term(w),
+                        raising=False)
+    monkeypatch.setattr(actions, "action_double", action_double, raising=False)
+    return calls
+
+
+def assert_every_caller_reads_the_double_flavour(monkeypatch):
+    calls = register_double_flavour(monkeypatch)
+    lat = build_lattice([3, 4])
+    # a cp1-pullback copy and a double copy of one start field and one stream
+    batch = ChainBatch(lat, 0.7, ["double", "cp1-pullback"], [rng_of(8), rng_of(8)])
+    pullback, double = batch.states
+    assert (pullback.model, double.model) == ("cp1-pullback", "double")
+    table = mc._site_table(batch, mc._colour_classes(lat)[0])
+    old = batch.rows.take(table.sites, axis=0)
+    new = mc._propose(batch.states, old)
+    ds = mc._delta_s(batch, table, old, new).reshape(2, -1)
+    assert np.count_nonzero(ds[0]) and np.array_equal(ds[1], 2.0 * ds[0])  # doubling is exact
+    assert mc.total_action(double) == 2.0 * mc.total_action(pullback)
+    assert calls == [0.7]
+    assert abs(mc.two_site_exact("double", 0.7) - mc.two_site_exact("o3", 0.35)) <= 1e-14
+
+
+def test_every_caller_reads_a_registered_flavour(monkeypatch):
+    assert_every_caller_reads_the_double_flavour(monkeypatch)
+
+
+# one named mutant per caller of the table, each with its flavour choice hard-coded back
+FLAVOUR_MUTANTS = {
+    "delta-s-kernel": ("_delta_s", edit(
+        "getattr(actions, LAW_TERMS[flavour.law])",
+        "(actions.pullback_term if flavour.law == 'o3' else actions.reduced_term)")),
+    "total-action": ("total_action", edit(
+        "getattr(actions, flavour.action)", "actions.action_o3_pullback")),
+    "two-site-kernel": ("two_site_exact", edit(
+        "getattr(actions, LAW_TERMS[FLAVOURS[model].law])",
+        "actions.pullback_term if FLAVOURS[model].law == 'o3' else actions.reduced_term")),
+}
+
+
+@pytest.mark.parametrize("name", list(FLAVOUR_MUTANTS))
+def test_a_caller_with_its_flavour_choice_hard_coded_fails(monkeypatch, name):
+    function, mutant = FLAVOUR_MUTANTS[name]
+    monkeypatch.setattr(mc, function, mutant(getattr(mc, function)))
+    with pytest.raises(AssertionError):
+        assert_every_caller_reads_the_double_flavour(monkeypatch)
+
+
+def test_a_law_without_a_term_raises(monkeypatch):
+    # no fall-back to some other law's term
+    monkeypatch.setitem(mc.FLAVOURS, "orphan",
+                        mc.Flavour("orphan", True, False, False, "action_o3_pullback"))
+    batch = ChainBatch(build_lattice([4]), 0.7, ["orphan"], [rng_of(9)])
+    with pytest.raises(KeyError, match="orphan"):
+        chain_sweep(batch)
+    with pytest.raises(KeyError, match="orphan"):
+        two_site_exact("orphan", 0.7)
+
+
+def flavour_tests(path):
+    """Lines of the module at path that compare with a flavour name or test a "cp1" prefix.
+
+    cli._model_tag's cp1-gauged alias is the one allowed site.
+    """
+    tree = ast.parse(path.read_text())
+    allowed = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               and (path.name, fn.name) == ("cli.py", "_model_tag") for node in ast.walk(fn)}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("startswith", "endswith")):
+            operands = node.args
+        else:
+            continue
+        # the operands themselves, and the items of a tuple, list or set operand
+        items = [i for o in operands for i in getattr(o, "elts", [o])]
+        literals = [i.value for i in items if isinstance(i, ast.Constant) and isinstance(i.value, str)]
+        if id(node) not in allowed and any(v in mc.FLAVOURS or v.startswith("cp1") for v in literals):
+            lines.append(f"{path.name}:{node.lineno}")
+    return lines
+
+
+def test_no_module_tests_a_flavour_name():
+    # what a flavour is, is read from its mc.FLAVOURS record
+    paths = sorted(Path(mc.__file__).parent.glob("*.py"))
+    assert len(paths) > 5
+    assert [line for path in paths for line in flavour_tests(path)] == []
